@@ -57,7 +57,7 @@ def _design_bundle(cfg, raw):
                                  tau_min=tcfg["tau_min"])
     gains = design.eiss_gains(system, cert, trig, tau_star=tau_star)
     tables = scheduler.build_tables(system, cert, trig)
-    work = system.m * system.m + system.m
+    feasibility = design.feasibility_check(system.m, 0.0, trig)
     report = {
         "tool": {"name": "selftrig", "version": __version__},
         "config_hash": reports.config_hash(raw),
@@ -73,11 +73,10 @@ def _design_bundle(cfg, raw):
                     "tau_max": trig.tau_max, "n_min": trig.n_min,
                     "n_max": trig.n_max},
         "gains": dataclasses.asdict(gains),
-        "feasibility": {"work_unit": work,
-                        "tau_min": trig.tau_min,
-                        "delta": trig.delta,
-                        "max_tau_c": min(trig.tau_min / (1.5 * work),
-                                         trig.delta / work)},
+        "feasibility": {"work_unit": feasibility.work_unit,
+                        "tau_min": feasibility.tau_min,
+                        "delta": feasibility.delta,
+                        "max_tau_c": feasibility.max_tau_c},
         "tables": tables.to_jsonable(),
     }
     return system, cert, trig, gains, tables, report

@@ -32,8 +32,6 @@ from .errors import ConfigError, DesignError, DimensionError, NumericError
 
 # Grid-count fallback for the dwell-time scan when the caller gives no step.
 _SCAN_POINTS_DEFAULT = 2000
-# Fresh-exponential refresh interval for the incremental grid scan.
-_SCAN_REFRESH = 512
 # A local minimum of |det M| on the grid below sqrt(tol) is a candidate
 # tangential root; after refinement it counts as a root below this fraction
 # of sqrt(tol).
@@ -231,9 +229,11 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
     directions) are caught by refining grid-local minima of ``|det M|``
     that dip below ``sqrt(tol)``.
 
-    The scan walks the grid with incremental exponential products, refreshed
-    periodically, and every bracket is re-evaluated with fresh exponentials
-    before refinement so drift cannot displace a root.
+    The grid is evaluated chunk by chunk from fresh exponentials
+    (``linalg.expm_chunks``) and stacked determinants; the two grid values
+    before each chunk carry over, so a bracket or dip that straddles a chunk
+    boundary is found as if the grid were one piece. Refinement evaluates
+    single points.
     """
     if decay_exponent not in (1, 2):
         raise ConfigError(f"decay_exponent must be 1 or 2, got {decay_exponent}")
@@ -291,44 +291,40 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
     accept_threshold = dip_threshold * _TANGENT_ACCEPT_FACTOR
 
     n_grid = int(math.ceil(tau_cap / grid_step))
-    E_step = linalg.expm(F, grid_step)
-    E = np.eye(2 * m)
-    prev_tau, prev_d = 0.0, 0.0          # det M(0) = 0 exactly
-    prev2_tau, prev2_d = None, None
-    for j in range(1, n_grid + 1):
-        if j % _SCAN_REFRESH == 0:
-            E = linalg.expm(F, j * grid_step)
-        else:
-            E = E @ E_step
-        tau_j = j * grid_step
-        L = E[:m, :m]
-        M = L.T @ P @ L - math.exp(-rate * tau_j) * P
-        d_j = linalg.det(0.5 * (M + M.T))
-
-        if j > 1 and (d_j == 0.0 or (prev_d < 0.0) != (d_j < 0.0)):
-            # Sign change (or exact zero) between grid points; confirm with
-            # fresh evaluations, then bisect.
-            lo, hi = prev_tau, tau_j
-            flo, fhi = det_at(lo), det_at(hi)
-            if fhi == 0.0:
-                return DwellTimeResult(hi, True, tau_cap)
-            if flo == 0.0 or (flo < 0.0) == (fhi < 0.0):
-                # Drift artifact; fall through to the dip logic below.
-                pass
-            else:
-                return DwellTimeResult(bisect(lo, hi, flo), True, tau_cap)
-
-        if (prev2_d is not None and abs(prev_d) < dip_threshold
-                and abs(prev_d) <= abs(prev2_d) and abs(prev_d) <= abs(d_j)):
-            t_min, f_min = golden_min(prev2_tau, tau_j)
-            if f_min <= accept_threshold:
-                return DwellTimeResult(t_min, True, tau_cap)
-            f_signed = det_at(t_min)
-            if (det_at(prev2_tau) < 0.0) != (f_signed < 0.0):
-                return DwellTimeResult(bisect(prev2_tau, t_min, det_at(prev2_tau)), True, tau_cap)
-
-        prev2_tau, prev2_d = prev_tau, prev_d
-        prev_tau, prev_d = tau_j, d_j
+    # The two grid points before the current chunk: tau = 0, where
+    # det M(0) = 0 exactly, and a placeholder before it that no test reads.
+    tail_taus = np.array([math.nan, 0.0])
+    tail_dets = np.array([math.nan, 0.0])
+    for idx, E in linalg.expm_chunks(F, grid_step, range(1, n_grid + 1)):
+        taus = grid_step * idx
+        L = E[:, :m, :m]
+        M = np.swapaxes(L, 1, 2) @ P @ L - np.exp(-rate * taus)[:, None, None] * P
+        dets = np.linalg.det(0.5 * (M + np.swapaxes(M, 1, 2)))
+        all_taus = np.concatenate((tail_taus, taus))
+        all_dets = np.concatenate((tail_dets, dets))
+        prev, prev2 = all_dets[1:-1], all_dets[:-2]
+        # Point j = 1 only follows the exact zero at tau = 0, so neither
+        # test applies to it.
+        crossing = (idx > 1) & ((dets == 0.0) | ((prev < 0.0) != (dets < 0.0)))
+        dip = ((idx > 1) & (np.abs(prev) < dip_threshold)
+               & (np.abs(prev) <= np.abs(prev2)) & (np.abs(prev) <= np.abs(dets)))
+        for i in np.flatnonzero(crossing | dip):
+            tau_j = float(taus[i])
+            if crossing[i]:
+                if dets[i] == 0.0:
+                    return DwellTimeResult(tau_j, True, tau_cap)
+                if prev[i] != 0.0:
+                    root = bisect(float(all_taus[i + 1]), tau_j, float(prev[i]))
+                    return DwellTimeResult(root, True, tau_cap)
+            if dip[i]:
+                lo = float(all_taus[i])
+                t_min, f_min = golden_min(lo, tau_j)
+                if f_min <= accept_threshold:
+                    return DwellTimeResult(t_min, True, tau_cap)
+                f_lo = det_at(lo)
+                if (f_lo < 0.0) != (det_at(t_min) < 0.0):
+                    return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap)
+        tail_taus, tail_dets = all_taus[-2:], all_dets[-2:]
 
     return DwellTimeResult(tau_cap, False, tau_cap)
 
@@ -416,13 +412,47 @@ def energy_rate_form(sys, cert):
     return 0.5 * (G + G.T)
 
 
+def _norm_integral(A, T, max_step):
+    """``integral_0^T norm(exp(A r)) dr`` by composite Simpson quadrature.
+
+    Starts from the smallest even node count with spacing at most
+    ``max_step`` and doubles it until the value is stable to ``_QUAD_RTOL``
+    relative. The nodes of a doubled rule are the old ones plus the new odd
+    ones, so each doubling evaluates only the new nodes, batched through
+    ``linalg.expm_chunks``.
+    """
+    def norm_sum(h, indices):
+        return sum(float(np.linalg.norm(E, 2, axis=(1, 2)).sum())
+                   for _idx, E in linalg.expm_chunks(A, h, indices))
+
+    n = max(2, 2 * int(math.ceil(T / (2.0 * max_step))))
+    ends = float(np.linalg.norm(linalg.expm_grid(A, [0.0, T]), 2,
+                                axis=(1, 2)).sum())
+    h = T / n
+    odd = norm_sum(h, range(1, n, 2))
+    even = norm_sum(h, range(2, n, 2))
+    value = (ends + 4.0 * odd + 2.0 * even) * h / 3.0
+    for _ in range(_QUAD_MAX_DOUBLINGS):
+        n *= 2
+        h = T / n
+        even += odd
+        odd = norm_sum(h, range(1, n, 2))
+        refined = (ends + 4.0 * odd + 2.0 * even) * h / 3.0
+        converged = abs(refined - value) <= _QUAD_RTOL * max(abs(refined), 1e-30)
+        value = refined
+        if converged:
+            break
+    return value
+
+
 def disturbance_gain_coeff(P_like, A, T, max_step=None):
     """Coefficient ``c`` such that the disturbance contribution to ``V`` over
     a window of length ``T`` is at most ``c * sup|d|``.
 
     Computes ``(lambda_max(P) / sqrt(lambda_min(P))) * integral_0^T
     norm(exp(A r)) dr`` by composite Simpson quadrature, doubling the node
-    count until the result is stable to 1e-6 relative.
+    count until the result is stable to 1e-6 relative. ``max_step`` bounds
+    the initial node spacing and defaults to ``T / 32``.
     """
     A = linalg.as_square(A, "A")
     P_like = linalg.as_square(P_like, "P")
@@ -434,29 +464,9 @@ def disturbance_gain_coeff(P_like, A, T, max_step=None):
     if pvals[0] <= 0.0:
         raise NumericError("weight matrix is not positive definite")
     weight = float(pvals[-1]) / math.sqrt(float(pvals[0]))
-
-    def integrand(r):
-        return linalg.induced_norm2(linalg.expm(A, r))
-
-    def simpson(n):
-        h = T / n
-        total = integrand(0.0) + integrand(T)
-        total += 4.0 * sum(integrand(i * h) for i in range(1, n, 2))
-        total += 2.0 * sum(integrand(i * h) for i in range(2, n, 2))
-        return total * h / 3.0
-
     if max_step is None:
         max_step = T / 32.0
-    n = max(2, 2 * int(math.ceil(T / (2.0 * max_step))))
-    value = simpson(n)
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        n *= 2
-        refined = simpson(n)
-        if abs(refined - value) <= _QUAD_RTOL * max(abs(refined), 1e-30):
-            value = refined
-            break
-        value = refined
-    return weight * value
+    return weight * _norm_integral(A, T, max_step)
 
 
 def hold_growth_factor(delta, n_max, rho, mu, lam, rho_P):
@@ -528,9 +538,11 @@ def eiss_gains(sys, cert, trig, tau_star=None):
     rho_P = math.sqrt(p_max / p_min)
     g_value = hold_growth_factor(trig.delta, trig.n_max, rho, mu, cert.lam, rho_P)
     sigma = rho_P * g_value
-    T = trig.n_max * trig.delta
-    gamma_P = disturbance_gain_coeff(cert.P, sys.A, T, max_step=trig.delta / 4.0)
-    gamma_I = disturbance_gain_coeff(np.eye(sys.m), sys.A, T, max_step=trig.delta / 4.0)
+    # gamma_P and gamma_I share the integral of norm(exp(A r)) over the
+    # longest hold; they differ in the weight, which is 1 for the identity.
+    integral = _norm_integral(sys.A, trig.n_max * trig.delta, trig.delta / 4.0)
+    gamma_P = p_max / math.sqrt(p_min) * integral
+    gamma_I = integral
     denominator = 1.0 - math.exp(-cert.lam * trig.tau_min)
     if denominator <= 0.0:
         raise NumericError("geometric accumulation denominator vanished")

@@ -3,16 +3,19 @@
 Everything in this module operates on plain ``numpy.ndarray`` objects and is
 written for the matrix sizes that show up in sampled-data controller design:
 state dimensions in the single digits, augmented systems at most a few dozen
-rows. Simplicity and verifiability win over asymptotic cleverness at this
-scale, so the algorithms are the classical textbook ones:
+rows. The exponential is written out here because the design evaluates it
+over whole time grids; the factorizations are numpy's, behind the input and
+symmetry checks this package relies on:
 
 ==================  =========================================================
 ``expm``            scaling and squaring with a diagonal Pade approximant
-``sym_eig``         cyclic Jacobi rotations for symmetric matrices
+``expm_grid``       the same kernel over a stack of times, one scaling each
+``expm_chunks``     ``expm_grid`` over an index range, in bounded chunks
+``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
-``induced_norm2``   spectral norm as sqrt(lambda_max(M' M))
-``det``             LU factorization with partial pivoting
+``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
+``det``             ``numpy.linalg.det`` of a checked square matrix
 ==================  =========================================================
 
 All tolerances are module constants so callers can tighten or relax them in
@@ -38,10 +41,11 @@ _PADE6 = (
     1.0 / 15840.0,
     1.0 / 665280.0,
 )
+# Entries of one stacked temporary in a chunk of ``expm_chunks``: a chunk
+# holds as many grid points as fit, and at least one.
+_GRID_CHUNK_ENTRIES = 4096
 
 _SYMMETRY_RTOL = 1e-12
-_JACOBI_SWEEP_LIMIT = 50
-_JACOBI_OFF_RTOL = 1e-15
 _LYAP_RESIDUAL_RTOL = 1e-9
 
 
@@ -64,48 +68,85 @@ def as_square(M, name="matrix"):
 def expm(M, t=1.0):
     """Matrix exponential ``exp(M * t)``.
 
-    Scales ``M*t`` by a power of two until its 1-norm is at most
-    ``_PADE_SCALE_LIMIT``, applies the diagonal Pade(6,6) approximant, and
-    squares back. Accurate to better than 1e-10 relative error for
-    ``norm(M*t)`` up to around 100, which covers every use in this package.
+    The one-time case of :func:`expm_grid`, run on the 2-D matrix itself.
     """
     A = as_square(M, "expm argument")
     if not math.isfinite(t):
         raise NumericError("expm time argument is not finite")
-    A = A * t
-    m = A.shape[0]
-    ident = np.eye(m)
+    return _expm_stack(A * t)
 
-    norm1 = float(np.abs(A).sum(axis=0).max()) if m else 0.0
-    s = 0
-    if norm1 > _PADE_SCALE_LIMIT:
-        s = int(math.ceil(math.log2(norm1 / _PADE_SCALE_LIMIT)))
-        A = A / (2.0 ** s)
+
+def expm_grid(M, taus):
+    """Stack of matrix exponentials, ``exp(M * t)`` for every ``t`` in ``taus``."""
+    A = as_square(M, "expm argument")
+    t = np.asarray(taus, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t)):
+        raise NumericError("expm time argument is not finite")
+    return _expm_stack(t[:, None, None] * A)
+
+
+def _expm_stack(X):
+    """Exponential of every square matrix in the last two axes of ``X``.
+
+    Each matrix is scaled by its own power of two until its 1-norm is at
+    most ``_PADE_SCALE_LIMIT``, goes through the diagonal Pade(6,6)
+    approximant, and is squared back as often as it was halved. Accurate to
+    better than 1e-10 relative error for norms up to around 100, which
+    covers every use in this package.
+    """
+    ident = np.eye(X.shape[-1])
+    norm1 = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.asarray(np.ceil(np.log2(np.maximum(norm1, _PADE_SCALE_LIMIT)
+                                   / _PADE_SCALE_LIMIT)), dtype=int)
+    X = np.ldexp(X, -s[..., None, None])
 
     b = _PADE6
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (b[1] * ident + b[3] * A2 + b[5] * A4)
-    V = b[0] * ident + b[2] * A2 + b[4] * A4 + b[6] * A6
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X2 @ X4
+    U = X @ (b[1] * ident + b[3] * X2 + b[5] * X4)
+    V = b[0] * ident + b[2] * X2 + b[4] * X4 + b[6] * X6
     try:
         R = np.linalg.solve(V - U, V + U)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Pade denominator is singular: {exc}") from exc
-    for _ in range(s):
+    # Square the whole stack as often as its least-scaled matrix needs,
+    # then only the matrices that were scaled further.
+    lowest, highest = (int(s.min()), int(s.max())) if s.size else (0, 0)
+    for _ in range(lowest):
         R = R @ R
+    for k in range(lowest, highest):
+        active = s > k
+        part = R[active]
+        R[active] = part @ part
     return R
 
 
+def expm_chunks(M, step, indices):
+    """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
+
+    Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
+    ``E[i] = exp(M * idx[i] * step)``. A chunk's times are built from its
+    own index range, so no whole grid is ever materialized, and each
+    stacked temporary holds at most ``_GRID_CHUNK_ENTRIES`` entries.
+    """
+    A = as_square(M, "expm argument")
+    per = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
+    for lo in range(0, len(indices), per):
+        part = indices[lo:lo + per]
+        idx = np.arange(part.start, part.stop, part.step)
+        yield idx, expm_grid(A, step * idx)
+
+
 def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix.
 
     Parameters
     ----------
     S : array_like
         Square matrix, symmetric to within ``_SYMMETRY_RTOL`` relative to its
         largest entry. It is symmetrized as ``(S + S') / 2`` before the
-        iteration.
+        decomposition.
 
     Returns
     -------
@@ -117,56 +158,8 @@ def sym_eig(S):
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > _SYMMETRY_RTOL * scale:
         raise NumericError("sym_eig argument is not symmetric")
-    A = 0.5 * (A + A.T)
-    m = A.shape[0]
-    V = np.eye(m)
-    if m == 1:
-        return A[0, 0].reshape(1), V
-
-    fro = float(np.sqrt((A * A).sum()))
-    tol = _JACOBI_OFF_RTOL * max(fro, 1.0)
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        # Summed directly over the off-diagonal entries: subtracting the
-        # diagonal mass from the total cancels catastrophically and would
-        # hide residues below the square root of one ulp of the total.
-        off = math.sqrt(float(((A - np.diag(np.diag(A))) ** 2).sum()))
-        if off <= tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                # Entries this small cannot lift the off-diagonal mass above
-                # the sweep tolerance, and rotating on them risks overflow.
-                if abs(apq) <= 0.01 * tol / m:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # theta**2 would overflow; the rotation angle is ~1/(2 theta)
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                A[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], V[:, order]
+    values, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    return values, vectors
 
 
 def lyap_solve(A, Q):
@@ -228,24 +221,9 @@ def induced_norm2(M):
         raise NumericError("matrix has non-finite entries")
     if A.shape[0] == 0 or A.shape[1] == 0:
         return 0.0
-    # Work with the smaller Gram matrix of the two.
-    G = A.T @ A if A.shape[0] >= A.shape[1] else A @ A.T
-    values, _ = sym_eig(0.5 * (G + G.T))
-    return math.sqrt(max(0.0, float(values[-1])))
+    return float(np.linalg.norm(A, 2))
 
 
 def det(M):
-    """Determinant through LU factorization with partial pivoting."""
-    A = as_square(M, "det argument").copy()
-    m = A.shape[0]
-    parity = 1.0
-    for k in range(m - 1):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            parity = -parity
-        factors = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k:] -= np.outer(factors, A[k, k:])
-    return parity * float(np.prod(np.diag(A)))
+    """Determinant of a finite square matrix."""
+    return float(np.linalg.det(as_square(M, "det argument")))

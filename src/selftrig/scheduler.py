@@ -17,7 +17,6 @@ cannot change the schedule for any design with ``tau_min`` below the
 minimum inter-execution time.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,26 +98,24 @@ def _monomials(x):
 def build_tables(sys, cert, trig, packed=True):
     """Precompute the trigger tables for a designed configuration.
 
-    Each transition is taken from one exponential of the input-augmented
+    Each transition is taken from a fresh exponential of the input-augmented
     matrix ``[[A, I], [0, 0]]`` over ``n delta``, whose top row blocks give
-    ``exp(A n delta)`` and the input integral; no recurrence is involved, so
-    the table entries carry no accumulated error.
+    ``exp(A n delta)`` and the input integral. The exponentials come in
+    chunks from ``linalg.expm_chunks``; no recurrence is involved, so the
+    table entries carry no accumulated error.
     """
     m = sys.m
-    A = sys.A
     BK = sys.B @ sys.K
     P = cert.P
-    aug = np.block([[A, np.eye(m)], [np.zeros((m, 2 * m))]])
+    aug = np.block([[sys.A, np.eye(m)], [np.zeros((m, 2 * m))]])
     transitions = np.empty((trig.n_max + 1, m, m))
     forms = np.empty((trig.n_max + 1, m, m))
-    transitions[0] = np.eye(m)
-    forms[0] = np.zeros((m, m))
-    for n in range(1, trig.n_max + 1):
-        E = linalg.expm(aug, n * trig.delta)
-        L = E[:m, :m] + E[:m, m:] @ BK
-        Q = L.T @ P @ L - math.exp(-2.0 * cert.lam * n * trig.delta) * P
-        transitions[n] = L
-        forms[n] = 0.5 * (Q + Q.T)
+    for idx, E in linalg.expm_chunks(aug, trig.delta, range(trig.n_max + 1)):
+        L = E[:, :m, :m] + E[:, :m, m:] @ BK
+        decay = np.exp(-2.0 * cert.lam * idx * trig.delta)[:, None, None]
+        Q = np.swapaxes(L, 1, 2) @ P @ L - decay * P
+        transitions[idx] = L
+        forms[idx] = 0.5 * (Q + np.swapaxes(Q, 1, 2))
     packed_vecs = None
     if packed:
         packed_vecs = np.stack([_pack_form(forms[n])

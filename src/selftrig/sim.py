@@ -31,7 +31,6 @@ _HORIZON_EPS = 1e-9
 _STEP_EPS = 1e-12
 # Grid density of the dwell-time oracle scan (bisection refines from there).
 _ORACLE_POINTS = 5000
-_ORACLE_REFRESH = 512
 
 _DISTURBANCE_KINDS = ("zero", "constant", "sinusoid", "bounded_noise")
 
@@ -311,9 +310,9 @@ def run_periodic(sys, cert, dist, x0, t_end, period, divisor=20):
 class HeldFlowGrid:
     """Exact held-input transitions precomputed over a dense time grid.
 
-    Built once per (system, horizon) pair and shared across oracle calls;
-    the grid walks incremental exponential products with periodic fresh
-    refreshes, and refinements always use fresh exponentials.
+    Built once per (system, horizon) pair and shared across oracle calls.
+    Every grid point takes a fresh exponential, in chunks from
+    ``linalg.expm_chunks``, and refinements use single fresh exponentials.
     """
 
     def __init__(self, sys, tau_max, n_points=_ORACLE_POINTS):
@@ -324,15 +323,8 @@ class HeldFlowGrid:
         self.step = self.tau_max / n_points
         self.taus = self.step * np.arange(n_points + 1)
         flows = np.empty((n_points + 1, m, m))
-        flows[0] = np.eye(m)
-        E_step = linalg.expm(aug, self.step)
-        E = np.eye(2 * m)
-        for j in range(1, n_points + 1):
-            if j % _ORACLE_REFRESH == 0:
-                E = linalg.expm(aug, j * self.step)
-            else:
-                E = E @ E_step
-            flows[j] = E[:m, :m] + E[:m, m:]
+        for idx, E in linalg.expm_chunks(aug, self.step, range(n_points + 1)):
+            flows[idx] = E[:, :m, :m] + E[:, :m, m:]
         self.flows = flows
         self._aug = aug
 

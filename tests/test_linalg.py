@@ -1,15 +1,20 @@
 """Kernel checks against independent references.
 
-The exponential is compared with a scaled Taylor series, the symmetric
-eigensolver and determinant with their numpy counterparts, and the Lyapunov
-and square-root solvers with their defining equations. Every reference here
-is computed by a different algorithm than the implementation under test.
+The exponential is compared with a scaled Taylor series and the grid
+exponential with both that series and the one-time exponential. The
+symmetric eigensolver, spectral norm and determinant wrap numpy; their tests
+pin what the wrappers add (ordering, symmetry and shape checks). The
+Lyapunov and square-root solvers are checked against their defining
+equations.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from selftrig import linalg
 from selftrig.errors import DimensionError, NumericError
@@ -74,6 +79,65 @@ class TestExpm:
     def test_rejects_non_finite_time(self):
         with pytest.raises(NumericError):
             linalg.expm(np.eye(2), math.inf)
+
+
+class TestExpmGrid:
+    # Zero, a time far below the scaling threshold, moderate times and one
+    # that needs many squarings, deliberately out of order so elements with
+    # different scaling exponents sit side by side.
+    TIMES = [2.5, 0.0, 1e-9, 0.3, 40.0, 1e-300, 1.0]
+
+    def test_matches_single_exponentials_and_taylor_series(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 5):
+            A = random_matrix(rng, n, scale=0.5)
+            stack = linalg.expm_grid(A, self.TIMES)
+            assert stack.shape == (len(self.TIMES), n, n)
+            for E, t in zip(stack, self.TIMES):
+                single = linalg.expm(A, t)
+                assert np.abs(E - single).max() <= 1e-14 * max(1.0, np.abs(single).max())
+                ref = taylor_expm(A, t)
+                assert np.abs(E - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+
+    def test_zero_time_is_identity(self):
+        stack = linalg.expm_grid(np.array([[0.0, 1.0], [-4.0, -0.1]]), [0.0, 0.0])
+        assert np.array_equal(stack, np.stack([np.eye(2), np.eye(2)]))
+
+    def test_one_by_one(self):
+        stack = linalg.expm_grid(-1.5, [0.0, 0.5, 8.0])
+        assert stack.shape == (3, 1, 1)
+        for E, t in zip(stack, (0.0, 0.5, 8.0)):
+            assert E[0, 0] == pytest.approx(math.exp(-1.5 * t), rel=1e-13)
+
+    def test_empty_grid(self):
+        assert linalg.expm_grid(np.eye(3), []).shape == (0, 3, 3)
+        assert list(linalg.expm_chunks(np.eye(3), 0.1, range(5, 5))) == []
+
+    def test_rejects_non_finite_time(self):
+        with pytest.raises(NumericError):
+            linalg.expm_grid(np.eye(2), [0.1, math.nan])
+
+    def test_chunks_cover_the_index_range_within_the_budget(self, monkeypatch):
+        A = np.array([[0.0, 1.0], [-2.0, -0.5]])
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 3 * A.size)
+        chunks = list(linalg.expm_chunks(A, 0.05, range(1, 12, 2)))
+        assert [idx.tolist() for idx, _E in chunks] == [[1, 3, 5], [7, 9, 11]]
+        for idx, E in chunks:
+            assert np.array_equal(E, linalg.expm_grid(A, 0.05 * idx))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(1, 5).flatmap(lambda n: arrays(
+            np.float64, (n, n),
+            elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))),
+        ts=st.lists(st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8),
+    )
+    def test_each_element_matches_the_single_exponential(self, M, ts):
+        stack = linalg.expm_grid(M, ts)
+        for E, t in zip(stack, ts):
+            single = linalg.expm(M, t)
+            assert np.abs(E - single).max() <= 1e-14 * max(1.0, np.abs(single).max())
 
 
 class TestSymEig:

@@ -131,6 +131,15 @@ class TestDwellTimeMeasurement:
                                             fx.trig.tau_max, grid=grid)
             assert got >= fx.tau_star - 1e-6
 
+    def test_grid_flows_match_single_exponentials(self, double_integrator):
+        # The grid is built in chunks; every point must equal the flow the
+        # refinement computes on its own at the same time.
+        grid = sim.HeldFlowGrid(double_integrator.sys, 1.5, n_points=700)
+        assert np.array_equal(grid.flows[0], np.eye(2))
+        for tau, flow in zip(grid.taus, grid.flows):
+            single = grid.flow_at(tau)
+            assert np.abs(flow - single).max() <= 1e-14 * np.abs(single).max()
+
     def test_stale_grid_is_rejected(self, scalar):
         grid = sim.HeldFlowGrid(scalar.sys, 1.0)
         with pytest.raises(ConfigError):
