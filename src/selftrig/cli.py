@@ -7,17 +7,15 @@ the same guaranteed rate, ``sweep`` grids over trigger parameters, and
 ``feasibility`` checks a platform's multiply-add time against a design.
 
 Exit codes: 0 success (and feasible), 1 infeasible platform or a sweep with
-no successful cell, 2 configuration problems, 3 design-stage numeric
-problems, 4 simulation failures.
+no successful cell, 2 configuration problems (including unusable input or
+output paths), 3 design-stage numeric problems, 4 simulation failures.
 """
 
 import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -291,21 +289,6 @@ def cmd_compare(args):
     return 0
 
 
-def _sweep_threads(n_cells):
-    env = os.environ.get("SELFTRIG_THREADS")
-    if env is None:
-        limit = os.cpu_count() or 1
-    else:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"SELFTRIG_THREADS must be an integer, got {env!r}") from None
-        if limit < 1:
-            raise ConfigError("SELFTRIG_THREADS must be at least 1")
-    return max(1, min(limit, n_cells))
-
-
 def _sweep_cell(raw, delta, tau_max, cell_dir):
     cell_raw = copy.deepcopy(raw)
     cell_raw.pop("sweep", None)
@@ -344,11 +327,8 @@ def cmd_sweep(args):
                    for tm in cfg["sweep"]["tau_max_list"])
     out = _out_dir(args, cfg)
     dirs = [out / "cells" / f"cell_{i:03d}" for i in range(len(cells))]
-    workers = _sweep_threads(len(cells))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda job: _sweep_cell(raw, job[0][0], job[0][1],
-                                                     job[1]),
-                             zip(cells, dirs)))
+    rows = [_sweep_cell(raw, delta, tau_max, cell_dir)
+            for (delta, tau_max), cell_dir in zip(cells, dirs)]
     columns = ["delta", "tau_max", "n_max", "sigma", "gamma_total_coeff",
                "mean_tau_k", "executions", "status"]
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -357,7 +337,7 @@ def cmd_sweep(args):
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
                               else row[c] for c in columns) + "\n")
     ok = sum(1 for r in rows if r["status"] == "ok")
-    print(f"swept {len(rows)} cells with {workers} worker(s): {ok} ok, "
+    print(f"swept {len(rows)} cells with 1 worker(s): {ok} ok, "
           f"{len(rows) - ok} failed")
     print(f"wrote {out / 'sweep.csv'}")
     return 0 if ok else 1
@@ -443,6 +423,9 @@ def main(argv=None):
     except SimulationError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,12 +14,16 @@ runtime side needs:
   closed loop, and
 * a processor-time feasibility check for running the trigger online.
 
-The minimum dwell time comes from a determinant root: with
-``F = [[A+BK, BK], [-A-BK, -BK]]`` the held-input flow from ``x`` is
-``xi(tau) = L(tau) x`` where ``L(tau)`` is the top-left block of
-``exp(F tau)``, and the decay condition fails first at the smallest positive
-root of ``det(L(tau)' P L(tau) - exp(-e lambda tau) P)`` with exponent
-``e = 2`` matching the squared form of ``V``.
+Everything rests on the held-input flow ``xi(tau) = L(tau) x`` with
+``L(tau) = exp(A tau) + integral_0^tau exp(A s) ds B K``. Van Loan's block
+exponential gives both terms at once: with ``N = [[A, B], [0, 0]]``,
+``exp(N tau) = [[E11, E12], [0, I]]`` and ``L(tau) = E11 + E12 K``. The
+block ``N`` is built once per :class:`LinearSystem`; :func:`held_transition`
+takes one time, :func:`held_flow_chunks` a uniform grid, and
+:func:`decay_form` turns either into the decay-test form. The minimum dwell
+time comes from a determinant root: the decay condition fails first at the
+smallest positive root of ``det(L(tau)' P L(tau) - exp(-e lambda tau) P)``
+with exponent ``e = 2`` matching the squared form of ``V``.
 """
 
 import math
@@ -69,6 +73,7 @@ class LinearSystem:
     of length ``m`` becomes a column, ``K`` of length ``m`` becomes a row.
     Construction fails with ``DesignError`` if ``A + B K`` is not Hurwitz,
     established through a Lyapunov solve rather than an eigenvalue check.
+    ``van_loan`` is the held-flow block ``[[A, B], [0, 0]]``.
     """
 
     def __init__(self, A, B, K):
@@ -86,6 +91,7 @@ class LinearSystem:
             K = K.reshape(1, 1) if K.ndim == 0 else K.reshape(1, -1)
         self.K = _as_matrix(K, rows=l, cols=m, name="K")
         self.a_cl = self.A + self.B @ self.K
+        self.van_loan = np.block([[self.A, self.B], [np.zeros((l, m + l))]])
         try:
             linalg.lyap_solve(self.a_cl, np.eye(m))
         except NumericError as exc:
@@ -171,23 +177,36 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
     return LyapunovCertificate(P, lambda_o, lambda_ratio * lambda_o, Q)
 
 
-def augmented_dynamics(sys):
-    """Matrix ``F`` whose flow propagates state and hold error jointly.
-
-    With ``z = [xi; e]`` where ``e`` tracks the difference between the held
-    sample and the current state, ``dz/dt = F z`` and the held-input flow
-    from ``x`` is the top-left block of ``exp(F t)`` applied to ``x``.
-    """
-    a_cl = sys.a_cl
-    bk = sys.B @ sys.K
-    return np.block([[a_cl, bk], [-a_cl, -bk]])
+def _held_flow(sys, E):
+    """``L = E11 + E12 K`` from one Van Loan exponential or a stack of them."""
+    m = sys.m
+    return E[..., :m, :m] + E[..., :m, m:] @ sys.K
 
 
 def held_transition(sys, tau):
     """Exact flow matrix of the held loop: ``xi(tau) = L(tau) x``."""
-    m = sys.m
-    E = linalg.expm(augmented_dynamics(sys), tau)
-    return E[:m, :m]
+    return _held_flow(sys, linalg.expm(sys.van_loan, tau))
+
+
+def held_flow_chunks(sys, step, indices):
+    """Held flows ``L(j * step)`` for ``j`` in a ``range``, chunk by chunk.
+
+    Yields ``(idx, L)`` with ``L[i] = L(idx[i] * step)``, one chunk of
+    ``linalg.expm_chunks`` at a time.
+    """
+    for idx, E in linalg.expm_chunks(sys.van_loan, step, indices):
+        yield idx, _held_flow(sys, E)
+
+
+def decay_form(L, P, rate, tau):
+    """Symmetrized ``L' P L - exp(-rate tau) P``.
+
+    ``L`` is one flow with a scalar ``tau``, or a stack of flows with one
+    time each.
+    """
+    decay = np.exp(-rate * np.asarray(tau, dtype=float))[..., None, None]
+    M = L.swapaxes(-1, -2) @ P @ L - decay * P
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def trigger_form(sys, cert, tau, decay_exponent=2):
@@ -200,9 +219,8 @@ def trigger_form(sys, cert, tau, decay_exponent=2):
     """
     if decay_exponent not in (1, 2):
         raise ConfigError(f"decay_exponent must be 1 or 2, got {decay_exponent}")
-    L = held_transition(sys, tau)
-    M = L.T @ cert.P @ L - math.exp(-decay_exponent * cert.lam * tau) * cert.P
-    return 0.5 * (M + M.T)
+    return decay_form(held_transition(sys, tau), cert.P,
+                      decay_exponent * cert.lam, tau)
 
 
 @dataclass
@@ -229,8 +247,8 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
     directions) are caught by refining grid-local minima of ``|det M|``
     that dip below ``sqrt(tol)``.
 
-    The grid is evaluated chunk by chunk from fresh exponentials
-    (``linalg.expm_chunks``) and stacked determinants; the two grid values
+    The grid is evaluated chunk by chunk from fresh held flows
+    (:func:`held_flow_chunks`) and stacked determinants; the two grid values
     before each chunk carry over, so a bracket or dip that straddles a chunk
     boundary is found as if the grid were one piece. Refinement evaluates
     single points.
@@ -246,15 +264,11 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
     if not (0.0 < grid_step < tau_cap):
         raise DesignError(f"grid_step must lie in (0, tau_cap), got {grid_step}")
 
-    m = sys.m
     P = cert.P
     rate = decay_exponent * cert.lam
-    F = augmented_dynamics(sys)
 
     def det_at(tau):
-        L = linalg.expm(F, tau)[:m, :m]
-        M = L.T @ P @ L - math.exp(-rate * tau) * P
-        return linalg.det(0.5 * (M + M.T))
+        return linalg.det(decay_form(held_transition(sys, tau), P, rate, tau))
 
     def bisect(lo, hi, flo):
         while hi - lo > tol:
@@ -295,11 +309,9 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
     # det M(0) = 0 exactly, and a placeholder before it that no test reads.
     tail_taus = np.array([math.nan, 0.0])
     tail_dets = np.array([math.nan, 0.0])
-    for idx, E in linalg.expm_chunks(F, grid_step, range(1, n_grid + 1)):
+    for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
         taus = grid_step * idx
-        L = E[:, :m, :m]
-        M = np.swapaxes(L, 1, 2) @ P @ L - np.exp(-rate * taus)[:, None, None] * P
-        dets = np.linalg.det(0.5 * (M + np.swapaxes(M, 1, 2)))
+        dets = np.linalg.det(decay_form(L, P, rate, taus))
         all_taus = np.concatenate((tail_taus, taus))
         all_dets = np.concatenate((tail_dets, dets))
         prev, prev2 = all_dets[1:-1], all_dets[:-2]

@@ -2,7 +2,8 @@
 
 The online controller only ever evaluates quadratic forms. For each grid
 index ``n`` the table stores ``Q_n = L_n' P L_n - exp(-2 lam n delta) P``
-where ``L_n`` is the exact held-input transition over ``n delta``;
+where ``L_n`` is the exact held-input transition over ``n delta``, taken
+from the design's held-flow primitive (``design.held_flow_chunks``);
 ``x' Q_n x <= 0`` certifies the enforced decay at that grid point. The next
 execution is scheduled ``max(tau_min, n_k delta)`` ahead, with ``n_k`` the
 longest prefix of grid points that all pass the test.
@@ -21,21 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import design
 from .errors import ConfigError, DimensionError, NumericError
 
 
 class TriggerTables:
-    """Precomputed transition matrices and decay-test forms on the grid."""
+    """Decay-test forms on the grid, full and packed.
 
-    def __init__(self, delta, tau_min, n_min, n_max, transitions, forms, packed):
+    ``forms[n]`` is ``Q_n`` for ``n = 0..n_max``; ``packed`` holds the packed
+    coefficient vectors of ``Q_n`` for ``n = n_min..n_max``, the only ones
+    the packed evaluator reads.
+    """
+
+    def __init__(self, delta, tau_min, n_min, n_max, forms, packed):
         self.delta = float(delta)
         self.tau_min = float(tau_min)
         self.n_min = int(n_min)
         self.n_max = int(n_max)
-        self.transitions = transitions    # (n_max+1, m, m), L_0 = I
         self.forms = forms                # (n_max+1, m, m), Q_0 = 0
-        self.packed = packed              # (n_max - n_min + 1, m(m+1)/2) or None
+        self.packed = packed              # (n_max - n_min + 1, m(m+1)/2)
 
     @property
     def m(self):
@@ -43,28 +48,27 @@ class TriggerTables:
 
     def to_jsonable(self):
         """Plain-data view for embedding in a design report."""
-        out = {
+        return {
             "delta": self.delta,
             "tau_min": self.tau_min,
             "n_min": self.n_min,
             "n_max": self.n_max,
-            "transitions": [L.tolist() for L in self.transitions],
             "forms": [Q.tolist() for Q in self.forms],
+            "packed": [v.tolist() for v in self.packed],
         }
-        if self.packed is not None:
-            out["packed"] = [v.tolist() for v in self.packed]
-        return out
 
     @classmethod
     def from_jsonable(cls, data):
-        """Rebuild tables from the plain-data view of a design report."""
+        """Rebuild tables from the plain-data view of a design report.
+
+        Keys other than the table fields, such as the ``transitions`` of
+        older reports, are ignored.
+        """
         try:
-            transitions = np.asarray(data["transitions"], dtype=float)
             forms = np.asarray(data["forms"], dtype=float)
-            packed = (np.asarray(data["packed"], dtype=float)
-                      if "packed" in data else None)
+            packed = np.asarray(data["packed"], dtype=float)
             return cls(data["delta"], data["tau_min"], data["n_min"],
-                       data["n_max"], transitions, forms, packed)
+                       data["n_max"], forms, packed)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed trigger tables: {exc}") from exc
 
@@ -95,43 +99,22 @@ def _monomials(x):
     return out
 
 
-def build_tables(sys, cert, trig, packed=True):
+def build_tables(sys, cert, trig):
     """Precompute the trigger tables for a designed configuration.
 
-    Each transition is taken from a fresh exponential of the input-augmented
-    matrix ``[[A, I], [0, 0]]`` over ``n delta``, whose top row blocks give
-    ``exp(A n delta)`` and the input integral. The exponentials come in
-    chunks from ``linalg.expm_chunks``; no recurrence is involved, so the
-    table entries carry no accumulated error.
+    Every form comes from its own fresh held flow, in chunks from
+    ``design.held_flow_chunks``; no recurrence is involved, so the table
+    entries carry no accumulated error.
     """
-    m = sys.m
-    BK = sys.B @ sys.K
-    P = cert.P
-    aug = np.block([[sys.A, np.eye(m)], [np.zeros((m, 2 * m))]])
-    transitions = np.empty((trig.n_max + 1, m, m))
-    forms = np.empty((trig.n_max + 1, m, m))
-    for idx, E in linalg.expm_chunks(aug, trig.delta, range(trig.n_max + 1)):
-        L = E[:, :m, :m] + E[:, :m, m:] @ BK
-        decay = np.exp(-2.0 * cert.lam * idx * trig.delta)[:, None, None]
-        Q = np.swapaxes(L, 1, 2) @ P @ L - decay * P
-        transitions[idx] = L
-        forms[idx] = 0.5 * (Q + np.swapaxes(Q, 1, 2))
-    packed_vecs = None
-    if packed:
-        packed_vecs = np.stack([_pack_form(forms[n])
-                                for n in range(trig.n_min, trig.n_max + 1)])
+    forms = np.empty((trig.n_max + 1, sys.m, sys.m))
+    rate = 2.0 * cert.lam
+    for idx, L in design.held_flow_chunks(sys, trig.delta,
+                                          range(trig.n_max + 1)):
+        forms[idx] = design.decay_form(L, cert.P, rate, idx * trig.delta)
+    packed = np.stack([_pack_form(forms[n])
+                       for n in range(trig.n_min, trig.n_max + 1)])
     return TriggerTables(trig.delta, trig.tau_min, trig.n_min, trig.n_max,
-                         transitions, forms, packed_vecs)
-
-
-def trigger_value(x, n, tables):
-    """Decay-test value ``x' Q_n x`` at grid index ``n``."""
-    if not 0 <= n <= tables.n_max:
-        raise IndexError(f"grid index {n} outside [0, {tables.n_max}]")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != tables.m:
-        raise DimensionError(f"state has length {x.shape[0]}, expected {tables.m}")
-    return float(x @ tables.forms[n] @ x)
+                         forms, packed)
 
 
 @dataclass
@@ -148,15 +131,12 @@ class TriggerDecision:
     op_count: int
 
 
-def next_update(x, tables, skip_low=False):
+def next_update(x, tables):
     """Schedule the next execution by scanning the full-matrix forms.
 
     Scans ``n = 1..n_max`` and stops at the first failed test; the schedule
-    is ``max(tau_min, n_k delta)``. With ``skip_low`` the scan starts at
-    ``n_min + 1``, which cannot change the outcome when the design
-    guarantees the prefix (it always does when ``tau_min`` is at most the
-    minimum inter-execution time) but is kept off by default so every
-    logged decision is fully audited.
+    is ``max(tau_min, n_k delta)``. The prefix below ``n_min`` is scanned
+    too, so every logged decision is fully audited.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != tables.m:
@@ -165,10 +145,9 @@ def next_update(x, tables, skip_low=False):
         raise NumericError("state has non-finite entries")
     m = tables.m
     work = m * m + m
-    start = tables.n_min + 1 if skip_low else 1
     n_k = tables.n_max
     evaluations = 0
-    for n in range(start, tables.n_max + 1):
+    for n in range(1, tables.n_max + 1):
         evaluations += 1
         if float(x @ tables.forms[n] @ x) > 0.0:
             n_k = n - 1
@@ -192,8 +171,6 @@ def next_update_packed(x, tables, zero_shortcut=True):
     are identical to :func:`next_update` whenever the design guarantees the
     prefix below ``n_min``.
     """
-    if tables.packed is None:
-        raise ConfigError("tables were built without packed coefficient vectors")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != tables.m:
         raise DimensionError(f"state has length {x.shape[0]}, expected {tables.m}")

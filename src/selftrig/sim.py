@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import design, linalg, scheduler
+from . import design, scheduler
 from .errors import ConfigError, DimensionError, NumericError, SimulationError
 
 _HORIZON_EPS = 1e-9
@@ -102,14 +102,6 @@ class DisturbanceSpec:
         if self.kind == "sinusoid":
             return self._base * math.sin(2.0 * math.pi * self.frequency * t)
         return self._noise(step)
-
-
-def held_step_matrices(sys, tau):
-    """Exact discretization pair: ``x+ = Ad x + Bd u`` for input held over ``tau``."""
-    m, l = sys.m, sys.l
-    aug = np.block([[sys.A, sys.B], [np.zeros((l, m + l))]])
-    E = linalg.expm(aug, tau)
-    return E[:m, :m], E[:m, m:]
 
 
 def integrate_held(sys, x, u, dist, t0, dt, steps, step0=0):
@@ -311,28 +303,24 @@ class HeldFlowGrid:
     """Exact held-input transitions precomputed over a dense time grid.
 
     Built once per (system, horizon) pair and shared across oracle calls.
-    Every grid point takes a fresh exponential, in chunks from
-    ``linalg.expm_chunks``, and refinements use single fresh exponentials.
+    Every grid point takes a fresh held flow, in chunks from
+    ``design.held_flow_chunks``, and refinements use
+    ``design.held_transition``.
     """
 
     def __init__(self, sys, tau_max, n_points=_ORACLE_POINTS):
-        m = sys.m
-        aug = np.block([[sys.A, sys.B @ sys.K], [np.zeros((m, 2 * m))]])
         self.sys = sys
         self.tau_max = float(tau_max)
         self.step = self.tau_max / n_points
         self.taus = self.step * np.arange(n_points + 1)
-        flows = np.empty((n_points + 1, m, m))
-        for idx, E in linalg.expm_chunks(aug, self.step, range(n_points + 1)):
-            flows[idx] = E[:, :m, :m] + E[:, :m, m:]
-        self.flows = flows
-        self._aug = aug
+        self.flows = np.empty((n_points + 1, sys.m, sys.m))
+        for idx, L in design.held_flow_chunks(sys, self.step,
+                                              range(n_points + 1)):
+            self.flows[idx] = L
 
     def flow_at(self, tau):
         """Fresh exact transition at an arbitrary time."""
-        m = self.sys.m
-        E = linalg.expm(self._aug, tau)
-        return E[:m, :m] + E[:m, m:]
+        return design.held_transition(self.sys, tau)
 
 
 def continuous_dwell_time(sys, cert, x, tau_max, tol=1e-9, grid=None):

@@ -128,6 +128,15 @@ class TestExitCodes:
                          "--design", str(out / "design.json"),
                          "--out", str(tmp_path / "out2")]) == 2
 
+    def test_unusable_output_path_is_one_line_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert run(tmp_path, scalar_cfg(), "design",
+                   "--out", str(blocker / "sub")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_feasibility_verdicts(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
@@ -156,6 +165,8 @@ class TestDesignArtifact:
             1.47767006, abs=1e-7)
         # One form per grid index from 0 through n_max inclusive.
         assert len(report["tables"]["forms"]) == 31
+        assert set(report["tables"]) == {"delta", "tau_min", "n_min",
+                                         "n_max", "forms", "packed"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -208,6 +219,25 @@ class TestSimulateArtifacts:
             assert ((reused / name).read_bytes()
                     == (outputs / name).read_bytes())
 
+    def test_reuse_accepts_report_with_transitions(self, outputs, tmp_path):
+        # Design reports from earlier versions also stored the held flows
+        # as a "transitions" table; loading ignores it.
+        designed = tmp_path / "d"
+        assert run(tmp_path, scalar_cfg(), "design",
+                   "--out", str(designed)) == 0
+        report = json.loads((designed / "design.json").read_text())
+        n_max = report["tables"]["n_max"]
+        report["tables"]["transitions"] = [[[1.0 - 0.1 * n]]
+                                           for n in range(n_max + 1)]
+        (designed / "design.json").write_text(json.dumps(report),
+                                              encoding="utf-8")
+        reused = tmp_path / "reused"
+        assert cli.main(["simulate", "--config", str(tmp_path / "config.json"),
+                         "--design", str(designed / "design.json"),
+                         "--out", str(reused)]) == 0
+        assert ((reused / "events.csv").read_bytes()
+                == (outputs / "events.csv").read_bytes())
+
     def test_noisy_rerun_is_byte_identical(self, tmp_path):
         cfg = scalar_cfg()
         cfg["simulation"]["t_end"] = 20.0
@@ -248,8 +278,7 @@ class TestCompare:
 class TestSweep:
     SWEEP = {"delta_list": [0.1, 0.05], "tau_max_list": [3.0, 1.5]}
 
-    def test_grid_is_sorted_and_monotone(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SELFTRIG_THREADS", "2")
+    def test_grid_is_sorted_and_monotone(self, tmp_path):
         cfg = scalar_cfg(sweep=self.SWEEP)
         cfg["simulation"]["t_end"] = 20.0
         out = tmp_path / "out"
@@ -278,9 +307,3 @@ class TestSweep:
         with open(out / "sweep.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["status"] == "error:ConfigError"
-
-    def test_bad_thread_count_is_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SELFTRIG_THREADS", "many")
-        cfg = scalar_cfg(sweep=self.SWEEP)
-        assert run(tmp_path, cfg, "sweep", "--out",
-                   str(tmp_path / "out")) == 2

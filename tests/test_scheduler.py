@@ -1,9 +1,11 @@
 """Trigger-table and online-decision checks.
 
 The scalar fixture admits closed-form table entries (held flow ``1 - n
-delta``), which pins the table builder; the packed evaluator is then held
-to exact agreement with the full-matrix scan, and its operation counter to
-the closed-form worst case ``q + (2q + 1) m (m + 1) / 2``.
+delta``), which pins ``build_tables``, and the forms are checked against an
+independent construction of the held flow from the hold-error block; the
+packed evaluator is then held to exact agreement with the full-matrix scan,
+and its operation counter to the closed-form worst case
+``q + (2q + 1) m (m + 1) / 2``.
 """
 
 import json
@@ -12,22 +14,38 @@ import math
 import numpy as np
 import pytest
 
-from selftrig import design, scheduler
-from selftrig.errors import ConfigError, DimensionError, NumericError
+from selftrig import design, linalg, scheduler
+from selftrig.errors import ConfigError, NumericError
+
+
+def hold_error_form(fx, tau):
+    """Decay-test form from the 2m x 2m hold-error block.
+
+    With ``z = [xi; e]``, ``e`` the gap between the held sample and the
+    state, ``dz/dt = F z`` for ``F = [[A+BK, BK], [-A-BK, -BK]]`` and the
+    held flow is the top-left block of ``exp(F tau)``.
+    """
+    sys_, m = fx.sys, fx.sys.m
+    bk = sys_.B @ sys_.K
+    F = np.block([[sys_.a_cl, bk], [-sys_.a_cl, -bk]])
+    L = linalg.expm(F, tau)[:m, :m]
+    M = L.T @ fx.cert.P @ L - math.exp(-2.0 * fx.cert.lam * tau) * fx.cert.P
+    return 0.5 * (M + M.T)
 
 
 class TestTables:
     def test_zero_index_entries_are_exact(self, scalar):
         t = scalar.tables
-        assert np.array_equal(t.transitions[0], np.eye(1))
+        assert np.array_equal(design.held_transition(scalar.sys, 0.0),
+                              np.eye(1))
         assert np.array_equal(t.forms[0], np.zeros((1, 1)))
 
     def test_scalar_closed_form_entries(self, scalar):
         t = scalar.tables
         for n in (1, 5, 14, 30):
             s = n * t.delta
-            assert t.transitions[n][0, 0] == pytest.approx(1.0 - s, rel=1e-12,
-                                                           abs=1e-12)
+            L = design.held_transition(scalar.sys, s)
+            assert L[0, 0] == pytest.approx(1.0 - s, rel=1e-12, abs=1e-12)
             expected = 0.5 * (1.0 - s) ** 2 - 0.5 * math.exp(-s)
             assert t.forms[n][0, 0] == pytest.approx(expected, rel=1e-10,
                                                      abs=1e-12)
@@ -37,13 +55,13 @@ class TestTables:
             -0.04741870901797973, abs=1e-14)
 
     def test_forms_match_design_route(self, scalar, double_integrator):
-        # The table builder integrates [[A, I], [0, 0]]; the design-side
-        # form comes from the doubled closed-loop block. Same object, two
+        # build_tables integrates the Van Loan block [[A, B], [0, 0]];
+        # the reference comes from the hold-error block. Same object, two
         # constructions.
         for fx in (scalar, double_integrator):
             t = fx.tables
             for n in (1, t.n_min, t.n_max):
-                ref = design.trigger_form(fx.sys, fx.cert, n * t.delta)
+                ref = hold_error_form(fx, n * t.delta)
                 assert np.abs(t.forms[n] - ref).max() <= 1e-9 * max(
                     1.0, np.abs(ref).max())
 
@@ -55,33 +73,17 @@ class TestTables:
         t = double_integrator.tables
         back = scheduler.TriggerTables.from_jsonable(
             json.loads(json.dumps(t.to_jsonable())))
-        assert np.array_equal(back.transitions, t.transitions)
         assert np.array_equal(back.forms, t.forms)
         assert np.array_equal(back.packed, t.packed)
         assert (back.delta, back.tau_min, back.n_min, back.n_max) == \
             (t.delta, t.tau_min, t.n_min, t.n_max)
 
-    def test_malformed_tables_are_rejected(self):
-        with pytest.raises(ConfigError):
-            scheduler.TriggerTables.from_jsonable({"delta": 0.1})
-
-
-class TestTriggerValue:
-    def test_value_is_quadratic_form(self, double_integrator):
-        t = double_integrator.tables
-        x = np.array([0.7, -1.2])
-        for n in (0, 1, t.n_max):
-            assert scheduler.trigger_value(x, n, t) == pytest.approx(
-                float(x @ t.forms[n] @ x), rel=1e-14)
-
-    def test_out_of_range_index(self, scalar):
-        with pytest.raises(IndexError):
-            scheduler.trigger_value([1.0], scalar.tables.n_max + 1,
-                                    scalar.tables)
-
-    def test_wrong_state_length(self, scalar):
-        with pytest.raises(DimensionError):
-            scheduler.trigger_value([1.0, 2.0], 1, scalar.tables)
+    def test_malformed_tables_are_rejected(self, scalar):
+        no_packed = scalar.tables.to_jsonable()
+        del no_packed["packed"]
+        for data in ({"delta": 0.1}, no_packed):
+            with pytest.raises(ConfigError):
+                scheduler.TriggerTables.from_jsonable(data)
 
 
 class TestDecisions:
@@ -107,15 +109,6 @@ class TestDecisions:
                 assert direct.n == packed.n
                 assert direct.tau == packed.tau
 
-    def test_skip_low_agrees_when_prefix_is_guaranteed(self, double_integrator):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.normal(size=2)
-            full = scheduler.next_update(x, double_integrator.tables)
-            skipped = scheduler.next_update(x, double_integrator.tables,
-                                            skip_low=True)
-            assert full.n == skipped.n
-
     def test_zero_state_shortcut(self, scalar):
         d = scheduler.next_update_packed(np.zeros(1), scalar.tables)
         assert (d.n, d.evaluations, d.op_count) == (scalar.tables.n_max, 0, 0)
@@ -139,12 +132,16 @@ class TestDecisions:
         with pytest.raises(NumericError):
             scheduler.next_update(np.array([math.nan]), scalar.tables)
 
-    def test_packed_requires_packed_tables(self, scalar):
-        bare = scheduler.build_tables(scalar.sys, scalar.cert, scalar.trig,
-                                      packed=False)
-        assert bare.packed is None
-        with pytest.raises(ConfigError):
-            scheduler.next_update_packed(np.array([1.0]), bare)
+    def test_packed_requires_packed_tables(self, double_integrator):
+        # Every table carries the packed vectors of Q_n for n_min..n_max;
+        # a plain-data view without them does not load (see
+        # test_malformed_tables_are_rejected).
+        t = double_integrator.tables
+        assert t.packed.shape == (t.n_max - t.n_min + 1, 3)
+        for n in (t.n_min, t.n_max):
+            Q = t.forms[n]
+            assert np.array_equal(t.packed[n - t.n_min],
+                                  [Q[0, 0], 2.0 * Q[0, 1], Q[1, 1]])
 
     def test_schedule_respects_window(self, corpus):
         rng = np.random.default_rng(12)

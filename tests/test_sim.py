@@ -1,7 +1,8 @@
 """Integrator, dwell-time oracle, run loop, and verification checks.
 
-The integrator is held to the exact discretization pair from the augmented
-exponential; the double integrator is nilpotent, so its held response is
+The integrator is held to the exact held flow ``design.held_transition``
+(with ``u = K x`` it equals ``Ad x + Bd u`` of the exact discretization);
+the double integrator is nilpotent, so its held response is
 polynomial and RK4 reproduces it to rounding, while the scalar plant with
 drift exposes the fourth-order error decay. The dwell-time measurement is
 checked on the scalar fixture, where holding from any state gives the same
@@ -63,8 +64,7 @@ class TestIntegrator:
     def test_matches_exact_discretization_with_drift(self):
         x = np.array([1.0])
         u = DRIFTY.K @ x
-        Ad, Bd = sim.held_step_matrices(DRIFTY, 2.0)
-        exact = Ad @ x + Bd @ u
+        exact = design.held_transition(DRIFTY, 2.0) @ x
         errs = []
         for steps in (8, 16, 32):
             out = sim.integrate_held(DRIFTY, x, u, zero_dist(1), 0.0,
@@ -81,15 +81,16 @@ class TestIntegrator:
         sys_ = double_integrator.sys
         x = np.array([1.0, -0.5])
         u = sys_.K @ x
-        Ad, Bd = sim.held_step_matrices(sys_, 0.73)
-        exact = Ad @ x + Bd @ u
+        exact = design.held_transition(sys_, 0.73) @ x
         out = sim.integrate_held(sys_, x, u, zero_dist(2), 0.0, 0.73 / 16, 16)
         assert np.abs(out[-1] - exact).max() <= 1e-13
 
     def test_nilpotent_discretization_closed_form(self, double_integrator):
-        Ad, Bd = sim.held_step_matrices(double_integrator.sys, 0.5)
-        assert np.abs(Ad - np.array([[1.0, 0.5], [0.0, 1.0]])).max() <= 1e-12
-        assert np.abs(Bd - np.array([[0.125], [0.5]])).max() <= 1e-12
+        # Ad = [[1, 0.5], [0, 1]], Bd = [0.125, 0.5]' and K = [-1, -2]
+        # give L(0.5) = Ad + Bd K.
+        L = design.held_transition(double_integrator.sys, 0.5)
+        assert np.abs(L - np.array([[0.875, 0.25], [-0.5, 0.0]])).max() \
+            <= 1e-12
 
     def test_divergence_is_reported(self):
         grow = design.LinearSystem(50.0, 1.0, -50.5)
