@@ -47,8 +47,7 @@ def _design_bundle(cfg, raw):
     result = design.min_inter_execution_time(
         system, cert,
         grid_step=tcfg["delta"] / _DWELL_GRID_DIVISOR,
-        tau_cap=_DWELL_CAP_FACTOR / cert.lam,
-        decay_exponent=tcfg["decay_exponent"])
+        tau_cap=_DWELL_CAP_FACTOR / cert.lam)
     tau_star = result.tau if result.root_found else min(result.tau,
                                                         tcfg["tau_max"])
     trig = design.choose_trigger(tau_star, tcfg["delta"], tcfg["tau_max"],
@@ -65,8 +64,7 @@ def _design_bundle(cfg, raw):
                         "lambda_ratio": lyap["lambda_ratio"]},
         "dwell_time": {"tau_star": tau_star,
                        "root_found": result.root_found,
-                       "tau_cap": result.tau_cap,
-                       "decay_exponent": tcfg["decay_exponent"]},
+                       "tau_cap": result.tau_cap},
         "trigger": {"delta": trig.delta, "tau_min": trig.tau_min,
                     "tau_max": trig.tau_max, "n_min": trig.n_min,
                     "n_max": trig.n_max},
@@ -91,7 +89,11 @@ def _read_design_file(path):
 
 
 def _load_design(path, cfg):
-    """Rebuild the design bundle from a previously written design.json."""
+    """Rebuild the design bundle from a previously written design.json.
+
+    The tables must match the file's system dimension and trigger block;
+    any mismatch or malformed entry is a ``ConfigError``.
+    """
     data = _read_design_file(path)
     try:
         system = design.LinearSystem(data["system"]["A"], data["system"]["B"],
@@ -114,6 +116,10 @@ def _load_design(path, cfg):
         tables = scheduler.TriggerTables.from_jsonable(data["tables"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
+    if ((tables.m, tables.delta, tables.tau_min, tables.n_min, tables.n_max)
+            != (system.m, trig.delta, trig.tau_min, trig.n_min, trig.n_max)):
+        raise ConfigError("design file tables do not match its system and "
+                          "trigger block")
     return system, cert, trig, gains, tables, data
 
 

@@ -22,8 +22,8 @@ block ``N`` is built once per :class:`LinearSystem`; :func:`held_transition`
 takes one time, :func:`held_flow_chunks` a uniform grid, and
 :func:`decay_form` turns either into the decay-test form. The minimum dwell
 time comes from a determinant root: the decay condition fails first at the
-smallest positive root of ``det(L(tau)' P L(tau) - exp(-e lambda tau) P)``
-with exponent ``e = 2`` matching the squared form of ``V``.
+smallest positive root of ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``,
+the squared form of the decay of ``V``.
 """
 
 import math
@@ -209,18 +209,13 @@ def decay_form(L, P, rate, tau):
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def trigger_form(sys, cert, tau, decay_exponent=2):
+def trigger_form(sys, cert, tau):
     """Symmetric matrix of the sampled decay test at dwell time ``tau``.
 
     ``x' M(tau) x <= 0`` certifies ``V(xi_x(tau)) <= V(x) exp(-lam tau)``
-    when ``decay_exponent == 2`` (the squared form of the condition).
-    ``decay_exponent == 1`` is available for comparison; it slackens the
-    envelope and is not the faithful test of the V-decay.
+    (the squared form of the condition).
     """
-    if decay_exponent not in (1, 2):
-        raise ConfigError(f"decay_exponent must be 1 or 2, got {decay_exponent}")
-    return decay_form(held_transition(sys, tau), cert.P,
-                      decay_exponent * cert.lam, tau)
+    return decay_form(held_transition(sys, tau), cert.P, 2.0 * cert.lam, tau)
 
 
 @dataclass
@@ -237,8 +232,7 @@ class DwellTimeResult:
     tau_cap: float
 
 
-def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
-                             decay_exponent=2):
+def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
     """Smallest positive time at which the sampled decay test can fail.
 
     Scans ``det M(tau)`` over a uniform grid and bisects the first sign
@@ -253,8 +247,6 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
     boundary is found as if the grid were one piece. Refinement evaluates
     single points.
     """
-    if decay_exponent not in (1, 2):
-        raise ConfigError(f"decay_exponent must be 1 or 2, got {decay_exponent}")
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
     if not (tau_cap > 0.0 and math.isfinite(tau_cap)):
@@ -265,7 +257,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9,
         raise DesignError(f"grid_step must lie in (0, tau_cap), got {grid_step}")
 
     P = cert.P
-    rate = decay_exponent * cert.lam
+    rate = 2.0 * cert.lam
 
     def det_at(tau):
         return linalg.det(decay_form(held_transition(sys, tau), P, rate, tau))

@@ -140,18 +140,14 @@ def validate_config(raw):
 
     trigger = raw["trigger"]
     _check_keys(trigger, "trigger", required=("delta", "tau_max"),
-                optional=("tau_min", "decay_exponent"))
+                optional=("tau_min",))
     tau_min = trigger.get("tau_min", "auto")
     if tau_min != "auto":
         tau_min = _number(tau_min, "trigger.tau_min", positive=True)
-    exponent = _integer(trigger.get("decay_exponent", 2), "trigger.decay_exponent")
-    if exponent not in (1, 2):
-        raise ConfigError("trigger.decay_exponent must be 1 or 2")
     norm["trigger"] = {
         "delta": _number(trigger["delta"], "trigger.delta", positive=True),
         "tau_max": _number(trigger["tau_max"], "trigger.tau_max", positive=True),
         "tau_min": None if tau_min == "auto" else tau_min,
-        "decay_exponent": exponent,
     }
 
     simulation = None

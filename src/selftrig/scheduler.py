@@ -13,11 +13,18 @@ Two evaluators are provided. ``next_update`` works on the full matrices.
 packed monomial vectors (upper-triangular coefficients with doubled
 off-diagonals against ``z = (x_i x_j)_{i<=j}``), which is how a constrained
 platform would run it; it carries an exact multiply-add counter and only
-stores the forms for ``n_min..n_max`` since the prefix below ``n_min``
-cannot change the schedule for any design with ``tau_min`` below the
-minimum inter-execution time.
+reads the forms above ``n_min``, since the prefix up to ``n_min`` cannot
+change the schedule for any design with ``tau_min`` below the minimum
+inter-execution time. The forms are the only stored table; the packed
+vectors are derived from them when the tables are built or loaded.
+
+The forms are homogeneous of degree two, so a decision does not depend on
+the scale of the state. Both evaluators bring the state's largest entry
+into ``[0.5, 1)`` by a power of two before they evaluate, which is exact
+and keeps the products clear of overflow and underflow.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,20 +34,36 @@ from .errors import ConfigError, DimensionError, NumericError
 
 
 class TriggerTables:
-    """Decay-test forms on the grid, full and packed.
+    """Decay-test forms on the grid.
 
-    ``forms[n]`` is ``Q_n`` for ``n = 0..n_max``; ``packed`` holds the packed
-    coefficient vectors of ``Q_n`` for ``n = n_min..n_max``, the only ones
-    the packed evaluator reads.
+    ``forms[n]`` is ``Q_n`` for ``n = 0..n_max``, the one stored table.
+    ``packed`` is derived from ``forms[n_min:]``: row ``n - n_min`` holds the
+    upper-triangular coefficients of ``Q_n`` in row-major order, with the
+    off-diagonals doubled, and ``triu`` is the index pair of that order.
+    Raises ``ConfigError`` unless ``forms`` is a finite ``(n_max+1, m, m)``
+    array and ``1 <= n_min <= n_max``.
     """
 
-    def __init__(self, delta, tau_min, n_min, n_max, forms, packed):
+    def __init__(self, delta, tau_min, n_min, n_max, forms):
         self.delta = float(delta)
         self.tau_min = float(tau_min)
         self.n_min = int(n_min)
         self.n_max = int(n_max)
+        if not 1 <= self.n_min <= self.n_max:
+            raise ConfigError(f"trigger tables need 1 <= n_min <= n_max, got "
+                              f"{self.n_min}, {self.n_max}")
+        forms = np.asarray(forms, dtype=float)
+        if not (forms.ndim == 3 and forms.shape[0] == self.n_max + 1
+                and forms.shape[1] == forms.shape[2] >= 1):
+            raise ConfigError(f"trigger tables need forms of shape "
+                              f"({self.n_max + 1}, m, m), got {forms.shape}")
+        if not np.all(np.isfinite(forms)):
+            raise ConfigError("trigger tables have non-finite forms")
         self.forms = forms                # (n_max+1, m, m), Q_0 = 0
-        self.packed = packed              # (n_max - n_min + 1, m(m+1)/2)
+        self.triu = np.triu_indices(self.m)
+        rows, cols = self.triu
+        weights = np.where(rows == cols, 1.0, 2.0)
+        self.packed = forms[self.n_min:, rows, cols] * weights
 
     @property
     def m(self):
@@ -54,49 +77,20 @@ class TriggerTables:
             "n_min": self.n_min,
             "n_max": self.n_max,
             "forms": [Q.tolist() for Q in self.forms],
-            "packed": [v.tolist() for v in self.packed],
         }
 
     @classmethod
     def from_jsonable(cls, data):
         """Rebuild tables from the plain-data view of a design report.
 
-        Keys other than the table fields, such as the ``transitions`` of
-        older reports, are ignored.
+        Keys other than the table fields, such as the ``transitions`` and
+        ``packed`` tables of older reports, are ignored.
         """
         try:
-            forms = np.asarray(data["forms"], dtype=float)
-            packed = np.asarray(data["packed"], dtype=float)
             return cls(data["delta"], data["tau_min"], data["n_min"],
-                       data["n_max"], forms, packed)
+                       data["n_max"], data["forms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed trigger tables: {exc}") from exc
-
-
-def _pack_form(Q):
-    """Upper-triangular coefficients with off-diagonals doubled, row-major."""
-    m = Q.shape[0]
-    out = np.empty(m * (m + 1) // 2)
-    k = 0
-    for i in range(m):
-        out[k] = Q[i, i]
-        k += 1
-        for j in range(i + 1, m):
-            out[k] = 2.0 * Q[i, j]
-            k += 1
-    return out
-
-
-def _monomials(x):
-    """Monomial vector z = (x_i x_j)_{i<=j} in the same packing order."""
-    m = x.shape[0]
-    out = np.empty(m * (m + 1) // 2)
-    k = 0
-    for i in range(m):
-        for j in range(i, m):
-            out[k] = x[i] * x[j]
-            k += 1
-    return out
 
 
 def build_tables(sys, cert, trig):
@@ -111,10 +105,24 @@ def build_tables(sys, cert, trig):
     for idx, L in design.held_flow_chunks(sys, trig.delta,
                                           range(trig.n_max + 1)):
         forms[idx] = design.decay_form(L, cert.P, rate, idx * trig.delta)
-    packed = np.stack([_pack_form(forms[n])
-                       for n in range(trig.n_min, trig.n_max + 1)])
     return TriggerTables(trig.delta, trig.tau_min, trig.n_min, trig.n_max,
-                         forms, packed)
+                         forms)
+
+
+def _unit_state(x, m):
+    """The state as a length-``m`` vector scaled so ``max|x_i|`` is in [0.5, 1).
+
+    The scale is a power of two, so the scaled state is exact. Raises
+    ``DimensionError`` for a wrong length and ``NumericError`` for
+    non-finite entries.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape[0] != m:
+        raise DimensionError(f"state has length {x.shape[0]}, expected {m}")
+    peak = float(np.abs(x).max())
+    if not math.isfinite(peak):
+        raise NumericError("state has non-finite entries")
+    return np.ldexp(x, -math.frexp(peak)[1])
 
 
 @dataclass
@@ -138,11 +146,7 @@ def next_update(x, tables):
     is ``max(tau_min, n_k delta)``. The prefix below ``n_min`` is scanned
     too, so every logged decision is fully audited.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != tables.m:
-        raise DimensionError(f"state has length {x.shape[0]}, expected {tables.m}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("state has non-finite entries")
+    x = _unit_state(x, tables.m)
     m = tables.m
     work = m * m + m
     n_k = tables.n_max
@@ -164,23 +168,20 @@ def next_update_packed(x, tables, zero_shortcut=True):
     """Schedule the next execution from the packed coefficient vectors.
 
     Builds the monomial vector once (``m(m+1)/2`` multiplies) and evaluates
-    the stored forms for ``n_min+1 .. n_max`` as length-``m(m+1)/2`` dot
+    the packed forms for ``n_min+1 .. n_max`` as length-``m(m+1)/2`` dot
     products (one multiply and one add per coefficient) plus one comparison
     each, which the counter tallies exactly; a full scan therefore costs
     ``q + (2q+1) m(m+1)/2`` operations with ``q = n_max - n_min``. Decisions
     are identical to :func:`next_update` whenever the design guarantees the
     prefix below ``n_min``.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != tables.m:
-        raise DimensionError(f"state has length {x.shape[0]}, expected {tables.m}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("state has non-finite entries")
+    x = _unit_state(x, tables.m)
     if zero_shortcut and not np.any(x):
         return TriggerDecision(n=tables.n_max, tau=max(tables.tau_min, tables.n_max * tables.delta),
                                evaluations=0, op_count=0)
     L = tables.m * (tables.m + 1) // 2
-    z = _monomials(x)
+    rows, cols = tables.triu
+    z = x[rows] * x[cols]
     op_count = L
     n_k = tables.n_max
     evaluations = 0

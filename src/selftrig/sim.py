@@ -29,8 +29,10 @@ from .errors import ConfigError, DimensionError, NumericError, SimulationError
 
 _HORIZON_EPS = 1e-9
 _STEP_EPS = 1e-12
-# Grid density of the dwell-time oracle scan (bisection refines from there).
+# Grid density of the dwell-time oracle scan, and the number of sub-steps
+# each refinement round splits the bracketing step into.
 _ORACLE_POINTS = 5000
+_ORACLE_REFINE = 32
 
 _DISTURBANCE_KINDS = ("zero", "constant", "sinusoid", "bounded_noise")
 
@@ -254,26 +256,21 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
     return traj, log
 
 
-def run_self_triggered(sys, cert, tables, dist, x0, t_end, divisor=20,
-                       evaluator="direct"):
+def run_self_triggered(sys, cert, tables, dist, x0, t_end, divisor=20):
     """Run the loop with hold intervals scheduled by the trigger tables.
 
-    ``divisor`` sub-steps per grid step ``delta``; ``evaluator`` selects the
-    full-matrix scan (``"direct"``) or the packed dot-product path
-    (``"packed"``), which produce the same schedule.
+    ``divisor`` sub-steps per grid step ``delta``; every decision comes from
+    the full-matrix scan :func:`scheduler.next_update`, so each logged event
+    is fully audited.
     """
     if divisor < 1:
         raise SimulationError(f"divisor must be at least 1, got {divisor}")
     if tables.m != sys.m:
         raise DimensionError("tables do not match the system dimension")
-    if evaluator not in ("direct", "packed"):
-        raise ConfigError(f"unknown evaluator {evaluator!r}")
     dt = tables.delta / divisor
-    decide = (scheduler.next_update if evaluator == "direct"
-              else scheduler.next_update_packed)
 
     def schedule(x):
-        d = decide(x, tables)
+        d = scheduler.next_update(x, tables)
         hold_n = max(tables.n_min, d.n)
         return d.n, d.tau, hold_n * divisor
 
@@ -299,13 +296,18 @@ def run_periodic(sys, cert, dist, x0, t_end, period, divisor=20):
     return _run_loop(sys, cert, dist, x0, t_end, dt, schedule)
 
 
+def _held_flows(sys, step, indices):
+    """Stacked held flows ``L(j * step)`` for ``j`` in a ``range``."""
+    return np.concatenate([L for _idx, L in
+                           design.held_flow_chunks(sys, step, indices)])
+
+
 class HeldFlowGrid:
     """Exact held-input transitions precomputed over a dense time grid.
 
     Built once per (system, horizon) pair and shared across oracle calls.
     Every grid point takes a fresh held flow, in chunks from
-    ``design.held_flow_chunks``, and refinements use
-    ``design.held_transition``.
+    ``design.held_flow_chunks``.
     """
 
     def __init__(self, sys, tau_max, n_points=_ORACLE_POINTS):
@@ -313,14 +315,7 @@ class HeldFlowGrid:
         self.tau_max = float(tau_max)
         self.step = self.tau_max / n_points
         self.taus = self.step * np.arange(n_points + 1)
-        self.flows = np.empty((n_points + 1, sys.m, sys.m))
-        for idx, L in design.held_flow_chunks(sys, self.step,
-                                              range(n_points + 1)):
-            self.flows[idx] = L
-
-    def flow_at(self, tau):
-        """Fresh exact transition at an arbitrary time."""
-        return design.held_transition(self.sys, tau)
+        self.flows = _held_flows(sys, self.step, range(n_points + 1))
 
 
 def continuous_dwell_time(sys, cert, x, tau_max, tol=1e-9, grid=None):
@@ -328,10 +323,11 @@ def continuous_dwell_time(sys, cert, x, tau_max, tol=1e-9, grid=None):
 
     Returns the largest ``tau <= tau_max`` such that
     ``V(xi_x(s)) <= V(x) exp(-lam s)`` for every ``s`` in ``[0, tau]``,
-    located by a dense scan over exact held-input flows followed by
-    bisection of the first up-crossing to within ``tol``. This is the
-    measurement the designed minimum inter-execution time must lower-bound
-    for every state.
+    located by a dense scan over exact held-input flows; the first
+    up-crossing is then refined on sub-grids of ``_ORACLE_REFINE`` steps,
+    each a batch of held flows on integer multiples of its own step, until
+    the step is at most ``tol``. This is the measurement the designed
+    minimum inter-execution time must lower-bound for every state.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != sys.m:
@@ -346,31 +342,33 @@ def continuous_dwell_time(sys, cert, x, tau_max, tol=1e-9, grid=None):
     if v0 == 0.0:
         return tau_max
 
-    flowed = grid.flows @ x
-    v_vals = np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", flowed, cert.P, flowed)))
-    h = v_vals - v0 * np.exp(-cert.lam * grid.taus)
-    # index 0 is the start state where h is zero by construction; its sign
-    # is rounding noise, so the crossing search starts one point in
-    above = np.flatnonzero(h[1:] > 0.0)
-    if above.size == 0:
-        return tau_max
-    j = int(above[0]) + 1
-    if grid.taus[j] > tau_max:
-        return tau_max
-    lo = grid.taus[j - 1] if j > 0 else 0.0
-    hi = grid.taus[j]
+    def excess(flows, taus):
+        flowed = flows @ x
+        v = np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", flowed, cert.P,
+                                              flowed)))
+        return v - v0 * np.exp(-cert.lam * taus)
 
-    def h_at(s):
-        xs = grid.flow_at(s) @ x
-        return cert.value(xs) - v0 * math.exp(-cert.lam * s)
+    # The first grid point at or after the start where the condition fails;
+    # index 0 is the start state where the excess is zero by construction
+    # and its sign is rounding noise, so every search starts one point in.
+    def first_above(h):
+        above = np.flatnonzero(h[1:] > 0.0)
+        return int(above[0]) + 1 if above.size else None
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h_at(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    j = first_above(excess(grid.flows, grid.taus))
+    if j is None or grid.taus[j] > tau_max:
+        return tau_max
+    # The crossing lies in ((j - 1) step, j step]. A refinement that finds
+    # no failing point, its last point being the old one recomputed within
+    # rounding, keeps the last sub-interval.
+    step = grid.step
+    while step > tol:
+        step /= _ORACLE_REFINE
+        indices = range((j - 1) * _ORACLE_REFINE, j * _ORACLE_REFINE + 1)
+        h = excess(_held_flows(sys, step, indices), step * np.arange(
+            indices.start, indices.stop))
+        j = indices.start + (first_above(h) or _ORACLE_REFINE)
+    return (j - 0.5) * step
 
 
 @dataclass

@@ -44,6 +44,8 @@ class TestConfigValidation:
             ({"lyapunov": {"bogus": 1}}, "lyapunov.bogus"),
             ({"trigger": {"delta": 0.1, "tau_max": 3.0, "bogus": 1}},
              "trigger.bogus"),
+            ({"trigger": {"delta": 0.1, "tau_max": 3.0, "decay_exponent": 2}},
+             "trigger.decay_exponent"),
             ({"simulation": {"x0": [1.0], "t_end": 1.0, "bogus": 1}},
              "simulation.bogus"),
             ({"simulation": {"x0": [1.0], "t_end": 1.0,
@@ -69,7 +71,6 @@ class TestConfigValidation:
         cfg = reports.validate_config(scalar_cfg())
         assert cfg["lyapunov"]["lambda_ratio"] == 0.5
         assert cfg["trigger"]["tau_min"] is None
-        assert cfg["trigger"]["decay_exponent"] == 2
         assert cfg["simulation"]["integrator_divisor"] == 20
         assert cfg["simulation"]["disturbance"]["kind"] == "zero"
         assert cfg["outputs"]["emit_plots"] is False
@@ -128,6 +129,48 @@ class TestExitCodes:
                          "--design", str(out / "design.json"),
                          "--out", str(tmp_path / "out2")]) == 2
 
+    def test_reused_tables_are_checked(self, tmp_path, capsys):
+        # Tables cut short, or sized for another state dimension, are a
+        # config problem of the design file, not a crash or a design error.
+        out = tmp_path / "out"
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        truncated = copy.deepcopy(report)
+        truncated["tables"]["forms"] = truncated["tables"]["forms"][:10]
+        other_m = copy.deepcopy(report)
+        other_m["tables"]["forms"] = [[[q, 0.0], [0.0, q]] for [[q]]
+                                      in report["tables"]["forms"]]
+        other_delta = copy.deepcopy(report)
+        other_delta["tables"]["delta"] = 0.05
+        conf = str(tmp_path / "config.json")
+        capsys.readouterr()
+        for bad in (truncated, other_m, other_delta):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            assert cli.main(["simulate", "--config", conf, "--design",
+                             str(path), "--out", str(tmp_path / "sim")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_broken_pipe_is_one_line_error(self, tmp_path, capsys,
+                                           monkeypatch):
+        class ClosedPipe:
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        cfg = scalar_cfg(sweep={"delta_list": [0.1], "tau_max_list": [3.0]})
+        cfg["simulation"]["t_end"] = 5.0
+        conf = write_config(tmp_path / "config.json", cfg)
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert cli.main(["sweep", "--config", conf,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unusable_output_path_is_one_line_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
@@ -166,7 +209,7 @@ class TestDesignArtifact:
         # One form per grid index from 0 through n_max inclusive.
         assert len(report["tables"]["forms"]) == 31
         assert set(report["tables"]) == {"delta", "tau_min", "n_min",
-                                         "n_max", "forms", "packed"}
+                                         "n_max", "forms"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -221,14 +264,16 @@ class TestSimulateArtifacts:
 
     def test_reuse_accepts_report_with_transitions(self, outputs, tmp_path):
         # Design reports from earlier versions also stored the held flows
-        # as a "transitions" table; loading ignores it.
+        # as a "transitions" table and the packed vectors of the forms
+        # n_min..n_max as a "packed" table; loading ignores both.
         designed = tmp_path / "d"
         assert run(tmp_path, scalar_cfg(), "design",
                    "--out", str(designed)) == 0
         report = json.loads((designed / "design.json").read_text())
-        n_max = report["tables"]["n_max"]
-        report["tables"]["transitions"] = [[[1.0 - 0.1 * n]]
-                                           for n in range(n_max + 1)]
+        tables = report["tables"]
+        tables["transitions"] = [[[1.0 - 0.1 * n]]
+                                 for n in range(tables["n_max"] + 1)]
+        tables["packed"] = [[Q[0][0]] for Q in tables["forms"][tables["n_min"]:]]
         (designed / "design.json").write_text(json.dumps(report),
                                               encoding="utf-8")
         reused = tmp_path / "reused"

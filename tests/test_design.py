@@ -21,12 +21,10 @@ from selftrig.errors import ConfigError, DesignError, DimensionError
 SCALAR_TAU_STAR = 1.4776700622632157
 
 
-def scalar_dwell_oracle(lam, exponent=2):
+def scalar_dwell_oracle(lam):
     """Held response from x is x (1 - s); solve |1 - tau| = decay envelope."""
-    decay = lam if exponent == 2 else lam / 2.0
-
     def f(tau):
-        return abs(1.0 - tau) - math.exp(-decay * tau)
+        return abs(1.0 - tau) - math.exp(-lam * tau)
 
     lo, hi = 1.0, 4.0
     assert f(lo) < 0.0 < f(hi)
@@ -119,13 +117,6 @@ class TestDwellTime:
         M = design.trigger_form(scalar.sys, scalar.cert, 0.5)
         expected = (1.0 - 0.5) ** 2 * 0.5 - math.exp(-0.5) * 0.5
         assert M[0, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_single_decay_exponent_gives_larger_root(self, scalar):
-        loose = design.min_inter_execution_time(scalar.sys, scalar.cert,
-                                                decay_exponent=1)
-        oracle = scalar_dwell_oracle(scalar.cert.lam, exponent=1)
-        assert abs(loose.tau - oracle) <= 1e-8
-        assert loose.tau > scalar.tau_star
 
     def test_root_shrinks_with_faster_envelope(self):
         sys_ = design.LinearSystem(0.0, 1.0, -1.0)

@@ -3,9 +3,9 @@
 The scalar fixture admits closed-form table entries (held flow ``1 - n
 delta``), which pins ``build_tables``, and the forms are checked against an
 independent construction of the held flow from the hold-error block; the
-packed evaluator is then held to exact agreement with the full-matrix scan,
-and its operation counter to the closed-form worst case
-``q + (2q + 1) m (m + 1) / 2``.
+packed evaluator is then held to exact agreement with the full-matrix scan
+at every state scale, and its operation counter to the closed-form worst
+case ``q + (2q + 1) m (m + 1) / 2``.
 """
 
 import json
@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from selftrig import design, linalg, scheduler
 from selftrig.errors import ConfigError, NumericError
@@ -79,9 +82,23 @@ class TestTables:
             (t.delta, t.tau_min, t.n_min, t.n_max)
 
     def test_malformed_tables_are_rejected(self, scalar):
-        no_packed = scalar.tables.to_jsonable()
-        del no_packed["packed"]
-        for data in ({"delta": 0.1}, no_packed):
+        good = scalar.tables.to_jsonable()
+
+        def edited(**changes):
+            return {**json.loads(json.dumps(good)), **changes}
+
+        forms = good["forms"]
+        cases = [
+            {"delta": 0.1},
+            edited(forms=forms[:10]),                        # truncated
+            edited(forms=forms + [forms[-1]]),               # one too many
+            edited(forms=[[row * 2 for row in Q] for Q in forms]),  # 1 by 2
+            edited(forms=[Q[0] for Q in forms]),             # one row each
+            edited(forms=forms[:5] + [[[math.nan]]] + forms[6:]),
+            edited(n_min=0),
+            edited(n_min=good["n_max"] + 1),
+        ]
+        for data in cases:
             with pytest.raises(ConfigError):
                 scheduler.TriggerTables.from_jsonable(data)
 
@@ -98,16 +115,26 @@ class TestDecisions:
             d = scheduler.next_update(np.array([x]), scalar.tables)
             assert d.n == 14
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), exponent=st.integers(-664, 664))
     def test_packed_agrees_with_direct(self, scalar, double_integrator,
-                                       corpus):
-        rng = np.random.default_rng(10)
-        for fx in [scalar, double_integrator] + list(corpus[:5]):
-            for _ in range(40):
-                x = rng.normal(size=fx.sys.m) * rng.uniform(0.1, 10.0)
-                direct = scheduler.next_update(x, fx.tables)
-                packed = scheduler.next_update_packed(x, fx.tables)
-                assert direct.n == packed.n
-                assert direct.tau == packed.tau
+                                       corpus, data, exponent):
+        # The forms are homogeneous, so a decision must not depend on the
+        # state's scale: from 2^-664 (about 1e-200) to 2^664 both evaluators
+        # agree with each other and, bit for bit, with the decision for the
+        # unscaled direction. Magnitudes are powers of two and direction
+        # entries are zero or at least 1e-50, so the scaled state is exact.
+        fixtures = [scalar, double_integrator] + list(corpus[:5])
+        fx = fixtures[data.draw(st.integers(0, len(fixtures) - 1))]
+        entry = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0
+                                            or abs(v) >= 1e-50)
+        d = data.draw(arrays(np.float64, fx.sys.m, elements=entry))
+        x = np.ldexp(d, exponent)
+        direct = scheduler.next_update(x, fx.tables)
+        packed = scheduler.next_update_packed(x, fx.tables)
+        assert (direct.n, direct.tau) == (packed.n, packed.tau)
+        assert direct == scheduler.next_update(d, fx.tables)
+        assert packed == scheduler.next_update_packed(d, fx.tables)
 
     def test_zero_state_shortcut(self, scalar):
         d = scheduler.next_update_packed(np.zeros(1), scalar.tables)
@@ -132,16 +159,24 @@ class TestDecisions:
         with pytest.raises(NumericError):
             scheduler.next_update(np.array([math.nan]), scalar.tables)
 
-    def test_packed_requires_packed_tables(self, double_integrator):
-        # Every table carries the packed vectors of Q_n for n_min..n_max;
-        # a plain-data view without them does not load (see
-        # test_malformed_tables_are_rejected).
+    def test_packed_requires_packed_tables(self, double_integrator, corpus):
+        # Every table derives the packed vectors of Q_n for n_min..n_max
+        # from its forms, including tables loaded from a plain-data view,
+        # which stores only the forms.
         t = double_integrator.tables
         assert t.packed.shape == (t.n_max - t.n_min + 1, 3)
         for n in (t.n_min, t.n_max):
             Q = t.forms[n]
             assert np.array_equal(t.packed[n - t.n_min],
                                   [Q[0, 0], 2.0 * Q[0, 1], Q[1, 1]])
+        t = next(fx.tables for fx in corpus if fx.sys.m == 3)
+        for tables in (t, scheduler.TriggerTables.from_jsonable(
+                json.loads(json.dumps(t.to_jsonable())))):
+            for n in range(t.n_min, t.n_max + 1):
+                Q = t.forms[n]
+                ref = [Q[i, j] * (1.0 if i == j else 2.0)
+                       for i in range(3) for j in range(i, 3)]
+                assert np.array_equal(tables.packed[n - t.n_min], ref)
 
     def test_schedule_respects_window(self, corpus):
         rng = np.random.default_rng(12)
