@@ -88,33 +88,58 @@ def _read_design_file(path):
         raise ConfigError(f"design file is not valid JSON: {exc}") from None
 
 
+def _design_numbers(value, name, shape=None):
+    """Finite real numbers of a design-file entry as a float array.
+
+    ``shape``, when given, is the required shape; anything else, including
+    strings, booleans and ragged lists, is a ``ConfigError``.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iuf"
+            or (shape is not None and arr.shape != shape)
+            or not np.all(np.isfinite(arr))):
+        expected = ("a finite number" if shape == () else "finite numbers"
+                    + ("" if shape is None else f" of shape {shape}"))
+        raise ConfigError(f"malformed design file: {name} must be {expected}")
+    return arr.astype(float)
+
+
 def _load_design(path, cfg):
     """Rebuild the design bundle from a previously written design.json.
 
-    The tables must match the file's system dimension and trigger block;
-    any mismatch or malformed entry is a ``ConfigError``.
+    The system, certificate and gains must be finite numbers of the right
+    shapes, and the tables must match the file's system dimension and
+    trigger block; any mismatch or malformed entry is a ``ConfigError``.
     """
     data = _read_design_file(path)
     try:
-        system = design.LinearSystem(data["system"]["A"], data["system"]["B"],
-                                     data["system"]["K"])
+        system = design.LinearSystem(
+            *(_design_numbers(data["system"][key], f"system.{key}")
+              for key in ("A", "B", "K")))
         if not (np.array_equal(system.A, np.atleast_2d(cfg["system"]["A"]))
                 and np.array_equal(system.B, np.atleast_2d(cfg["system"]["B"]))
                 and np.array_equal(system.K, np.atleast_2d(cfg["system"]["K"]))):
             raise ConfigError(
                 "design file was produced for a different system than the config")
         certificate = data["certificate"]
-        P = np.asarray(certificate["P"], dtype=float)
+        P = _design_numbers(certificate["P"], "certificate.P",
+                            (system.m, system.m))
         a_cl = system.a_cl
         # The certificate equation recovers Q exactly from P and the loop.
         Q = -(a_cl.T @ P + P @ a_cl)
-        cert = design.LyapunovCertificate(P, certificate["lambda_o"],
-                                          certificate["lambda"],
-                                          0.5 * (Q + Q.T))
+        lambda_o, lam = (float(_design_numbers(certificate[key],
+                                                f"certificate.{key}", ()))
+                         for key in ("lambda_o", "lambda"))
+        cert = design.LyapunovCertificate(P, lambda_o, lam, 0.5 * (Q + Q.T))
         trig = design.TriggerConfig(**data["trigger"])
-        gains = design.EissGains(**data["gains"])
+        gains = design.EissGains(**{
+            key: float(_design_numbers(value, f"gains.{key}", ()))
+            for key, value in data["gains"].items()})
         tables = scheduler.TriggerTables.from_jsonable(data["tables"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, DimensionError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
     if ((tables.m, tables.delta, tables.tau_min, tables.n_min, tables.n_max)
             != (system.m, trig.delta, trig.tau_min, trig.n_min, trig.n_max)):
@@ -211,7 +236,8 @@ def _verify_payload(raw, sim_cfg, dist, log, vrep):
     decay = None
     if vrep.decay_violations is not None:
         decay = {"violations": vrep.decay_violations,
-                 "worst_margin": vrep.decay_worst_margin}
+                 "worst_margin": vrep.decay_worst_margin,
+                 "worst_k": vrep.decay_worst_k}
     return {
         "config_hash": reports.config_hash(raw),
         "t_end": sim_cfg["t_end"],
@@ -221,10 +247,12 @@ def _verify_payload(raw, sim_cfg, dist, log, vrep):
         "tau_k": {"min": tau_lo, "mean": tau_mean, "max": tau_hi},
         "eiss": {"violations": vrep.eiss_violations,
                  "worst_margin": vrep.eiss_worst_margin,
+                 "worst_index": vrep.eiss_worst_index,
                  "checked_instants": vrep.checked_instants},
         "decay": decay,
         "disturbed_decay": {"violations": vrep.disturbed_decay_violations,
                             "worst_margin": vrep.disturbed_decay_worst_margin,
+                            "worst_k": vrep.disturbed_decay_worst_k,
                             "checked_updates": vrep.checked_updates},
     }
 

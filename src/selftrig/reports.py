@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+# Rows of the trajectory CSV formatted per chunk.
+_CSV_CHUNK = 256
 
 
 def load_config(path):
@@ -218,19 +220,23 @@ def _fmt(v):
 
 
 def write_trajectory_csv(path, traj, bound_curve):
-    """Dense run log: time, state, held input, Lyapunov value, ISS bound."""
+    """Dense run log: time, state, held input, Lyapunov value, ISS bound.
+
+    Rows are formatted from ``tolist`` chunks of ``_CSV_CHUNK`` rows, so the
+    Python floats exist for one chunk at a time.
+    """
     m = traj.states.shape[1]
     l = traj.inputs.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(m)]
               + [f"u_{j + 1}" for j in range(l)] + ["V", "eiss_bound"])
+    columns = (traj.times[:, None], traj.states, traj.inputs,
+               traj.v_values[:, None], np.asarray(bound_curve)[:, None])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(traj.times.size):
-            row = ([_fmt(traj.times[i])]
-                   + [_fmt(v) for v in traj.states[i]]
-                   + [_fmt(v) for v in traj.inputs[i]]
-                   + [_fmt(traj.v_values[i]), _fmt(bound_curve[i])])
-            fh.write(",".join(row) + "\n")
+        for start in range(0, traj.times.size, _CSV_CHUNK):
+            rows = np.hstack([c[start:start + _CSV_CHUNK]
+                              for c in columns]).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_events_csv(path, log, m):

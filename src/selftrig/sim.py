@@ -4,8 +4,15 @@ The plant ``dx/dt = A x + B u + d`` runs under a piecewise-constant input
 ``u = K x(t_k)`` whose hold intervals come either from the online trigger
 (:func:`run_self_triggered`) or from a fixed period (:func:`run_periodic`).
 Integration is classical fixed-step RK4 with the disturbance sampled at the
-stage times; bounded noise is held constant across each integrator step so
-reruns with the same seed are bit-identical.
+stage times. With the input held, one RK4 step is a fixed affine map of the
+state and the three stage values of the disturbance; the map is built once
+per (A, step size), each hold samples the disturbance at all its stage
+times at once, and the steps run in blocks of matrix products. This is
+still RK4, not an exact discretization. Bounded noise is held constant
+across each integrator step and drawn per block of ``_NOISE_BLOCK`` steps
+from one generator keyed by the seed and the block index, so every draw
+depends on the seed and the global step alone (not on the time or on how
+the run splits into holds) and reruns with the same seed are bit-identical.
 
 The module also provides the reference oracle
 :func:`continuous_dwell_time`, which measures how long the continuous decay
@@ -19,6 +26,7 @@ horizon cut also truncates the last hold interval, whose event still logs
 the intended dwell time.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +42,14 @@ _STEP_EPS = 1e-12
 _ORACLE_POINTS = 5000
 _ORACLE_REFINE = 32
 
+# Steps per matrix product of the integrator, and noise draws per generator.
+_BLOCK = 32
+_NOISE_BLOCK = 1024
+# Noise draws are rescaled to a few ulps inside the unit ball before they
+# are scaled by the amplitude, so that a norm recomputed in floating point
+# never exceeds the amplitude.
+_NOISE_SHRINK = 1.0 - 8.0 * np.finfo(float).eps
+
 _DISTURBANCE_KINDS = ("zero", "constant", "sinusoid", "bounded_noise")
 
 
@@ -45,8 +61,9 @@ class DisturbanceSpec:
     amplitude
         Worst-case vector norm of the signal. Constant and sinusoid drive
         all components in phase scaled by ``1/sqrt(dimension)`` so the norm
-        bound is exactly ``|amplitude|``; noise draws uniform components and
-        rescales any draw whose norm exceeds the amplitude.
+        bound is exactly ``|amplitude|``; noise draws uniform components in
+        ``[-amplitude, amplitude]`` and rescales any draw whose norm would
+        exceed the amplitude to just inside it.
     frequency
         Cycles per time unit, sinusoid only.
     seed
@@ -71,39 +88,104 @@ class DisturbanceSpec:
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
         self.seed = int(seed)
-        self._zero = np.zeros(self.dimension)
-        self._direction = np.full(self.dimension, 1.0 / math.sqrt(self.dimension))
-        self._base = self.amplitude * self._direction
-        self._cache_step = -1
-        self._cache_value = self._zero
+        self._base = np.full(self.dimension,
+                             self.amplitude / math.sqrt(self.dimension))
+        self._noise_index = -1
+        self._noise_rows = None
 
     @property
     def linf_bound(self):
         """Analytic bound on ``sup_t |d(t)|`` (never a sampled maximum)."""
         return 0.0 if self.kind == "zero" else abs(self.amplitude)
 
+    def _noise_block(self, index):
+        """Draws of the steps ``index * _NOISE_BLOCK`` onwards, one per row.
+
+        One generator per block, keyed by (seed, block index); the most
+        recent block is kept, so consecutive holds draw it once.
+        """
+        if index != self._noise_index:
+            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
+            unit = np.random.default_rng(ss).uniform(
+                -1.0, 1.0, (_NOISE_BLOCK, self.dimension))
+            norms = np.linalg.norm(unit, axis=1)
+            over = norms > _NOISE_SHRINK
+            unit[over] *= (_NOISE_SHRINK / norms[over])[:, None]
+            self._noise_index = index
+            self._noise_rows = self.amplitude * unit
+        return self._noise_rows
+
     def _noise(self, step):
-        if step != self._cache_step:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(step,))
-            v = np.random.default_rng(ss).uniform(-self.amplitude, self.amplitude,
-                                                  self.dimension)
-            norm = float(np.linalg.norm(v))
-            bound = abs(self.amplitude)
-            if norm > bound > 0.0:
-                v *= bound / norm
-            self._cache_step = step
-            self._cache_value = v
-        return self._cache_value
+        block, row = np.divmod(np.asarray(step, dtype=np.int64), _NOISE_BLOCK)
+        out = np.empty(block.shape + (self.dimension,))
+        # A set, not np.unique, which would import numpy.ma on first use.
+        for index in sorted(set(block.ravel().tolist())):
+            here = block == index
+            out[here] = self._noise_block(index)[row[here]]
+        return out
 
     def value(self, t, step=0):
-        """Signal value at time ``t``; ``step`` keys the noise draw."""
+        """Signal values at times ``t``; ``step`` keys the noise draws.
+
+        ``t`` and ``step`` broadcast against each other and the result has
+        their shape plus a trailing state axis, so scalars give one vector.
+        Noise depends on ``step`` alone: one draw per integrator step, the
+        same however the steps are grouped into calls.
+        """
+        t = np.asarray(t, dtype=float)
+        if self.kind == "bounded_noise":
+            step = np.asarray(step)
+            shape = np.broadcast_shapes(t.shape, step.shape) + (self.dimension,)
+            return np.broadcast_to(self._noise(step), shape)
+        shape = t.shape + (self.dimension,)
         if self.kind == "zero":
-            return self._zero
+            return np.zeros(shape)
         if self.kind == "constant":
-            return self._base
-        if self.kind == "sinusoid":
-            return self._base * math.sin(2.0 * math.pi * self.frequency * t)
-        return self._noise(step)
+            return np.broadcast_to(self._base, shape)
+        return np.sin(2.0 * math.pi * self.frequency * t)[..., None] * self._base
+
+
+# A run steps with one size plus at most one shorter horizon-tail step, so
+# two entries hold a run's maps and the next run's tail replaces the last.
+@functools.lru_cache(maxsize=2)
+def _step_map(a_bytes, m, dt):
+    """One RK4 step of size ``dt`` on ``x' = A x + b(t)`` as an affine map.
+
+    With ``M = dt A`` the step is ``x+ = Phi x + G0 b(t) + Gh b(t + dt/2)
+    + G1 b(t + dt)``, where ``Phi = I + M + M^2/2 + M^3/6 + M^4/24``,
+    ``G0 = dt/6 (I + M + M^2/2 + M^3/4)``, ``Gh = dt/6 (4I + 2M + M^2/2)``
+    and ``G1 = dt/6 I``. Returned in row form for blocks of ``_BLOCK``
+    steps: ``stages`` stacks ``G0', Gh', G1'`` (3m x m), ``held`` is
+    ``G0 + Gh + G1``, ``starts`` holds the increments ``(Phi^i - I)'`` for
+    ``i = 1.._BLOCK`` side by side (m x _BLOCK m), and ``toeplitz`` maps a
+    block's forcing rows to its forced states, block ``(j, i)`` being
+    ``Phi^(i-j)'`` for ``j <= i``. Keeping ``Phi^i - I`` rather than
+    ``Phi^i`` keeps its rounding relative to the small increment, so the
+    recurrence does not drift from the stage form over long holds. The
+    arrays are shared by every caller and therefore read-only.
+    """
+    A = np.frombuffer(a_bytes).reshape(m, m)
+    eye = np.eye(m)
+    M = dt * A
+    M2 = M @ M
+    M3 = M2 @ M
+    step = M + M2 / 2.0 + M3 / 6.0 + M2 @ M2 / 24.0
+    g0 = dt / 6.0 * (eye + M + M2 / 2.0 + M3 / 4.0)
+    gh = dt / 6.0 * (4.0 * eye + 2.0 * M + M2 / 2.0)
+    g1 = dt / 6.0 * eye
+    increments = np.zeros((_BLOCK + 1, m, m))
+    for i in range(1, _BLOCK + 1):
+        increments[i] = increments[i - 1] + (step + step @ increments[i - 1])
+    increments_t = increments.transpose(0, 2, 1)
+    starts = increments_t[1:].transpose(1, 0, 2).reshape(m, _BLOCK * m)
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)).T  # i - j at [j, i]
+    toeplitz = np.where((lag >= 0)[:, :, None, None],
+                        eye + increments_t[np.maximum(lag, 0)], 0.0)
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(_BLOCK * m, _BLOCK * m)
+    maps = (np.vstack([g0.T, gh.T, g1.T]), g0 + gh + g1, starts, toeplitz)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 def integrate_held(sys, x, u, dist, t0, dt, steps, step0=0):
@@ -111,37 +193,39 @@ def integrate_held(sys, x, u, dist, t0, dt, steps, step0=0):
 
     Returns the ``(steps + 1, m)`` array of states including the start.
     ``step0`` is the global step index of the first step, which keys the
-    noise draws. Raises ``SimulationError`` when the state leaves the
-    representable range.
+    noise draws. The disturbance is sampled at every stage time of the hold
+    at once, and the steps run as the affine RK4 step map of
+    :func:`_step_map`, ``_BLOCK`` steps per matrix product. Raises
+    ``SimulationError`` when the state leaves the representable range.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
-    if x.shape[0] != sys.m:
-        raise DimensionError(f"state has length {x.shape[0]}, expected {sys.m}")
+    m = sys.m
+    if x.shape[0] != m:
+        raise DimensionError(f"state has length {x.shape[0]}, expected {m}")
     if u.shape[0] != sys.l:
         raise DimensionError(f"input has length {u.shape[0]}, expected {sys.l}")
     if dt <= 0.0 or not math.isfinite(dt):
         raise SimulationError(f"step size must be positive, got {dt}")
-    out = np.empty((steps + 1, sys.m))
+    stages, held, starts, toeplitz = _step_map(sys.A.tobytes(), m, float(dt))
+    t = t0 + dt * np.arange(steps)
+    d = dist.value(np.stack([t, t + 0.5 * dt, t + dt], axis=1),
+                   step0 + np.arange(steps)[:, None])
+    blocks = -(-steps // _BLOCK)
+    forcing = np.zeros((blocks * _BLOCK, m))
+    out = np.empty((steps + 1, m))
     out[0] = x
-    A = sys.A
-    bu = sys.B @ u
-    half = 0.5 * dt
-    sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(steps):
-            t = t0 + i * dt
-            s = step0 + i
-            d0 = dist.value(t, s)
-            dh = dist.value(t + half, s)
-            d1 = dist.value(t + dt, s)
-            k1 = A @ x + bu + d0
-            k2 = A @ (x + half * k1) + bu + dh
-            k3 = A @ (x + half * k2) + bu + dh
-            k4 = A @ (x + dt * k3) + bu + d1
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            out[i + 1] = x
-    if not np.all(np.isfinite(x)):
+        forcing[:steps] = d.reshape(steps, 3 * m) @ stages + held @ (sys.B @ u)
+        forced = forcing.reshape(blocks, _BLOCK * m) @ toeplitz
+        firsts = np.empty((blocks, m))
+        across = starts[:, -m:]
+        for k in range(blocks):
+            firsts[k] = x
+            x = x + (x @ across + forced[k, -m:])
+        rest = (firsts @ starts + forced).reshape(blocks, _BLOCK, m)
+        out[1:] = (firsts[:, None, :] + rest).reshape(-1, m)[:steps]
+    if not np.all(np.isfinite(out)):
         raise SimulationError(
             f"state diverged near t={t0 + steps * dt:.6g}; check the design "
             f"or reduce the horizon")
@@ -187,6 +271,12 @@ class ExecutionLog:
     def tau_stats(self):
         taus = self.taus
         return float(taus.min()), float(taus.mean()), float(taus.max())
+
+
+def _lyapunov_values(cert, states):
+    """``V`` of each row of ``states`` with one contraction."""
+    return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", states, cert.P,
+                                             states)))
 
 
 def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
@@ -249,8 +339,11 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
     all_times = np.concatenate(times)
     all_states = np.vstack(states)
     all_inputs = np.vstack(inputs)
-    v_vals = np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", all_states, cert.P,
-                                               all_states)))
+    v_vals = _lyapunov_values(cert, all_states)
+    if not np.all(np.isfinite(v_vals)):
+        raise SimulationError(
+            "Lyapunov value overflowed along the run; check the design or "
+            "reduce the disturbance")
     traj = Trajectory(times=all_times, states=all_states, inputs=all_inputs,
                       v_values=v_vals, dt=dt)
     return traj, log
@@ -378,23 +471,43 @@ class VerificationReport:
     Margins are relative: ``(bound - observed) / bound``; an instant counts
     as a violation when its margin falls below ``-tolerance``. The pure
     decay check only applies to undisturbed runs and is ``None`` otherwise.
+    Each worst margin comes with where it occurred: the time index of the
+    trajectory for the envelope, the execution ``k`` for the decay checks
+    (for the disturbed check, the start of the dwell interval ``k -> k+1``);
+    ``None`` when nothing was checked.
     """
 
     tolerance: float
     eiss_violations: int
     eiss_worst_margin: float
+    eiss_worst_index: int | None
     decay_violations: int | None
     decay_worst_margin: float | None
+    decay_worst_k: int | None
     disturbed_decay_violations: int
     disturbed_decay_worst_margin: float
+    disturbed_decay_worst_k: int | None
     checked_instants: int
     checked_updates: int
     bound_curve: np.ndarray
 
 
-def _margins(bounds, observed):
-    denom = np.maximum(np.abs(bounds), 1e-300)
-    return (bounds - observed) / denom
+def _margin_summary(bounds, observed, tolerance):
+    """Violation count, worst margin and its index of one check.
+
+    A margin that is not finite means a bound or an observed value left the
+    representable range, which no verdict can be drawn from.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = (bounds - observed) / np.maximum(np.abs(bounds), 1e-300)
+    if not np.all(np.isfinite(margins)):
+        raise SimulationError(
+            "verification margins are not finite; the run or its bounds "
+            "left the representable range")
+    if not margins.size:
+        return 0, 0.0, None
+    worst = int(np.argmin(margins))
+    return int(np.sum(margins < -tolerance)), float(margins[worst]), worst
 
 
 def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
@@ -416,52 +529,42 @@ def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
     bound_curve = gains.sigma * x0_norm * np.exp(-gains.lam * traj.times) \
         + gains.gamma(d_inf)
     observed = np.linalg.norm(traj.states, axis=1)
-    eiss_margins = _margins(bound_curve, observed)
-    eiss_violations = int(np.sum(eiss_margins < -tolerance))
-    eiss_worst = float(eiss_margins.min()) if eiss_margins.size else 0.0
+    eiss_violations, eiss_worst, eiss_index = _margin_summary(
+        bound_curve, observed, tolerance)
 
-    v_events = np.array([cert.value(e.x) for e in log.events])
+    v_events = _lyapunov_values(cert, np.array([e.x for e in log.events]))
     t_events = np.array([e.t for e in log.events])
+    taus = log.taus
 
-    decay_violations = None
-    decay_worst = None
+    decay_violations, decay_worst, decay_k = None, None, None
     if d_inf == 0.0:
-        decay_bound = v_events[0] * np.exp(-gains.lam * t_events)
-        margins = _margins(decay_bound, v_events)
-        decay_violations = int(np.sum(margins < -tolerance))
-        decay_worst = float(margins.min()) if margins.size else 0.0
+        decay_violations, decay_worst, decay_k = _margin_summary(
+            v_events[0] * np.exp(-gains.lam * t_events), v_events, tolerance)
 
-    gain_cache = {}
-    disturbed_violations = 0
-    disturbed_worst = math.inf
-    pairs = 0
-    for e, v_k, v_next in zip(log.events[:-1], v_events[:-1], v_events[1:]):
-        tau = e.tau
-        if d_inf > 0.0:
+    gamma_p = np.zeros(max(0, len(log.events) - 1))
+    if d_inf > 0.0:
+        gain_cache = {}
+        for i, tau in enumerate(taus[:-1].tolist()):
             if tau not in gain_cache:
                 gain_cache[tau] = design.disturbance_gain_coeff(
                     cert.P, sys.A, tau, max_step=tau / 64.0)
-            gamma_p = gain_cache[tau] * d_inf
-        else:
-            gamma_p = 0.0
-        bound = v_k * math.exp(-gains.lam * tau) + gamma_p
-        margin = (bound - v_next) / max(abs(bound), 1e-300)
-        disturbed_worst = min(disturbed_worst, margin)
-        if margin < -tolerance:
-            disturbed_violations += 1
-        pairs += 1
-    if pairs == 0:
-        disturbed_worst = 0.0
+            gamma_p[i] = gain_cache[tau] * d_inf
+    disturbed_violations, disturbed_worst, disturbed_k = _margin_summary(
+        v_events[:-1] * np.exp(-gains.lam * taus[:-1]) + gamma_p,
+        v_events[1:], tolerance)
 
     return VerificationReport(
         tolerance=tolerance,
         eiss_violations=eiss_violations,
         eiss_worst_margin=eiss_worst,
+        eiss_worst_index=eiss_index,
         decay_violations=decay_violations,
         decay_worst_margin=decay_worst,
+        decay_worst_k=decay_k,
         disturbed_decay_violations=disturbed_violations,
-        disturbed_decay_worst_margin=float(disturbed_worst),
+        disturbed_decay_worst_margin=disturbed_worst,
+        disturbed_decay_worst_k=disturbed_k,
         checked_instants=int(observed.size),
-        checked_updates=pairs,
+        checked_updates=int(gamma_p.size),
         bound_curve=bound_curve,
     )

@@ -10,10 +10,12 @@ the advertised accumulation identity on their printed decimal values.
 import copy
 import csv
 import json
+import runpy
 
+import numpy as np
 import pytest
 
-from selftrig import cli, reports
+from selftrig import cli, reports, sim
 from selftrig.errors import ConfigError
 
 from conftest import DOUBLE_INTEGRATOR_CONFIG, SCALAR_CONFIG
@@ -120,6 +122,20 @@ class TestExitCodes:
         assert run(tmp_path, cfg, "simulate",
                    "--out", str(tmp_path / "out")) == 4
 
+    def test_overflowing_run_is_simulation_error(self, tmp_path, capsys):
+        # The states stay finite but V = sqrt(x'Px) does not; such a run
+        # has no verdict, where it used to write V = inf and a -Infinity
+        # worst margin and exit 0.
+        cfg = scalar_cfg()
+        cfg["simulation"] = {"x0": [2.0], "t_end": 5.0,
+                             "disturbance": {"kind": "constant",
+                                             "amplitude": 1e306}}
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "simulate",
+                   "--out", str(tmp_path / "out")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_design_reuse_checks_the_plant(self, tmp_path):
         out = tmp_path / "out"
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
@@ -151,6 +167,41 @@ class TestExitCodes:
                              str(path), "--out", str(tmp_path / "sim")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_design_fields_are_rejected(self, tmp_path, capsys):
+        # Entries of the wrong shape or type in a reused design.json are a
+        # config problem of the file, not a traceback.
+        out = tmp_path / "out"
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        mutations = [("certificate", "P", [[0.5, 0.0], [0.0, 0.5]]),
+                     ("system", "A", [["a"]]),
+                     ("gains", "sigma", "x"),
+                     ("certificate", "P", [[0.5], [0.5, 1.0]]),
+                     ("certificate", "lambda", True),
+                     ("gains", "lam", None),
+                     ("system", "B", [[1.0, 2.0]])]
+        conf = str(tmp_path / "config.json")
+        capsys.readouterr()
+        for section, key, value in mutations:
+            bad = copy.deepcopy(report)
+            bad[section][key] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            assert cli.main(["simulate", "--config", conf, "--design",
+                             str(path), "--out", str(tmp_path / "sim")]) == 2, \
+                (section, key)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_module_entry_point(self, tmp_path, monkeypatch):
+        conf = write_config(tmp_path / "config.json", scalar_cfg())
+        monkeypatch.setattr("sys.argv", ["selftrig", "design", "--config",
+                                         conf, "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("selftrig", run_name="__main__")
+        assert exc.value.code == 0
+        assert (tmp_path / "out" / "design.json").is_file()
 
     def test_broken_pipe_is_one_line_error(self, tmp_path, capsys,
                                            monkeypatch):
@@ -240,6 +291,41 @@ class TestSimulateArtifacts:
         with open(outputs / "trajectory.csv", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["t", "x_1", "u_1", "V", "eiss_bound"]
+
+    def test_worst_margins_are_located(self, outputs):
+        verdict = json.loads((outputs / "verify.json").read_text())
+        with open(outputs / "trajectory.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        eiss = [(float(r["eiss_bound"]) - abs(float(r["x_1"])))
+                / float(r["eiss_bound"]) for r in rows]
+        index = verdict["eiss"]["worst_index"]
+        assert abs(eiss[index] - verdict["eiss"]["worst_margin"]) <= 1e-12
+        assert min(eiss) >= eiss[index] - 1e-12
+        assert verdict["decay"]["worst_k"] in range(verdict["executions"])
+        assert (verdict["disturbed_decay"]["worst_k"]
+                in range(verdict["disturbed_decay"]["checked_updates"]))
+
+    def test_trajectory_csv_is_shortest_round_trip(self, tmp_path):
+        # Rows are formatted in chunks; the text must be each value's
+        # repr, row by row, across chunk boundaries.
+        rng = np.random.default_rng(8)
+        n = 700
+        states = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300,
+                                                                (n, 2))
+        states[3] = [-0.0, 5e-324]
+        traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
+                              states=states, inputs=rng.normal(size=(n, 1)),
+                              v_values=rng.uniform(size=n), dt=0.1)
+        bound = rng.uniform(size=n)
+        path = tmp_path / "trajectory.csv"
+        reports.write_trajectory_csv(path, traj, bound)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "t,x_1,x_2,u_1,V,eiss_bound"
+        assert lines[-1] == "" and len(lines) == n + 2
+        for i, line in enumerate(lines[1:-1]):
+            values = ([traj.times[i]] + list(traj.states[i])
+                      + list(traj.inputs[i]) + [traj.v_values[i], bound[i]])
+            assert line == ",".join(repr(float(v)) for v in values)
 
     def test_event_times_accumulate_as_printed(self, outputs):
         with open(outputs / "events.csv", encoding="utf-8") as fh:

@@ -4,9 +4,12 @@ The integrator is held to the exact held flow ``design.held_transition``
 (with ``u = K x`` it equals ``Ad x + Bd u`` of the exact discretization);
 the double integrator is nilpotent, so its held response is
 polynomial and RK4 reproduces it to rounding, while the scalar plant with
-drift exposes the fourth-order error decay. The dwell-time measurement is
-checked on the scalar fixture, where holding from any state gives the same
-normalized response and the measurement must equal the designed minimum.
+drift exposes the fourth-order error decay. Step for step, the package's
+affine step map is held to :func:`rk4_reference`, the classical four-stage
+RK4 loop written out here with one disturbance sample per stage. The
+dwell-time measurement is checked on the scalar fixture, where holding from
+any state gives the same normalized response and the measurement must equal
+the designed minimum.
 """
 
 import math
@@ -22,6 +25,31 @@ DRIFTY = design.LinearSystem(1.0, 1.0, -2.0)
 
 def zero_dist(m):
     return sim.DisturbanceSpec("zero", m)
+
+
+def rk4_reference(sys_, x, u, dist, t0, dt, steps, step0=0):
+    """Classical RK4 in stage form, one step and one sample at a time."""
+    x = np.asarray(x, dtype=float)
+    out = [x]
+    bu = sys_.B @ u
+    half = 0.5 * dt
+    for i in range(steps):
+        t = t0 + i * dt
+        s = step0 + i
+        k1 = sys_.A @ x + bu + dist.value(t, s)
+        k2 = sys_.A @ (x + half * k1) + bu + dist.value(t + half, s)
+        k3 = sys_.A @ (x + half * k2) + bu + dist.value(t + half, s)
+        k4 = sys_.A @ (x + dt * k3) + bu + dist.value(t + dt, s)
+        x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(x)
+    return np.array(out)
+
+
+def all_kinds(m):
+    return [sim.DisturbanceSpec("zero", m),
+            sim.DisturbanceSpec("constant", m, amplitude=0.3),
+            sim.DisturbanceSpec("sinusoid", m, amplitude=0.3, frequency=1.7),
+            sim.DisturbanceSpec("bounded_noise", m, amplitude=0.3, seed=4)]
 
 
 class TestDisturbance:
@@ -59,6 +87,48 @@ class TestDisturbance:
         assert not np.array_equal(a.value(0, 0).copy(), a.value(0, 1))
         assert not np.array_equal(a.value(0, 0).copy(), b.value(0, 0))
 
+    def test_noise_is_keyed_by_seed_and_step_alone(self):
+        # One 300-step hold across a block boundary, and the same steps
+        # split into holds at arbitrary indices, draw the same values.
+        steps = 900 + np.arange(300)
+        whole = sim.DisturbanceSpec("bounded_noise", 3, amplitude=0.7, seed=9)
+        one_hold = whole.value(np.zeros((300, 3)), steps[:, None])
+        assert one_hold.shape == (300, 3, 3)
+        assert np.array_equal(one_hold[:, 0], one_hold[:, 2])
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            cuts = np.sort(rng.choice(np.arange(1, 300), size=6, replace=False))
+            split = sim.DisturbanceSpec("bounded_noise", 3, amplitude=0.7,
+                                        seed=9)
+            parts = [split.value(rng.uniform(0.0, 50.0, size=part.size), part)
+                     for part in np.split(steps, cuts)]
+            assert np.array_equal(np.concatenate(parts), one_hold[:, 1])
+        # Steps asked for out of order, one at a time, match as well.
+        single = sim.DisturbanceSpec("bounded_noise", 3, amplitude=0.7, seed=9)
+        for i in rng.permutation(300)[:40]:
+            assert np.array_equal(single.value(1.0, steps[i]), one_hold[i, 0])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_every_noise_draw_is_inside_the_amplitude(self, m):
+        for seed, amplitude in ((0, 0.7), (1, 3.3), (2, 1e-3), (3, -0.4)):
+            dist = sim.DisturbanceSpec("bounded_noise", m,
+                                       amplitude=amplitude, seed=seed)
+            draws = dist.value(0.0, np.arange(3000))
+            norms = np.linalg.norm(draws, axis=1)
+            assert np.all(norms <= abs(amplitude))
+            assert np.all([np.linalg.norm(d) <= abs(amplitude)
+                           for d in draws[:500]])
+
+    def test_stage_values_are_one_array_expression(self):
+        t = np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])
+        for dist in all_kinds(2):
+            values = dist.value(t, np.array([[7], [8]]))
+            assert values.shape == (2, 3, 2)
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(values[i, j],
+                                          dist.value(t[i, j], 7 + i))
+
 
 class TestIntegrator:
     def test_matches_exact_discretization_with_drift(self):
@@ -91,6 +161,32 @@ class TestIntegrator:
         L = design.held_transition(double_integrator.sys, 0.5)
         assert np.abs(L - np.array([[0.875, 0.25], [-0.5, 0.0]])).max() \
             <= 1e-12
+
+    @pytest.mark.parametrize("steps, dt, t0, step0", [
+        (440, 0.0025, 0.0, 0),       # a full hold of a run
+        (101, 0.0137, 3.3, 1000),    # across a noise block boundary
+        (1, 0.00071, 49.9993, 5123),  # the horizon-tail step
+    ])
+    def test_step_map_matches_stage_form(self, steps, dt, t0, step0, scalar,
+                                         double_integrator, corpus):
+        rng = np.random.default_rng(steps)
+        systems = [scalar.sys, double_integrator.sys, DRIFTY] \
+            + [fx.sys for fx in corpus]
+        for sys_ in systems:
+            x = rng.normal(size=sys_.m)
+            u = sys_.K @ x
+            for dist in all_kinds(sys_.m):
+                got = sim.integrate_held(sys_, x, u, dist, t0, dt, steps,
+                                         step0=step0)
+                want = rk4_reference(sys_, x, u, dist, t0, dt, steps, step0)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
+                    (sys_, dist.kind)
+
+    def test_empty_hold_returns_the_start(self, double_integrator):
+        out = sim.integrate_held(double_integrator.sys, [1.0, 2.0], [0.5],
+                                 zero_dist(2), 0.0, 0.01, 0)
+        assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_divergence_is_reported(self):
         grow = design.LinearSystem(50.0, 1.0, -50.5)
@@ -200,6 +296,12 @@ class TestRunLoop:
                                            noise_b, [1.0, 0.0], 10.0)
         assert np.array_equal(traj_a.states, traj_b.states)
 
+    def test_lyapunov_overflow_is_simulation_error(self, scalar):
+        # The states stay finite but V = sqrt(x'Px) does not.
+        with pytest.raises(SimulationError):
+            sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                   zero_dist(1), [1e160], 5.0)
+
     def test_periodic_schedule(self, double_integrator):
         fx = double_integrator
         traj, log = sim.run_periodic(fx.sys, fx.cert, zero_dist(2),
@@ -267,3 +369,52 @@ class TestVerification:
         rep = sim.verify(traj, log, broken, scalar.cert, dist, scalar.sys)
         assert rep.eiss_violations > 0
         assert rep.eiss_worst_margin < 0.0
+        assert rep.eiss_worst_index == 0
+
+    def test_worst_margins_name_where_they_occur(self, double_integrator):
+        fx = double_integrator
+        gains = design.eiss_gains(fx.sys, fx.cert, fx.trig,
+                                  tau_star=fx.tau_star)
+        dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
+                                   frequency=1.0)
+        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
+                                           [1.0, -0.5], 30.0)
+        rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
+        eiss = ((rep.bound_curve - np.linalg.norm(traj.states, axis=1))
+                / rep.bound_curve)
+        assert rep.eiss_worst_index == int(np.argmin(eiss))
+        assert rep.eiss_worst_margin == eiss[rep.eiss_worst_index]
+        # Per-event margins recomputed one pair at a time.
+        pairs = []
+        for e, nxt in zip(log.events, log.events[1:]):
+            coeff = design.disturbance_gain_coeff(fx.cert.P, fx.sys.A, e.tau,
+                                                  max_step=e.tau / 64.0)
+            bound = (fx.cert.value(e.x) * math.exp(-gains.lam * e.tau)
+                     + coeff * 0.1)
+            pairs.append((bound - fx.cert.value(nxt.x)) / bound)
+        k = rep.disturbed_decay_worst_k
+        assert abs(pairs[k] - rep.disturbed_decay_worst_margin) <= 1e-12
+        assert min(pairs) >= pairs[k] - 1e-12
+        assert rep.decay_worst_k is None
+
+        zero = zero_dist(2)
+        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, zero,
+                                           [1.0, -0.5], 30.0)
+        rep = sim.verify(traj, log, gains, fx.cert, zero, fx.sys)
+        v0 = fx.cert.value(log.events[0].x)
+        decay = [(v0 * math.exp(-gains.lam * e.t) - fx.cert.value(e.x))
+                 / (v0 * math.exp(-gains.lam * e.t)) for e in log.events]
+        k = rep.decay_worst_k
+        assert abs(decay[k] - rep.decay_worst_margin) <= 1e-12
+        assert min(decay) >= decay[k] - 1e-12
+
+    def test_unrepresentable_envelope_is_simulation_error(self, scalar):
+        gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
+                                  tau_star=scalar.tau_star)
+        dist = sim.DisturbanceSpec("constant", 1, amplitude=10.0)
+        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
+                                           scalar.tables, dist, [2.0], 5.0)
+        import dataclasses
+        huge = dataclasses.replace(gains, gamma_total_coeff=1e308)
+        with pytest.raises(SimulationError):
+            sim.verify(traj, log, huge, scalar.cert, dist, scalar.sys)
