@@ -35,11 +35,10 @@ for m in (1, 2, 3, 4, 6, 8):
     # Force the full scan from the origin, which never triggers.
     x = np.zeros(m)
     direct = scheduler.next_update(x, tables)
-    packed = scheduler.next_update_packed(x, tables, zero_shortcut=False)
+    packed = scheduler.next_update_packed(x, tables)
     q = trig.n_max - trig.n_min
     print(f"{m:>2} {q:>7} {direct.op_count:>8} {packed.op_count:>8} "
           f"{direct.op_count / packed.op_count:>6.2f}")
 
 print()
-print("packed worst case is q + (2q+1) m(m+1)/2 multiply-adds; the zero")
-print("shortcut skips even that when the state is exactly at the origin.")
+print("packed worst case is q + (2q+1) m(m+1)/2 multiply-adds.")

@@ -111,8 +111,10 @@ def _load_design(path, cfg):
     """Rebuild the design bundle from a previously written design.json.
 
     The system, certificate and gains must be finite numbers of the right
-    shapes, and the tables must match the file's system dimension and
-    trigger block; any mismatch or malformed entry is a ``ConfigError``.
+    shapes, the certificate must be valid (``P`` positive definite,
+    ``0 < lambda <= lambda_o``), and the tables must match the file's system
+    dimension and trigger block; any mismatch or malformed entry is a
+    ``ConfigError``.
     """
     data = _read_design_file(path)
     try:
@@ -139,7 +141,8 @@ def _load_design(path, cfg):
             key: float(_design_numbers(value, f"gains.{key}", ()))
             for key, value in data["gains"].items()})
         tables = scheduler.TriggerTables.from_jsonable(data["tables"])
-    except (KeyError, TypeError, AttributeError, DimensionError) as exc:
+    except (KeyError, TypeError, AttributeError, DimensionError, DesignError,
+            NumericError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
     if ((tables.m, tables.delta, tables.tau_min, tables.n_min, tables.n_max)
             != (system.m, trig.delta, trig.tau_min, trig.n_min, trig.n_max)):

@@ -359,7 +359,10 @@ class TriggerConfig:
 
 def _grid_floor(t, delta):
     # floor(t / delta) robust to the quotient landing an ulp under an integer.
-    return int(math.floor(t / delta + 1e-9))
+    index = t / delta + 1e-9
+    if not math.isfinite(index):
+        raise ConfigError(f"{t:.6g} is too many grid steps of delta={delta:.6g}")
+    return int(math.floor(index))
 
 
 def choose_trigger(tau_star, delta, tau_max, tau_min=None):
@@ -368,7 +371,10 @@ def choose_trigger(tau_star, delta, tau_max, tau_min=None):
     ``tau_min`` defaults to the largest multiple of ``delta`` not exceeding
     ``tau_star`` (at least ``delta``); an explicit ``tau_min`` is validated
     against ``tau_star`` and snapped down. ``tau_max`` is snapped down to
-    ``n_max * delta``.
+    ``n_max * delta``. A time within 1e-9 grid steps under a grid point
+    snaps to that point, but the window never reaches past ``tau_star`` or
+    the requested ``tau_max``. Every rejection is a ``ConfigError``,
+    including a window whose step count overflows.
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ConfigError(f"delta must be positive, got {delta}")
@@ -380,7 +386,7 @@ def choose_trigger(tau_star, delta, tau_max, tau_min=None):
         raise ConfigError(f"tau_max={tau_max:.6g} is below delta={delta:.6g}")
     n_max = _grid_floor(tau_max, delta)
     if tau_min is None:
-        n_min = max(1, _grid_floor(tau_star, delta))
+        floor = tau_star
     else:
         if tau_min > tau_star:
             raise ConfigError(
@@ -388,11 +394,12 @@ def choose_trigger(tau_star, delta, tau_max, tau_min=None):
                 f"time {tau_star:.6g}")
         if tau_min < delta:
             raise ConfigError(f"tau_min={tau_min:.6g} is below delta={delta:.6g}")
-        n_min = max(1, _grid_floor(tau_min, delta))
-    n_min = min(n_min, n_max)
+        floor = tau_min
+    # Snapping the smaller of the two keeps n_min <= n_max.
+    n_min = max(1, _grid_floor(min(floor, tau_max), delta))
     return TriggerConfig(
         delta=delta,
-        tau_min=min(n_min * delta, tau_star),
+        tau_min=min(n_min * delta, tau_star, tau_max),
         tau_max=min(n_max * delta, tau_max),
         n_min=n_min,
         n_max=n_max,
@@ -513,13 +520,14 @@ class EissGains:
 
     def beta(self, s, t):
         """Transient envelope ``sigma * s * exp(-lam t)``."""
-        return self.sigma * s * math.exp(-self.lam * t)
+        return self.sigma * s * np.exp(-self.lam * t)
 
     def gamma(self, s):
         """Disturbance gain, linear in the disturbance bound ``s``."""
         return self.gamma_total_coeff * s
 
     def bound(self, x0_norm, t, dist_bound):
+        """ISS envelope ``beta(x0_norm, t) + gamma(dist_bound)``."""
         return self.beta(x0_norm, t) + self.gamma(dist_bound)
 
 

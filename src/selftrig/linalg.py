@@ -19,7 +19,9 @@ symmetry checks this package relies on:
 ==================  =========================================================
 
 All tolerances are module constants so callers can tighten or relax them in
-one place.
+one place. Nothing in the package calls ``induced_norm2`` any more; it stays
+because the benchmark's tracer wraps it by name, and it goes together with
+``det`` in the next change to the benchmark.
 """
 
 import math

@@ -164,21 +164,19 @@ def next_update(x, tables):
     )
 
 
-def next_update_packed(x, tables, zero_shortcut=True):
+def next_update_packed(x, tables):
     """Schedule the next execution from the packed coefficient vectors.
 
     Builds the monomial vector once (``m(m+1)/2`` multiplies) and evaluates
     the packed forms for ``n_min+1 .. n_max`` as length-``m(m+1)/2`` dot
     products (one multiply and one add per coefficient) plus one comparison
     each, which the counter tallies exactly; a full scan therefore costs
-    ``q + (2q+1) m(m+1)/2`` operations with ``q = n_max - n_min``. Decisions
-    are identical to :func:`next_update` whenever the design guarantees the
-    prefix below ``n_min``.
+    ``q + (2q+1) m(m+1)/2`` operations with ``q = n_max - n_min``. The zero
+    state passes every test, so it is scanned in full and costs exactly
+    that worst case. Decisions are identical to :func:`next_update`
+    whenever the design guarantees the prefix below ``n_min``.
     """
     x = _unit_state(x, tables.m)
-    if zero_shortcut and not np.any(x):
-        return TriggerDecision(n=tables.n_max, tau=max(tables.tau_min, tables.n_max * tables.delta),
-                               evaluations=0, op_count=0)
     L = tables.m * (tables.m + 1) // 2
     rows, cols = tables.triu
     z = x[rows] * x[cols]

@@ -14,11 +14,8 @@ from one generator keyed by the seed and the block index, so every draw
 depends on the seed and the global step alone (not on the time or on how
 the run splits into holds) and reruns with the same seed are bit-identical.
 
-The module also provides the reference oracle
-:func:`continuous_dwell_time`, which measures how long the continuous decay
-condition actually survives from a given state using exact held-input flows,
-and :func:`verify`, which checks a logged run against the designed
-exponential-ISS envelope and the decay conditions at update instants.
+:func:`verify` checks a logged run against the designed exponential-ISS
+envelope and the decay conditions at update instants.
 
 Time grids are uniform with step ``delta / divisor`` except for one possibly
 shortened final step when the horizon is not a multiple of the step; the
@@ -37,10 +34,6 @@ from .errors import ConfigError, DimensionError, NumericError, SimulationError
 
 _HORIZON_EPS = 1e-9
 _STEP_EPS = 1e-12
-# Grid density of the dwell-time oracle scan, and the number of sub-steps
-# each refinement round splits the bracketing step into.
-_ORACLE_POINTS = 5000
-_ORACLE_REFINE = 32
 
 # Steps per matrix product of the integrator, and noise draws per generator.
 _BLOCK = 32
@@ -389,81 +382,6 @@ def run_periodic(sys, cert, dist, x0, t_end, period, divisor=20):
     return _run_loop(sys, cert, dist, x0, t_end, dt, schedule)
 
 
-def _held_flows(sys, step, indices):
-    """Stacked held flows ``L(j * step)`` for ``j`` in a ``range``."""
-    return np.concatenate([L for _idx, L in
-                           design.held_flow_chunks(sys, step, indices)])
-
-
-class HeldFlowGrid:
-    """Exact held-input transitions precomputed over a dense time grid.
-
-    Built once per (system, horizon) pair and shared across oracle calls.
-    Every grid point takes a fresh held flow, in chunks from
-    ``design.held_flow_chunks``.
-    """
-
-    def __init__(self, sys, tau_max, n_points=_ORACLE_POINTS):
-        self.sys = sys
-        self.tau_max = float(tau_max)
-        self.step = self.tau_max / n_points
-        self.taus = self.step * np.arange(n_points + 1)
-        self.flows = _held_flows(sys, self.step, range(n_points + 1))
-
-
-def continuous_dwell_time(sys, cert, x, tau_max, tol=1e-9, grid=None):
-    """How long the continuous decay condition survives from state ``x``.
-
-    Returns the largest ``tau <= tau_max`` such that
-    ``V(xi_x(s)) <= V(x) exp(-lam s)`` for every ``s`` in ``[0, tau]``,
-    located by a dense scan over exact held-input flows; the first
-    up-crossing is then refined on sub-grids of ``_ORACLE_REFINE`` steps,
-    each a batch of held flows on integer multiples of its own step, until
-    the step is at most ``tol``. This is the measurement the designed
-    minimum inter-execution time must lower-bound for every state.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != sys.m:
-        raise DimensionError(f"state has length {x.shape[0]}, expected {sys.m}")
-    if grid is None:
-        n_points = int(min(_ORACLE_POINTS, math.ceil(tau_max / max(10.0 * tol, 1e-12))))
-        grid = HeldFlowGrid(sys, tau_max, max(2, n_points))
-    elif grid.sys is not sys or grid.tau_max < tau_max - _STEP_EPS:
-        raise ConfigError("flow grid does not cover the requested horizon")
-
-    v0 = cert.value(x)
-    if v0 == 0.0:
-        return tau_max
-
-    def excess(flows, taus):
-        flowed = flows @ x
-        v = np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", flowed, cert.P,
-                                              flowed)))
-        return v - v0 * np.exp(-cert.lam * taus)
-
-    # The first grid point at or after the start where the condition fails;
-    # index 0 is the start state where the excess is zero by construction
-    # and its sign is rounding noise, so every search starts one point in.
-    def first_above(h):
-        above = np.flatnonzero(h[1:] > 0.0)
-        return int(above[0]) + 1 if above.size else None
-
-    j = first_above(excess(grid.flows, grid.taus))
-    if j is None or grid.taus[j] > tau_max:
-        return tau_max
-    # The crossing lies in ((j - 1) step, j step]. A refinement that finds
-    # no failing point, its last point being the old one recomputed within
-    # rounding, keeps the last sub-interval.
-    step = grid.step
-    while step > tol:
-        step /= _ORACLE_REFINE
-        indices = range((j - 1) * _ORACLE_REFINE, j * _ORACLE_REFINE + 1)
-        h = excess(_held_flows(sys, step, indices), step * np.arange(
-            indices.start, indices.stop))
-        j = indices.start + (first_above(h) or _ORACLE_REFINE)
-    return (j - 0.5) * step
-
-
 @dataclass
 class VerificationReport:
     """Checks of one logged run against the designed guarantees.
@@ -526,8 +444,7 @@ def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
     """
     d_inf = dist.linf_bound
     x0_norm = float(np.linalg.norm(traj.states[0]))
-    bound_curve = gains.sigma * x0_norm * np.exp(-gains.lam * traj.times) \
-        + gains.gamma(d_inf)
+    bound_curve = gains.bound(x0_norm, traj.times, d_inf)
     observed = np.linalg.norm(traj.states, axis=1)
     eiss_violations, eiss_worst, eiss_index = _margin_summary(
         bound_curve, observed, tolerance)

@@ -17,13 +17,13 @@ import json
 import time
 
 import numpy as np
-import pytest
 
-from selftrig import cli, design, linalg, scheduler, sim
+from selftrig import cli, design, linalg, scheduler
 
 from conftest import DOUBLE_INTEGRATOR_CONFIG, SCALAR_CONFIG
 from test_design import scalar_dwell_oracle
 from test_linalg import taylor_expm
+from test_sim import measured_dwell_times
 
 
 def announce(number, name):
@@ -47,19 +47,6 @@ def fixture_config(fx, x0, t_end=50.0, divisor=5):
     }
 
 
-@pytest.fixture(scope="module")
-def corpus_grids(corpus):
-    """One dense held-flow grid per corpus fixture, shared by the slow
-    measurement criteria so the flows are integrated once."""
-    return {fx.name: sim.HeldFlowGrid(fx.sys, fx.trig.tau_max)
-            for fx in corpus}
-
-
-def measured_dwell(fx, x, grid):
-    return sim.continuous_dwell_time(fx.sys, fx.cert, x, fx.trig.tau_max,
-                                     grid=grid)
-
-
 def test_01_dwell_time_matches_independent_root(tmp_path):
     start = time.perf_counter()
     out = tmp_path / "out"
@@ -74,10 +61,9 @@ def test_01_dwell_time_matches_independent_root(tmp_path):
     announce(1, "dwell time matches bisection oracle")
 
 
-def test_02_design_lower_bounds_measured_dwell(corpus, corpus_grids):
+def test_02_design_lower_bounds_measured_dwell(corpus):
     start = time.perf_counter()
     for i, fx in enumerate(corpus):
-        grid = corpus_grids[fx.name]
         rng = np.random.default_rng(1000 + i)
         states = list(rng.normal(size=(199, fx.sys.m)))
         # The flat direction of the trigger form at the designed minimum
@@ -85,8 +71,9 @@ def test_02_design_lower_bounds_measured_dwell(corpus, corpus_grids):
         form = design.trigger_form(fx.sys, fx.cert, fx.tau_star)
         vals, vecs = linalg.sym_eig(form)
         states.append(vecs[:, int(np.argmin(np.abs(vals)))])
-        worst = min(measured_dwell(fx, x / np.linalg.norm(x), grid)
-                    for x in states)
+        X = np.array([x / np.linalg.norm(x) for x in states])
+        worst = measured_dwell_times(fx.sys, fx.cert, X,
+                                     fx.trig.tau_max).min()
         assert worst >= fx.tau_star - 1e-6, fx.name
         assert worst <= fx.tau_star + fx.trig.delta / 100.0, fx.name
     elapsed = time.perf_counter() - start
@@ -94,15 +81,14 @@ def test_02_design_lower_bounds_measured_dwell(corpus, corpus_grids):
     announce(2, "designed minimum dwell time is tight over the corpus")
 
 
-def test_03_scheduled_dwell_sandwich(corpus, corpus_grids):
+def test_03_scheduled_dwell_sandwich(corpus):
     start = time.perf_counter()
     checked = 0
     for i, fx in enumerate(corpus):
-        grid = corpus_grids[fx.name]
-        rng = np.random.default_rng(2000 + i)
-        for x in rng.normal(size=(50, fx.sys.m)):
+        X = np.random.default_rng(2000 + i).normal(size=(50, fx.sys.m))
+        measured = measured_dwell_times(fx.sys, fx.cert, X, fx.trig.tau_max)
+        for x, exact in zip(X, measured):
             decision = scheduler.next_update(x, fx.tables)
-            exact = measured_dwell(fx, x, grid)
             floor = min(exact, fx.trig.tau_max) - fx.trig.delta
             assert decision.tau >= floor - 1e-12, fx.name
             checked += 1
@@ -195,8 +181,7 @@ def test_07_packed_evaluation_cost_model_is_exact():
             assert trig.n_min == 10 and trig.n_max == 10 + q
             tables = scheduler.build_tables(sys_, cert, trig)
             packed_len = m * (m + 1) // 2
-            worst = scheduler.next_update_packed(np.zeros(m), tables,
-                                                 zero_shortcut=False)
+            worst = scheduler.next_update_packed(np.zeros(m), tables)
             assert worst.op_count == q + (2 * q + 1) * packed_len, (m, q)
             assert worst.n == trig.n_max
             for x in rng.normal(size=(125, m)):

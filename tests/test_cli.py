@@ -169,8 +169,8 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_design_fields_are_rejected(self, tmp_path, capsys):
-        # Entries of the wrong shape or type in a reused design.json are a
-        # config problem of the file, not a traceback.
+        # Entries of the wrong shape, type or range in a reused design.json
+        # are a config problem of the file, not a traceback.
         out = tmp_path / "out"
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
         report = json.loads((out / "design.json").read_text())
@@ -180,7 +180,9 @@ class TestExitCodes:
                      ("certificate", "P", [[0.5], [0.5, 1.0]]),
                      ("certificate", "lambda", True),
                      ("gains", "lam", None),
-                     ("system", "B", [[1.0, 2.0]])]
+                     ("system", "B", [[1.0, 2.0]]),
+                     ("certificate", "lambda", 5.0),
+                     ("certificate", "P", [[-0.5]])]
         conf = str(tmp_path / "config.json")
         capsys.readouterr()
         for section, key, value in mutations:

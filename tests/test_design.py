@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selftrig import design, linalg
 from selftrig.errors import ConfigError, DesignError, DimensionError
@@ -19,6 +21,10 @@ from selftrig.errors import ConfigError, DesignError, DimensionError
 # Bisection root of tau - 1 = exp(-tau / 2) on [1, 4], the scalar worked
 # example's dwell-time equation at the half-rate envelope.
 SCALAR_TAU_STAR = 1.4776700622632157
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Relative room for a grid time to round up onto its index.
+SNAP_SLACK = 2e-9
 
 
 def scalar_dwell_oracle(lam):
@@ -224,6 +230,38 @@ class TestTriggerWindow:
     def test_window_shorter_than_grid_is_rejected(self, scalar):
         with pytest.raises(ConfigError):
             design.choose_trigger(scalar.tau_star, 0.1, 0.05)
+
+    @settings(max_examples=500, deadline=None)
+    @given(tau_star=POSITIVE, delta=POSITIVE, tau_max=POSITIVE,
+           tau_min=st.none() | POSITIVE)
+    # tau_max snaps up onto n_max = 3 while tau* lies beyond it; a window
+    # whose step count overflows.
+    @example(tau_star=5.0, delta=1.0, tau_max=3.0 - 1e-10, tau_min=None)
+    @example(tau_star=1.0, delta=0.5, tau_max=1.7e308, tau_min=None)
+    def test_window_lies_on_the_grid(self, tau_star, delta, tau_max, tau_min):
+        # Any finite positive inputs either give a window on the grid inside
+        # [delta, tau*] and [delta, tau_max], or are rejected as a config
+        # problem, and only when they are out of order or the window's step
+        # count overflows. A grid time may sit under its index by the
+        # snapping slack.
+        valid = (delta <= tau_star and delta <= tau_max
+                 and math.isfinite(tau_max / delta)
+                 and (tau_min is None or delta <= tau_min <= tau_star))
+        try:
+            trig = design.choose_trigger(tau_star, delta, tau_max, tau_min)
+        except ConfigError:
+            assert not valid
+            return
+        assert valid
+        n_min, n_max = trig.n_min, trig.n_max
+        assert 1 <= n_min <= n_max
+        assert delta <= trig.tau_min <= tau_star
+        assert trig.tau_min <= trig.tau_max <= tau_max
+        for n, tau in ((n_min, trig.tau_min), (n_max, trig.tau_max)):
+            assert n * delta * (1.0 - SNAP_SLACK) <= tau <= n * delta
+        assert (n_max + 1) * delta * (1.0 + SNAP_SLACK) > tau_max
+        floor = tau_star if tau_min is None else tau_min
+        assert n_min == n_max or (n_min + 1) * delta * (1.0 + SNAP_SLACK) > floor
 
 
 class TestGains:

@@ -136,19 +136,15 @@ class TestDecisions:
         assert direct == scheduler.next_update(d, fx.tables)
         assert packed == scheduler.next_update_packed(d, fx.tables)
 
-    def test_zero_state_shortcut(self, scalar):
-        d = scheduler.next_update_packed(np.zeros(1), scalar.tables)
-        assert (d.n, d.evaluations, d.op_count) == (scalar.tables.n_max, 0, 0)
-        assert d.tau == scalar.tables.n_max * scalar.tables.delta
-
     def test_packed_worst_case_operation_count(self, scalar):
-        # The zero state never fails a test, so disabling the shortcut
-        # forces the full scan: q comparisons plus (2q + 1) L multiply-adds.
+        # The zero state never fails a test, so it is scanned in full:
+        # q comparisons plus (2q + 1) L multiply-adds.
         t = scalar.tables
         q = t.n_max - t.n_min
-        d = scheduler.next_update_packed(np.zeros(1), t, zero_shortcut=False)
+        d = scheduler.next_update_packed(np.zeros(1), t)
         assert d.evaluations == q
         assert d.op_count == q + (2 * q + 1) * 1
+        assert (d.n, d.tau) == (t.n_max, t.n_max * t.delta)
 
     def test_direct_cost_model(self, double_integrator):
         d = scheduler.next_update(np.array([1.0, 1.0]),

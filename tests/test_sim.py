@@ -6,10 +6,13 @@ the double integrator is nilpotent, so its held response is
 polynomial and RK4 reproduces it to rounding, while the scalar plant with
 drift exposes the fourth-order error decay. Step for step, the package's
 affine step map is held to :func:`rk4_reference`, the classical four-stage
-RK4 loop written out here with one disturbance sample per stage. The
-dwell-time measurement is checked on the scalar fixture, where holding from
-any state gives the same normalized response and the measurement must equal
-the designed minimum.
+RK4 loop written out here with one disturbance sample per stage.
+
+The dwell-time oracle :func:`measured_dwell_times` lives here too; the
+acceptance tests import it to hold the designed minimum and the scheduled
+dwell times against brute-force measurements. It is checked on the scalar
+fixture, where holding from any state gives the same normalized response
+and the measurement must equal the designed minimum.
 """
 
 import math
@@ -17,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from selftrig import design, scheduler, sim
+from selftrig import design, linalg, scheduler, sim
 from selftrig.errors import (ConfigError, DimensionError, SimulationError)
 
 DRIFTY = design.LinearSystem(1.0, 1.0, -2.0)
@@ -43,6 +46,74 @@ def rk4_reference(sys_, x, u, dist, t0, dt, steps, step0=0):
         x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(x)
     return np.array(out)
+
+
+# Grid density of the dwell-time oracle scan, and the number of sub-steps
+# each refinement round splits the bracketing step into.
+ORACLE_POINTS = 5000
+ORACLE_REFINE = 32
+
+
+def measured_dwell_times(sys_, cert, X, tau_max, tol=1e-9):
+    """How long the continuous decay condition survives from each row of ``X``.
+
+    Returns, per state ``x``, the largest ``tau <= tau_max`` such that
+    ``V(xi_x(s)) <= V(x) exp(-lam s)`` for every ``s`` in ``[0, tau]``,
+    measured on exact held-input flows rather than on the squared decay
+    form the design and the scheduler use. All states share one scan over
+    ``ORACLE_POINTS`` grid steps: one stack of held flows, and ``V`` of
+    every flowed state in one contraction over states and grid. Each
+    state's first up-crossing is then refined on sub-grids of
+    ``ORACLE_REFINE`` steps, each a set of integer multiples of the round's
+    own step, until the step is at most ``tol``; one round takes one
+    exponential stack over the sub-grids of every state still being
+    refined. This is the measurement the designed minimum inter-execution
+    time must lower-bound for every state.
+    """
+    m = sys_.m
+    X = np.asarray(X, dtype=float).reshape(-1, m)
+    n_points = max(2, int(min(ORACLE_POINTS,
+                              math.ceil(tau_max / max(10.0 * tol, 1e-12)))))
+    step = tau_max / n_points
+    v0 = np.array([cert.value(x) for x in X])
+
+    def flows_at(taus):
+        E = linalg.expm_grid(sys_.van_loan, taus.reshape(-1))
+        L = E[:, :m, :m] + E[:, :m, m:] @ sys_.K
+        return L.reshape(taus.shape + (m, m))
+
+    def excess(flowed, v0, taus):
+        # V along the flowed states, one row per state.
+        q = np.einsum("sni,sni->sn", flowed @ cert.P, flowed)
+        return np.sqrt(np.maximum(0.0, q)) - v0[:, None] * np.exp(
+            -cert.lam * taus)
+
+    # The first point after the start where the condition fails, or
+    # ``default``; point 0 is the start state, where the excess is zero by
+    # construction and its sign is rounding noise.
+    def first_above(h, default):
+        above = h[:, 1:] > 0.0
+        return np.where(above.any(axis=1), np.argmax(above, axis=1) + 1,
+                        default)
+
+    taus = step * np.arange(n_points + 1)
+    flowed = (X @ flows_at(taus).swapaxes(1, 2)).swapaxes(0, 1)
+    j = first_above(excess(flowed, v0, taus), -1)
+    live = (v0 > 0.0) & (j >= 0)
+    live[live] = taus[j[live]] <= tau_max
+    out = np.full(X.shape[0], float(tau_max))
+    # The crossing lies in ((j - 1) step, j step]. A refinement that finds
+    # no failing point, its last point being the old one recomputed within
+    # rounding, keeps the last sub-interval.
+    j, X, v0 = j[live], X[live], v0[live]
+    while step > tol:
+        step /= ORACLE_REFINE
+        starts = (j - 1) * ORACLE_REFINE
+        sub = step * (starts[:, None] + np.arange(ORACLE_REFINE + 1))
+        flowed = (flows_at(sub) @ X[:, None, :, None])[..., 0]
+        j = starts + first_above(excess(flowed, v0, sub), ORACLE_REFINE)
+    out[live] = (j - 0.5) * step
+    return out
 
 
 def all_kinds(m):
@@ -202,47 +273,50 @@ class TestIntegrator:
 
 class TestDwellTimeMeasurement:
     def test_scalar_measurement_equals_designed_minimum(self, scalar):
-        grid = sim.HeldFlowGrid(scalar.sys, scalar.trig.tau_max)
-        for x in (2.0, -0.3, 11.0):
-            got = sim.continuous_dwell_time(scalar.sys, scalar.cert,
-                                            [x], scalar.trig.tau_max,
-                                            grid=grid)
-            assert abs(got - scalar.tau_star) <= 1e-7
+        got = measured_dwell_times(scalar.sys, scalar.cert,
+                                   [[2.0], [-0.3], [11.0]],
+                                   scalar.trig.tau_max)
+        assert np.all(np.abs(got - scalar.tau_star) <= 1e-7)
 
     def test_origin_never_triggers(self, scalar):
-        got = sim.continuous_dwell_time(scalar.sys, scalar.cert, [0.0],
-                                        scalar.trig.tau_max)
-        assert got == scalar.trig.tau_max
+        got = measured_dwell_times(scalar.sys, scalar.cert, [[0.0]],
+                                   scalar.trig.tau_max)
+        assert got[0] == scalar.trig.tau_max
 
     def test_measurement_saturates_at_horizon(self, scalar):
-        got = sim.continuous_dwell_time(scalar.sys, scalar.cert, [1.0], 0.5)
-        assert got == 0.5
+        got = measured_dwell_times(scalar.sys, scalar.cert, [[1.0]], 0.5)
+        assert got[0] == 0.5
 
     def test_designed_minimum_lower_bounds_measurements(self, double_integrator):
         fx = double_integrator
-        grid = sim.HeldFlowGrid(fx.sys, fx.trig.tau_max)
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            x = rng.normal(size=2)
-            got = sim.continuous_dwell_time(fx.sys, fx.cert, x,
-                                            fx.trig.tau_max, grid=grid)
-            assert got >= fx.tau_star - 1e-6
+        X = np.random.default_rng(20).normal(size=(50, 2))
+        got = measured_dwell_times(fx.sys, fx.cert, X, fx.trig.tau_max)
+        assert np.all(got >= fx.tau_star - 1e-6)
+
+    def test_rows_are_measured_alone(self, double_integrator):
+        # One batch mixes states that cross at different times, states that
+        # outlast the horizon, and the origin; every row must come out
+        # exactly as if it were measured alone.
+        fx = double_integrator
+        X = np.vstack([np.random.default_rng(21).normal(size=(6, 2)),
+                       np.zeros((1, 2))])
+        batch = measured_dwell_times(fx.sys, fx.cert, X, 1.0)
+        alone = [measured_dwell_times(fx.sys, fx.cert, x, 1.0)[0] for x in X]
+        assert np.array_equal(batch, alone)
+        assert 0 < np.sum(batch < 1.0) < 6 and batch[-1] == 1.0
 
     def test_grid_flows_match_single_exponentials(self, double_integrator):
-        # The grid is built in chunks; every point must equal the flow of a
-        # single exponential at the same time.
+        # The design's held-flow grid comes in chunks; every point must
+        # equal the flow of a single exponential at the same time.
         sys_ = double_integrator.sys
-        grid = sim.HeldFlowGrid(sys_, 1.5, n_points=700)
-        assert np.array_equal(grid.flows[0], np.eye(2))
-        for tau, flow in zip(grid.taus, grid.flows):
-            single = design.held_transition(sys_, tau)
-            assert np.abs(flow - single).max() <= 1e-14 * np.abs(single).max()
-
-    def test_stale_grid_is_rejected(self, scalar):
-        grid = sim.HeldFlowGrid(scalar.sys, 1.0)
-        with pytest.raises(ConfigError):
-            sim.continuous_dwell_time(scalar.sys, scalar.cert, [1.0], 2.0,
-                                      grid=grid)
+        step = 1.5 / 700
+        chunks = list(design.held_flow_chunks(sys_, step, range(701)))
+        assert len(chunks) > 1
+        assert np.array_equal(chunks[0][1][0], np.eye(2))
+        for idx, flows in chunks:
+            for j, flow in zip(idx, flows):
+                single = design.held_transition(sys_, j * step)
+                assert np.abs(flow - single).max() <= 1e-14 * np.abs(single).max()
 
 
 class TestRunLoop:
