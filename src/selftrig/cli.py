@@ -112,9 +112,11 @@ def _load_design(path, cfg):
 
     The system, certificate and gains must be finite numbers of the right
     shapes, the certificate must be valid (``P`` positive definite,
-    ``0 < lambda <= lambda_o``), and the tables must match the file's system
-    dimension and trigger block; any mismatch or malformed entry is a
-    ``ConfigError``.
+    ``0 < lambda <= lambda_o``), the tables must match the file's system
+    dimension and trigger block, and every form must equal the one that
+    ``scheduler.build_tables`` derives from the certificate and the trigger
+    grid, to within ``1e-9 * max(1, max|Q_n|)``; any mismatch or malformed
+    entry is a ``ConfigError``.
     """
     data = _read_design_file(path)
     try:
@@ -148,6 +150,14 @@ def _load_design(path, cfg):
             != (system.m, trig.delta, trig.tau_min, trig.n_min, trig.n_max)):
         raise ConfigError("design file tables do not match its system and "
                           "trigger block")
+    # Files from earlier versions may differ in the last digits of a form.
+    forms = scheduler.build_tables(system, cert, trig).forms
+    scale = np.maximum(1.0, np.abs(forms).max(axis=(1, 2)))
+    bad = np.flatnonzero(np.abs(tables.forms - forms).max(axis=(1, 2))
+                         > 1e-9 * scale)
+    if bad.size:
+        raise ConfigError(f"design file form {bad[0]} does not match its "
+                          f"certificate and trigger grid")
     return system, cert, trig, gains, tables, data
 
 

@@ -19,11 +19,16 @@ Everything rests on the held-input flow ``xi(tau) = L(tau) x`` with
 exponential gives both terms at once: with ``N = [[A, B], [0, 0]]``,
 ``exp(N tau) = [[E11, E12], [0, I]]`` and ``L(tau) = E11 + E12 K``. The
 block ``N`` is built once per :class:`LinearSystem`; :func:`held_transition`
-takes one time, :func:`held_flow_chunks` a uniform grid, and
-:func:`decay_form` turns either into the decay-test form. The minimum dwell
-time comes from a determinant root: the decay condition fails first at the
-smallest positive root of ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``,
-the squared form of the decay of ``V``.
+takes one time, :func:`held_flow_chunks` a uniform grid with one fresh
+exponential per point, and :func:`decay_form` turns either into the
+decay-test form. The minimum dwell time comes from a determinant root: the
+decay condition fails first at the smallest positive root of
+``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form of the
+decay of ``V``. Its scan grid comes from :func:`scan_flow_chunks`, which
+builds each point as a product of two fresh exponentials
+(``exp(N (a + b)) = exp(N a) exp(N b)``); the scan reads that grid only for
+signs and dips, and every time it returns is refined with single-point
+flows.
 """
 
 import math
@@ -198,6 +203,29 @@ def held_flow_chunks(sys, step, indices):
         yield idx, _held_flow(sys, E)
 
 
+def scan_flow_chunks(sys, step, count):
+    """Held flows ``L(j * step)`` for ``j = 1..count``, built as products.
+
+    The first chunk is the first chunk of ``linalg.expm_chunks``, the
+    offsets ``exp(N i step)`` for ``i = 1..per``. Each later chunk, after
+    index ``lo``, is one fresh ``exp(N lo step)`` times those offsets, since
+    ``exp(N (lo + i) step) = exp(N lo step) exp(N i step)``. Every point is
+    a single product of two fresh exponentials, so its error does not grow
+    along the grid, but it is not bitwise the point's own exponential: only
+    the dwell-time scan reads these flows, for signs and dips, and the
+    tables use :func:`held_flow_chunks`. Yields ``(idx, L)`` like that
+    function.
+    """
+    N = sys.van_loan
+    idx, offsets = next(linalg.expm_chunks(N, step, range(1, count + 1)))
+    yield idx, _held_flow(sys, offsets)
+    per = len(idx)
+    for lo in range(per, count, per):
+        part = offsets[:count - lo]
+        base = linalg.expm(N, lo * step)
+        yield idx[:len(part)] + lo, _held_flow(sys, base @ part)
+
+
 def decay_form(L, P, rate, tau):
     """Symmetrized ``L' P L - exp(-rate tau) P``.
 
@@ -241,11 +269,13 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
     directions) are caught by refining grid-local minima of ``|det M|``
     that dip below ``sqrt(tol)``.
 
-    The grid is evaluated chunk by chunk from fresh held flows
-    (:func:`held_flow_chunks`) and stacked determinants; the two grid values
+    The grid is evaluated chunk by chunk from product-built held flows
+    (:func:`scan_flow_chunks`) and stacked determinants; the two grid values
     before each chunk carry over, so a bracket or dip that straddles a chunk
-    boundary is found as if the grid were one piece. Refinement evaluates
-    single points.
+    boundary is found as if the grid were one piece. Only the grid's signs
+    and dips are read: bisection and dip refinement evaluate single points
+    through :func:`held_transition`, so the returned time does not depend on
+    the last digits of the grid values.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
@@ -301,7 +331,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
     # det M(0) = 0 exactly, and a placeholder before it that no test reads.
     tail_taus = np.array([math.nan, 0.0])
     tail_dets = np.array([math.nan, 0.0])
-    for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
+    for idx, L in scan_flow_chunks(sys, grid_step, n_grid):
         taus = grid_step * idx
         dets = np.linalg.det(decay_form(L, P, rate, taus))
         all_taus = np.concatenate((tail_taus, taus))
@@ -358,11 +388,15 @@ class TriggerConfig:
 
 
 def _grid_floor(t, delta):
-    # floor(t / delta) robust to the quotient landing an ulp under an integer.
+    # floor(t / delta) robust to the quotient landing an ulp under an integer,
+    # and kept low enough that the grid time index * delta is finite.
     index = t / delta + 1e-9
     if not math.isfinite(index):
         raise ConfigError(f"{t:.6g} is too many grid steps of delta={delta:.6g}")
-    return int(math.floor(index))
+    n = int(math.floor(index))
+    if math.isinf(n * delta):
+        n = int(math.floor(math.nextafter(np.finfo(float).max / delta, 0.0)))
+    return n
 
 
 def choose_trigger(tau_star, delta, tau_max, tau_min=None):
@@ -373,8 +407,10 @@ def choose_trigger(tau_star, delta, tau_max, tau_min=None):
     against ``tau_star`` and snapped down. ``tau_max`` is snapped down to
     ``n_max * delta``. A time within 1e-9 grid steps under a grid point
     snaps to that point, but the window never reaches past ``tau_star`` or
-    the requested ``tau_max``. Every rejection is a ``ConfigError``,
-    including a window whose step count overflows.
+    the requested ``tau_max``. A grid index whose time ``n * delta`` would
+    overflow is lowered to the largest one whose time is finite. Every
+    rejection is a ``ConfigError``, including a window whose step count
+    overflows.
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ConfigError(f"delta must be positive, got {delta}")

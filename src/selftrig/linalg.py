@@ -10,13 +10,20 @@ symmetry checks this package relies on:
 ==================  =========================================================
 ``expm``            scaling and squaring with a diagonal Pade approximant
 ``expm_grid``       the same kernel over a stack of times, one scaling each
-``expm_chunks``     ``expm_grid`` over an index range, in bounded chunks
+``expm_chunks``     ``expm_grid`` over an index range, in bounded chunks,
+                    one exponential per point
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
 ``det``             ``numpy.linalg.det`` of a checked square matrix
 ==================  =========================================================
+
+``expm_chunks`` stays exact per point: the trigger tables and the EISS
+quadrature take their exponentials from it, so they do not depend on how
+the chunks are cut. Only the dwell-time scan, which reads its grid for
+signs and dips alone, builds its later chunks as products with the first
+(see ``design``).
 
 All tolerances are module constants so callers can tighten or relax them in
 one place. Nothing in the package calls ``induced_norm2`` any more; it stays

@@ -168,6 +168,39 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_reused_forms_are_checked(self, tmp_path, capsys):
+        # Forms that the certificate and trigger grid do not imply are a
+        # config problem: every form above n_min replaced by -I, which would
+        # let the run hold at tau_max, or a single form edited. Forms that
+        # differ only in the last digits, as earlier versions wrote them,
+        # still load.
+        out = tmp_path / "out"
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        assert run(tmp_path, cfg, "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        n_min = report["tables"]["n_min"]
+        tampered = copy.deepcopy(report)
+        forms = tampered["tables"]["forms"]
+        forms[n_min + 1:] = [[[-1.0, 0.0], [0.0, -1.0]]] * (len(forms) - n_min - 1)
+        one_form = copy.deepcopy(report)
+        one_form["tables"]["forms"][n_min][0][1] += 1e-6
+        conf = str(tmp_path / "config.json")
+        capsys.readouterr()
+        for bad in (tampered, one_form):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            assert cli.main(["simulate", "--config", conf, "--design",
+                             str(path), "--out", str(tmp_path / "sim")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        close = copy.deepcopy(report)
+        close["tables"]["forms"] = (np.asarray(report["tables"]["forms"])
+                                    * (1.0 + 1e-12)).tolist()
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(close), encoding="utf-8")
+        assert cli.main(["simulate", "--config", conf, "--design", str(path),
+                         "--out", str(tmp_path / "sim")]) == 0
+
     def test_malformed_design_fields_are_rejected(self, tmp_path, capsys):
         # Entries of the wrong shape, type or range in a reused design.json
         # are a config problem of the file, not a traceback.

@@ -183,6 +183,29 @@ class TestDwellTime:
         form = design.trigger_form(sys_, cert, 0.999 * tau)
         assert float(np.linalg.eigvalsh(form).max()) <= 0.0
 
+    def test_scan_grid_flows_match_single_exponentials(self, double_integrator,
+                                                        corpus):
+        # Every scan-grid flow after the first chunk is a product of a chunk
+        # base and an offset; over four chunks of the default scan step each
+        # must agree with the point's own exponential.
+        unstable = next(fx for fx in corpus
+                        if np.linalg.eigvals(fx.sys.A).real.max() > 0.0)
+        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+        cases = [(tangential, design.make_certificate(tangential, lambda_ratio=0.5))]
+        cases += [(fx.sys, fx.cert) for fx in (double_integrator, unstable)]
+        for sys_, cert in cases:
+            per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+            count = 3 * per + per // 2
+            step = 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT
+            seen = []
+            for idx, L in design.scan_flow_chunks(sys_, step, count):
+                seen.extend(idx)
+                for j, flow in zip(idx, L):
+                    exact = design.held_transition(sys_, j * step)
+                    scale = max(1.0, float(np.abs(exact).max()))
+                    assert float(np.abs(flow - exact).max()) <= 1e-13 * scale, j
+            assert seen == list(range(1, count + 1))
+
     @pytest.mark.parametrize("points", [1, 2, 3])
     def test_chunk_boundaries_do_not_move_the_root(self, monkeypatch, points,
                                                    scalar, double_integrator,
@@ -235,9 +258,12 @@ class TestTriggerWindow:
     @given(tau_star=POSITIVE, delta=POSITIVE, tau_max=POSITIVE,
            tau_min=st.none() | POSITIVE)
     # tau_max snaps up onto n_max = 3 while tau* lies beyond it; a window
-    # whose step count overflows.
+    # whose step count overflows; a step count whose grid time n_max * delta
+    # overflows.
     @example(tau_star=5.0, delta=1.0, tau_max=3.0 - 1e-10, tau_min=None)
     @example(tau_star=1.0, delta=0.5, tau_max=1.7e308, tau_min=None)
+    @example(tau_star=3.0, delta=3.0, tau_max=1.7976931348623157e308,
+             tau_min=None)
     def test_window_lies_on_the_grid(self, tau_star, delta, tau_max, tau_min):
         # Any finite positive inputs either give a window on the grid inside
         # [delta, tau*] and [delta, tau_max], or are rejected as a config
