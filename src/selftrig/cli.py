@@ -24,9 +24,8 @@ from . import __version__, design, reports, scheduler, sim
 from .errors import (ConfigError, DesignError, DimensionError, NumericError,
                      SelfTrigError, SimulationError)
 
-# Dwell-time root scan: step delta/100, capped at 10 decay time constants.
+# Dwell-time root scan: step delta/100, up to the scan's default cap.
 _DWELL_GRID_DIVISOR = 100
-_DWELL_CAP_FACTOR = 10.0
 _PLOT_POINTS = 2000
 
 
@@ -46,8 +45,7 @@ def _design_bundle(cfg, raw):
     tcfg = cfg["trigger"]
     result = design.min_inter_execution_time(
         system, cert,
-        grid_step=tcfg["delta"] / _DWELL_GRID_DIVISOR,
-        tau_cap=_DWELL_CAP_FACTOR / cert.lam)
+        grid_step=tcfg["delta"] / _DWELL_GRID_DIVISOR)
     tau_star = result.tau if result.root_found else min(result.tau,
                                                         tcfg["tau_max"])
     trig = design.choose_trigger(tau_star, tcfg["delta"], tcfg["tau_max"],
@@ -70,95 +68,94 @@ def _design_bundle(cfg, raw):
                     "n_max": trig.n_max},
         "gains": dataclasses.asdict(gains),
         "feasibility": {"work_unit": feasibility.work_unit,
-                        "tau_min": feasibility.tau_min,
-                        "delta": feasibility.delta,
                         "max_tau_c": feasibility.max_tau_c},
-        "tables": tables.to_jsonable(),
+        "tables": {"forms": tables.forms},
     }
     return system, cert, trig, gains, tables, report
 
 
-def _read_design_file(path):
+def _design_number(value, name, integer=False):
+    return reports.finite_numbers(value, name, (), integer=integer).item()
+
+
+def _read_design(path):
+    """Rebuild the design bundle from a design.json, checked entry by entry.
+
+    Every number goes through ``reports.finite_numbers``: the system,
+    certificate, gains and ``trigger.delta``, ``tau_min`` and ``tau_max``
+    must be finite numbers, ``trigger.n_min`` and ``n_max`` integers, and
+    ``tables.forms`` of shape ``(n_max+1, m, m)``. The certificate must be
+    valid (``P`` positive definite, ``0 < lambda <= lambda_o``) and the
+    grid a valid ``TriggerConfig`` whose ``tau_min`` and ``tau_max`` lie in
+    ``((n - 1) delta, n delta]`` for their indices. The returned tables are
+    the ones ``scheduler.build_tables`` derives from the certificate and the
+    grid; each stored form must equal its derived one to within
+    ``1e-9 * max(1, max|Q_n|)``. Other keys of ``tables``, which earlier
+    versions wrote, are ignored. Any mismatch or malformed entry is a
+    ``ConfigError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"design file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"design file is not valid JSON: {exc}") from None
-
-
-def _design_numbers(value, name, shape=None):
-    """Finite real numbers of a design-file entry as a float array.
-
-    ``shape``, when given, is the required shape; anything else, including
-    strings, booleans and ragged lists, is a ``ConfigError``.
-    """
-    try:
-        arr = np.asarray(value)
-    except ValueError:
-        arr = None
-    if (arr is None or arr.dtype.kind not in "iuf"
-            or (shape is not None and arr.shape != shape)
-            or not np.all(np.isfinite(arr))):
-        expected = ("a finite number" if shape == () else "finite numbers"
-                    + ("" if shape is None else f" of shape {shape}"))
-        raise ConfigError(f"malformed design file: {name} must be {expected}")
-    return arr.astype(float)
-
-
-def _load_design(path, cfg):
-    """Rebuild the design bundle from a previously written design.json.
-
-    The system, certificate and gains must be finite numbers of the right
-    shapes, the certificate must be valid (``P`` positive definite,
-    ``0 < lambda <= lambda_o``), the tables must match the file's system
-    dimension and trigger block, and every form must equal the one that
-    ``scheduler.build_tables`` derives from the certificate and the trigger
-    grid, to within ``1e-9 * max(1, max|Q_n|)``; any mismatch or malformed
-    entry is a ``ConfigError``.
-    """
-    data = _read_design_file(path)
     try:
         system = design.LinearSystem(
-            *(_design_numbers(data["system"][key], f"system.{key}")
+            *(reports.finite_numbers(data["system"][key], f"system.{key}")
               for key in ("A", "B", "K")))
-        if not (np.array_equal(system.A, np.atleast_2d(cfg["system"]["A"]))
-                and np.array_equal(system.B, np.atleast_2d(cfg["system"]["B"]))
-                and np.array_equal(system.K, np.atleast_2d(cfg["system"]["K"]))):
-            raise ConfigError(
-                "design file was produced for a different system than the config")
         certificate = data["certificate"]
-        P = _design_numbers(certificate["P"], "certificate.P",
-                            (system.m, system.m))
+        P = reports.finite_numbers(certificate["P"], "certificate.P",
+                                   (system.m, system.m))
         a_cl = system.a_cl
         # The certificate equation recovers Q exactly from P and the loop.
         Q = -(a_cl.T @ P + P @ a_cl)
-        lambda_o, lam = (float(_design_numbers(certificate[key],
-                                                f"certificate.{key}", ()))
-                         for key in ("lambda_o", "lambda"))
-        cert = design.LyapunovCertificate(P, lambda_o, lam, 0.5 * (Q + Q.T))
-        trig = design.TriggerConfig(**data["trigger"])
+        cert = design.LyapunovCertificate(
+            P, _design_number(certificate["lambda_o"], "certificate.lambda_o"),
+            _design_number(certificate["lambda"], "certificate.lambda"),
+            0.5 * (Q + Q.T))
+        trig = design.TriggerConfig(**{
+            key: _design_number(value, f"trigger.{key}",
+                                integer=key.startswith("n_"))
+            for key, value in data["trigger"].items()})
+        # choose_trigger puts tau_min and tau_max at most one step under the
+        # grid times of n_min and n_max. An edited tau_min would otherwise
+        # hold every input past the prefix the forms certify.
+        if not all((n - 1) * trig.delta < tau <= n * trig.delta
+                   for n, tau in ((trig.n_min, trig.tau_min),
+                                  (trig.n_max, trig.tau_max))):
+            raise ConfigError("trigger window is off its grid indices")
         gains = design.EissGains(**{
-            key: float(_design_numbers(value, f"gains.{key}", ()))
+            key: _design_number(value, f"gains.{key}")
             for key, value in data["gains"].items()})
-        tables = scheduler.TriggerTables.from_jsonable(data["tables"])
-    except (KeyError, TypeError, AttributeError, DimensionError, DesignError,
-            NumericError) as exc:
+        stored = reports.finite_numbers(
+            data["tables"]["forms"], "tables.forms",
+            (trig.n_max + 1, system.m, system.m))
+    except (KeyError, TypeError, AttributeError, ConfigError, DimensionError,
+            DesignError, NumericError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
-    if ((tables.m, tables.delta, tables.tau_min, tables.n_min, tables.n_max)
-            != (system.m, trig.delta, trig.tau_min, trig.n_min, trig.n_max)):
-        raise ConfigError("design file tables do not match its system and "
-                          "trigger block")
     # Files from earlier versions may differ in the last digits of a form.
-    forms = scheduler.build_tables(system, cert, trig).forms
-    scale = np.maximum(1.0, np.abs(forms).max(axis=(1, 2)))
-    bad = np.flatnonzero(np.abs(tables.forms - forms).max(axis=(1, 2))
+    tables = scheduler.build_tables(system, cert, trig)
+    scale = np.maximum(1.0, np.abs(tables.forms).max(axis=(1, 2)))
+    bad = np.flatnonzero(np.abs(stored - tables.forms).max(axis=(1, 2))
                          > 1e-9 * scale)
     if bad.size:
         raise ConfigError(f"design file form {bad[0]} does not match its "
                           f"certificate and trigger grid")
     return system, cert, trig, gains, tables, data
+
+
+def _load_design(path, cfg):
+    """``_read_design``, for a file produced for the config's own system."""
+    bundle = _read_design(path)
+    system = bundle[0]
+    if not all(np.array_equal(getattr(system, key),
+                              np.atleast_2d(cfg["system"][key]))
+               for key in ("A", "B", "K")):
+        raise ConfigError(
+            "design file was produced for a different system than the config")
+    return bundle
 
 
 def _bundle_for(args, cfg, raw):
@@ -391,13 +388,8 @@ def cmd_sweep(args):
 
 
 def cmd_feasibility(args):
-    data = _read_design_file(args.design)
-    try:
-        trig = design.TriggerConfig(**data["trigger"])
-        m = len(data["certificate"]["P"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed design file: {exc}") from None
-    rep = design.feasibility_check(m, args.tau_c, trig)
+    system, _cert, trig, _gains, _tables, _data = _read_design(args.design)
+    rep = design.feasibility_check(system.m, args.tau_c, trig)
     print(f"state dimension {rep.m}, work unit {rep.work_unit} multiply-adds")
     print(f"per execution: 1.5 * {rep.work_unit} * {rep.tau_c!r} = "
           f"{rep.budget_tau_min!r} <= tau_min = {rep.tau_min!r}: "

@@ -41,9 +41,11 @@ from .errors import ConfigError, DesignError, DimensionError, NumericError
 
 # Grid-count fallback for the dwell-time scan when the caller gives no step.
 _SCAN_POINTS_DEFAULT = 2000
-# A local minimum of |det M| on the grid below sqrt(tol) is a candidate
-# tangential root; after refinement it counts as a root below this fraction
-# of sqrt(tol).
+# Width to which the dwell-time bisection and dip refinement narrow a root.
+_SCAN_TOL = 1e-9
+# A local minimum of |det M| on the grid below sqrt(_SCAN_TOL) is a
+# candidate tangential root; after refinement it counts as a root below this
+# fraction of sqrt(_SCAN_TOL).
 _TANGENT_ACCEPT_FACTOR = 1e-2
 
 _QUAD_RTOL = 1e-6
@@ -260,14 +262,15 @@ class DwellTimeResult:
     tau_cap: float
 
 
-def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
+def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     """Smallest positive time at which the sampled decay test can fail.
 
     Scans ``det M(tau)`` over a uniform grid and bisects the first sign
-    change down to ``tol``. Tangential roots (the determinant touching zero
+    change down to ``1e-9``. Tangential roots (the determinant touching zero
     without a sign change, as happens for systems with repeated critical
     directions) are caught by refining grid-local minima of ``|det M|``
-    that dip below ``sqrt(tol)``.
+    that dip below ``sqrt(1e-9)``. The cap defaults to ``10 / lambda``,
+    ten time constants of the enforced decay.
 
     The grid is evaluated chunk by chunk from product-built held flows
     (:func:`scan_flow_chunks`) and stacked determinants; the two grid values
@@ -293,7 +296,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
         return linalg.det(decay_form(held_transition(sys, tau), P, rate, tau))
 
     def bisect(lo, hi, flo):
-        while hi - lo > tol:
+        while hi - lo > _SCAN_TOL:
             mid = 0.5 * (lo + hi)
             fmid = det_at(mid)
             if fmid == 0.0:
@@ -311,7 +314,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
         c = b - inv * (b - a)
         d = a + inv * (b - a)
         fc, fd = abs(det_at(c)), abs(det_at(d))
-        while b - a > tol:
+        while b - a > _SCAN_TOL:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - inv * (b - a)
@@ -323,7 +326,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None, tol=1e-9):
         mid = 0.5 * (a + b)
         return mid, abs(det_at(mid))
 
-    dip_threshold = math.sqrt(tol)
+    dip_threshold = math.sqrt(_SCAN_TOL)
     accept_threshold = dip_threshold * _TANGENT_ACCEPT_FACTOR
 
     n_grid = int(math.ceil(tau_cap / grid_step))

@@ -5,7 +5,8 @@ Configs are JSON with five sections: ``system`` (plant and gain matrices),
 ``simulation`` (run options), ``outputs`` (artifact placement), plus an
 optional ``sweep`` grid. Validation is strict: unknown keys anywhere are
 rejected by name, so typos fail loudly instead of silently falling back to
-defaults.
+defaults, and matrices must hold numbers, not strings or booleans
+(:func:`finite_numbers`, which also checks design files).
 
 All artifacts are byte-deterministic: JSON is written with sorted keys,
 floats serialize through ``repr`` (shortest exact round-trip), and nothing
@@ -25,6 +26,8 @@ from .errors import ConfigError
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 # Rows of the trajectory CSV formatted per chunk.
 _CSV_CHUNK = 256
+# Size of every SVG plot, in pixels.
+_SVG_WIDTH, _SVG_HEIGHT = 720, 440
 
 
 def load_config(path):
@@ -77,20 +80,42 @@ def _integer(value, path, minimum=None):
     return value
 
 
-def _matrix(value, path):
+def finite_numbers(value, path, shape=None, integer=False):
+    """Finite real numbers of a JSON entry as an array.
+
+    The one rule for numbers read from a config or a design file: the entry
+    must parse to a numpy array of integers or floats (integers only with
+    ``integer``) with finite entries, and of shape ``shape`` when one is
+    given. Anything else, including strings, booleans (also next to
+    numbers), null and ragged lists, is a ``ConfigError``. Integers come
+    back as an integer array with ``integer``, as floats otherwise.
+    """
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number or a nested list of numbers") from None
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path} has non-finite entries")
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    if (arr is None or arr.dtype.kind not in ("iu" if integer else "iuf")
+            or (shape is not None and arr.shape != shape)
+            or not np.all(np.isfinite(arr))
+            # numpy reads a boolean among numbers as 0 or 1.
+            or any(isinstance(v, bool)
+                   for v in np.asarray(value, dtype=object).flat)):
+        expected = ("an integer" if integer else "a finite number"
+                    if shape == () else "finite numbers"
+                    + ("" if shape is None else f" of shape {shape}"))
+        raise ConfigError(f"{path} must be {expected}")
+    return arr if integer else arr.astype(float)
+
+
+def _matrix(value, path):
+    arr = finite_numbers(value, path)
     if arr.ndim > 2:
         raise ConfigError(f"{path} has more than two dimensions")
     return arr.tolist() if arr.ndim else float(arr)
 
 
 def _vector(value, path):
-    arr = np.asarray(_matrix(value, path), dtype=float).reshape(-1)
+    arr = np.reshape(_matrix(value, path), -1)
     if arr.size == 0:
         raise ConfigError(f"{path} must not be empty")
     return arr.tolist()
@@ -258,13 +283,14 @@ def _ticks(lo, hi, count=5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def svg_plot(path, title, xlabel, ylabel, series, width=720, height=440):
+def svg_plot(path, title, xlabel, ylabel, series):
     """Line plot as a standalone SVG.
 
     ``series`` is a list of ``(label, xs, ys)``; no plotting dependency is
     involved so headless runs produce artifacts anywhere. Output is
     deterministic for identical inputs.
     """
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     ml, mr, mt, mb = 64, 16, 36, 48
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])

@@ -15,8 +15,9 @@ off-diagonals against ``z = (x_i x_j)_{i<=j}``), which is how a constrained
 platform would run it; it carries an exact multiply-add counter and only
 reads the forms above ``n_min``, since the prefix up to ``n_min`` cannot
 change the schedule for any design with ``tau_min`` below the minimum
-inter-execution time. The forms are the only stored table; the packed
-vectors are derived from them when the tables are built or loaded.
+inter-execution time. The forms are the only stored table and the
+``TriggerConfig`` the only copy of the grid; the packed vectors are
+derived from the forms when the tables are built.
 
 The forms are homogeneous of degree two, so a decision does not depend on
 the scale of the state. Both evaluators bring the state's largest entry
@@ -30,35 +31,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import design
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 
 
 class TriggerTables:
-    """Decay-test forms on the grid.
+    """Decay-test forms on the trigger grid.
 
-    ``forms[n]`` is ``Q_n`` for ``n = 0..n_max``, the one stored table.
-    ``packed`` is derived from ``forms[n_min:]``: row ``n - n_min`` holds the
+    The grid is the ``TriggerConfig``'s: ``delta``, ``tau_min``, ``n_min``
+    and ``n_max`` are read from it and stored nowhere else.
+    ``forms[n]`` is ``Q_n`` for ``n = 0..n_max``, an ``(n_max+1, m, m)``
+    array and the one stored table. :func:`build_tables` computes it, also
+    when a design file is loaded; the file's own forms are only compared
+    with it. ``packed`` is
+    derived from ``forms[n_min:]``: row ``n - n_min`` holds the
     upper-triangular coefficients of ``Q_n`` in row-major order, with the
     off-diagonals doubled, and ``triu`` is the index pair of that order.
-    Raises ``ConfigError`` unless ``forms`` is a finite ``(n_max+1, m, m)``
-    array and ``1 <= n_min <= n_max``.
     """
 
-    def __init__(self, delta, tau_min, n_min, n_max, forms):
-        self.delta = float(delta)
-        self.tau_min = float(tau_min)
-        self.n_min = int(n_min)
-        self.n_max = int(n_max)
-        if not 1 <= self.n_min <= self.n_max:
-            raise ConfigError(f"trigger tables need 1 <= n_min <= n_max, got "
-                              f"{self.n_min}, {self.n_max}")
-        forms = np.asarray(forms, dtype=float)
-        if not (forms.ndim == 3 and forms.shape[0] == self.n_max + 1
-                and forms.shape[1] == forms.shape[2] >= 1):
-            raise ConfigError(f"trigger tables need forms of shape "
-                              f"({self.n_max + 1}, m, m), got {forms.shape}")
-        if not np.all(np.isfinite(forms)):
-            raise ConfigError("trigger tables have non-finite forms")
+    def __init__(self, trig, forms):
+        self.delta, self.tau_min = trig.delta, trig.tau_min
+        self.n_min, self.n_max = trig.n_min, trig.n_max
         self.forms = forms                # (n_max+1, m, m), Q_0 = 0
         self.triu = np.triu_indices(self.m)
         rows, cols = self.triu
@@ -68,29 +60,6 @@ class TriggerTables:
     @property
     def m(self):
         return self.forms.shape[1]
-
-    def to_jsonable(self):
-        """Plain-data view for embedding in a design report."""
-        return {
-            "delta": self.delta,
-            "tau_min": self.tau_min,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "forms": [Q.tolist() for Q in self.forms],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data):
-        """Rebuild tables from the plain-data view of a design report.
-
-        Keys other than the table fields, such as the ``transitions`` and
-        ``packed`` tables of older reports, are ignored.
-        """
-        try:
-            return cls(data["delta"], data["tau_min"], data["n_min"],
-                       data["n_max"], data["forms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed trigger tables: {exc}") from exc
 
 
 def build_tables(sys, cert, trig):
@@ -105,8 +74,7 @@ def build_tables(sys, cert, trig):
     for idx, L in design.held_flow_chunks(sys, trig.delta,
                                           range(trig.n_max + 1)):
         forms[idx] = design.decay_form(L, cert.P, rate, idx * trig.delta)
-    return TriggerTables(trig.delta, trig.tau_min, trig.n_min, trig.n_max,
-                         forms)
+    return TriggerTables(trig, forms)
 
 
 def _unit_state(x, m):

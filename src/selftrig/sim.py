@@ -34,6 +34,8 @@ from .errors import ConfigError, DimensionError, NumericError, SimulationError
 
 _HORIZON_EPS = 1e-9
 _STEP_EPS = 1e-12
+# Relative margin below which verify counts a violation.
+_VERIFY_TOLERANCE = 1e-6
 
 # Steps per matrix product of the integrator, and noise draws per generator.
 _BLOCK = 32
@@ -387,8 +389,9 @@ class VerificationReport:
     """Checks of one logged run against the designed guarantees.
 
     Margins are relative: ``(bound - observed) / bound``; an instant counts
-    as a violation when its margin falls below ``-tolerance``. The pure
-    decay check only applies to undisturbed runs and is ``None`` otherwise.
+    as a violation when its margin falls below ``-tolerance``, which is
+    always ``1e-6``. The pure decay check only applies to undisturbed runs
+    and is ``None`` otherwise.
     Each worst margin comes with where it occurred: the time index of the
     trajectory for the envelope, the execution ``k`` for the decay checks
     (for the disturbed check, the start of the dwell interval ``k -> k+1``);
@@ -410,7 +413,7 @@ class VerificationReport:
     bound_curve: np.ndarray
 
 
-def _margin_summary(bounds, observed, tolerance):
+def _margin_summary(bounds, observed):
     """Violation count, worst margin and its index of one check.
 
     A margin that is not finite means a bound or an observed value left the
@@ -425,10 +428,11 @@ def _margin_summary(bounds, observed, tolerance):
     if not margins.size:
         return 0, 0.0, None
     worst = int(np.argmin(margins))
-    return int(np.sum(margins < -tolerance)), float(margins[worst]), worst
+    violations = int(np.sum(margins < -_VERIFY_TOLERANCE))
+    return violations, float(margins[worst]), worst
 
 
-def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
+def verify(traj, log, gains, cert, dist, sys):
     """Verify a run against the ISS envelope and the update-instant decay.
 
     The system is needed explicitly because the disturbed update-instant
@@ -447,7 +451,7 @@ def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
     bound_curve = gains.bound(x0_norm, traj.times, d_inf)
     observed = np.linalg.norm(traj.states, axis=1)
     eiss_violations, eiss_worst, eiss_index = _margin_summary(
-        bound_curve, observed, tolerance)
+        bound_curve, observed)
 
     v_events = _lyapunov_values(cert, np.array([e.x for e in log.events]))
     t_events = np.array([e.t for e in log.events])
@@ -456,7 +460,7 @@ def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
     decay_violations, decay_worst, decay_k = None, None, None
     if d_inf == 0.0:
         decay_violations, decay_worst, decay_k = _margin_summary(
-            v_events[0] * np.exp(-gains.lam * t_events), v_events, tolerance)
+            v_events[0] * np.exp(-gains.lam * t_events), v_events)
 
     gamma_p = np.zeros(max(0, len(log.events) - 1))
     if d_inf > 0.0:
@@ -468,10 +472,10 @@ def verify(traj, log, gains, cert, dist, sys, tolerance=1e-6):
             gamma_p[i] = gain_cache[tau] * d_inf
     disturbed_violations, disturbed_worst, disturbed_k = _margin_summary(
         v_events[:-1] * np.exp(-gains.lam * taus[:-1]) + gamma_p,
-        v_events[1:], tolerance)
+        v_events[1:])
 
     return VerificationReport(
-        tolerance=tolerance,
+        tolerance=_VERIFY_TOLERANCE,
         eiss_violations=eiss_violations,
         eiss_worst_margin=eiss_worst,
         eiss_worst_index=eiss_index,

@@ -10,6 +10,7 @@ the advertised accumulation identity on their printed decimal values.
 import copy
 import csv
 import json
+import math
 import runpy
 
 import numpy as np
@@ -35,6 +36,21 @@ def scalar_cfg(**overrides):
 def run(tmp_path, cfg, *argv):
     conf = write_config(tmp_path / "config.json", cfg)
     return cli.main([argv[0], "--config", conf, *argv[1:]])
+
+
+def assert_design_rejected(tmp_path, capsys, bad, label=None):
+    """A design file that simulate, compare and feasibility each refuse
+    with exit 2 and one error line; the config is tmp_path/config.json."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad), encoding="utf-8")
+    conf = str(tmp_path / "config.json")
+    capsys.readouterr()
+    for argv in (["simulate", "--config", conf, "--out", str(tmp_path / "sim")],
+                 ["compare", "--config", conf, "--out", str(tmp_path / "cmp")],
+                 ["feasibility", "--tau-c", "1e-9"]):
+        assert cli.main([*argv, "--design", str(path)]) == 2, (argv[0], label)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestConfigValidation:
@@ -109,6 +125,24 @@ class TestExitCodes:
         assert cli.main(["design", "--config",
                          str(tmp_path / "absent.json")]) == 2
 
+    def test_non_numeric_matrix_entries_are_config_errors(self, tmp_path,
+                                                          capsys):
+        # Strings and booleans are not numbers, even where numpy would
+        # coerce them: this config used to design without error.
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["system"] = {"A": [["0", "1"], ["0", "0"]], "B": [[False], [True]],
+                         "K": [["-1", "-2"]]}
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: system.A ") and err.count("\n") == 1
+        for key, value in (("B", [[False], [True]]), ("K", [["-1", "-2"]]),
+                           ("A", [[0.0, True], [0.0, 0.0]])):
+            cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+            cfg["system"][key] = value
+            with pytest.raises(ConfigError, match=f"system.{key} must be"):
+                reports.validate_config(cfg)
+
     def test_unstable_loop_is_design_error(self, tmp_path):
         cfg = scalar_cfg(system={"A": 0.0, "B": 1.0, "K": 1.0})
         assert run(tmp_path, cfg, "design",
@@ -146,27 +180,62 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out2")]) == 2
 
     def test_reused_tables_are_checked(self, tmp_path, capsys):
-        # Tables cut short, or sized for another state dimension, are a
-        # config problem of the design file, not a crash or a design error.
+        # Tables cut short, one too long, sized for another state dimension,
+        # with a non-finite entry, or built for another grid are a config
+        # problem of the design file, not a crash or a design error; so is
+        # a grid whose n_min lies outside [1, n_max] or whose tau_min is off
+        # its index, which would hold every input for tau_max.
         out = tmp_path / "out"
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
         report = json.loads((out / "design.json").read_text())
-        truncated = copy.deepcopy(report)
-        truncated["tables"]["forms"] = truncated["tables"]["forms"][:10]
-        other_m = copy.deepcopy(report)
-        other_m["tables"]["forms"] = [[[q, 0.0], [0.0, q]] for [[q]]
-                                      in report["tables"]["forms"]]
-        other_delta = copy.deepcopy(report)
-        other_delta["tables"]["delta"] = 0.05
-        conf = str(tmp_path / "config.json")
-        capsys.readouterr()
-        for bad in (truncated, other_m, other_delta):
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(bad), encoding="utf-8")
-            assert cli.main(["simulate", "--config", conf, "--design",
-                             str(path), "--out", str(tmp_path / "sim")]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+        forms = report["tables"]["forms"]
+        cases = {
+            "truncated": forms[:10],
+            "one too many": forms + [forms[-1]],
+            "m = 2": [[[q, 0.0], [0.0, q]] for [[q]] in forms],
+            "1 by 2": [[row * 2 for row in Q] for Q in forms],
+            "one row each": [Q[0] for Q in forms],
+            "NaN": forms[:5] + [[[math.nan]]] + forms[6:],
+        }
+        for label, bad_forms in cases.items():
+            bad = copy.deepcopy(report)
+            bad["tables"]["forms"] = bad_forms
+            assert_design_rejected(tmp_path, capsys, bad, label)
+        assert_design_rejected(tmp_path, capsys, {**report, "tables": {}},
+                               "no forms")
+        trigger = report["trigger"]
+        for key, value in (("delta", 0.05), ("n_min", 0),
+                           ("n_min", trigger["n_max"] + 1),
+                           ("n_min", trigger["n_min"] + 1),
+                           ("tau_min", trigger["tau_max"])):
+            bad = copy.deepcopy(report)
+            bad["trigger"][key] = value
+            assert_design_rejected(tmp_path, capsys, bad, (key, value))
+
+    def test_reused_grid_entries_are_typed(self, tmp_path, capsys):
+        # Grid indices must be JSON integers and grid times finite numbers;
+        # a float n_max used to end in a traceback and an infinite tau_max
+        # used to load.
+        out = tmp_path / "out"
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        for key, value in (("n_max", 30.0), ("n_max", 30.5), ("n_max", True),
+                           ("tau_max", math.inf)):
+            bad = copy.deepcopy(report)
+            bad["trigger"][key] = value
+            assert_design_rejected(tmp_path, capsys, bad, (key, value))
+
+    def test_feasibility_checks_the_certificate(self, tmp_path, capsys):
+        # feasibility reads the state dimension from the checked system,
+        # not from len(P): a string, a ragged list or an object as P is
+        # refused instead of giving a verdict for dimension 7, 3 or 1.
+        out = tmp_path / "out"
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        for value in ("abcdefg", [[0.5], [0.5, 1.0], [1.0]], {"a": 0.5}):
+            bad = copy.deepcopy(report)
+            bad["certificate"]["P"] = value
+            assert_design_rejected(tmp_path, capsys, bad, value)
 
     def test_reused_forms_are_checked(self, tmp_path, capsys):
         # Forms that the certificate and trigger grid do not imply are a
@@ -178,21 +247,15 @@ class TestExitCodes:
         cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
         assert run(tmp_path, cfg, "design", "--out", str(out)) == 0
         report = json.loads((out / "design.json").read_text())
-        n_min = report["tables"]["n_min"]
+        n_min = report["trigger"]["n_min"]
         tampered = copy.deepcopy(report)
         forms = tampered["tables"]["forms"]
         forms[n_min + 1:] = [[[-1.0, 0.0], [0.0, -1.0]]] * (len(forms) - n_min - 1)
         one_form = copy.deepcopy(report)
         one_form["tables"]["forms"][n_min][0][1] += 1e-6
-        conf = str(tmp_path / "config.json")
-        capsys.readouterr()
         for bad in (tampered, one_form):
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(bad), encoding="utf-8")
-            assert cli.main(["simulate", "--config", conf, "--design",
-                             str(path), "--out", str(tmp_path / "sim")]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert_design_rejected(tmp_path, capsys, bad)
+        conf = str(tmp_path / "config.json")
         close = copy.deepcopy(report)
         close["tables"]["forms"] = (np.asarray(report["tables"]["forms"])
                                     * (1.0 + 1e-12)).tolist()
@@ -216,18 +279,10 @@ class TestExitCodes:
                      ("system", "B", [[1.0, 2.0]]),
                      ("certificate", "lambda", 5.0),
                      ("certificate", "P", [[-0.5]])]
-        conf = str(tmp_path / "config.json")
-        capsys.readouterr()
         for section, key, value in mutations:
             bad = copy.deepcopy(report)
             bad[section][key] = value
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(bad), encoding="utf-8")
-            assert cli.main(["simulate", "--config", conf, "--design",
-                             str(path), "--out", str(tmp_path / "sim")]) == 2, \
-                (section, key)
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert_design_rejected(tmp_path, capsys, bad, (section, key))
 
     def test_module_entry_point(self, tmp_path, monkeypatch):
         conf = write_config(tmp_path / "config.json", scalar_cfg())
@@ -294,8 +349,8 @@ class TestDesignArtifact:
             1.47767006, abs=1e-7)
         # One form per grid index from 0 through n_max inclusive.
         assert len(report["tables"]["forms"]) == 31
-        assert set(report["tables"]) == {"delta", "tau_min", "n_min",
-                                         "n_max", "forms"}
+        assert set(report["tables"]) == {"forms"}
+        assert set(report["feasibility"]) == {"work_unit", "max_tau_c"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -384,17 +439,21 @@ class TestSimulateArtifacts:
                     == (outputs / name).read_bytes())
 
     def test_reuse_accepts_report_with_transitions(self, outputs, tmp_path):
-        # Design reports from earlier versions also stored the held flows
-        # as a "transitions" table and the packed vectors of the forms
-        # n_min..n_max as a "packed" table; loading ignores both.
+        # Design reports from earlier versions also stored the grid in
+        # "tables" (delta, tau_min, n_min, n_max), the held flows as a
+        # "transitions" table and the packed vectors of the forms
+        # n_min..n_max as a "packed" table; loading ignores all of them.
         designed = tmp_path / "d"
         assert run(tmp_path, scalar_cfg(), "design",
                    "--out", str(designed)) == 0
         report = json.loads((designed / "design.json").read_text())
-        tables = report["tables"]
+        tables, trigger = report["tables"], report["trigger"]
+        tables.update({key: trigger[key]
+                       for key in ("delta", "tau_min", "n_min", "n_max")})
         tables["transitions"] = [[[1.0 - 0.1 * n]]
-                                 for n in range(tables["n_max"] + 1)]
-        tables["packed"] = [[Q[0][0]] for Q in tables["forms"][tables["n_min"]:]]
+                                 for n in range(trigger["n_max"] + 1)]
+        tables["packed"] = [[Q[0][0]]
+                            for Q in tables["forms"][trigger["n_min"]:]]
         (designed / "design.json").write_text(json.dumps(report),
                                               encoding="utf-8")
         reused = tmp_path / "reused"

@@ -8,7 +8,6 @@ at every state scale, and its operation counter to the closed-form worst
 case ``q + (2q + 1) m (m + 1) / 2``.
 """
 
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from selftrig import design, linalg, scheduler
-from selftrig.errors import ConfigError, NumericError
+from selftrig.errors import NumericError
 
 
 def hold_error_form(fx, tau):
@@ -71,36 +70,6 @@ class TestTables:
     def test_forms_are_symmetric(self, double_integrator):
         for Q in double_integrator.tables.forms:
             assert np.array_equal(Q, Q.T)
-
-    def test_json_round_trip_is_exact(self, double_integrator):
-        t = double_integrator.tables
-        back = scheduler.TriggerTables.from_jsonable(
-            json.loads(json.dumps(t.to_jsonable())))
-        assert np.array_equal(back.forms, t.forms)
-        assert np.array_equal(back.packed, t.packed)
-        assert (back.delta, back.tau_min, back.n_min, back.n_max) == \
-            (t.delta, t.tau_min, t.n_min, t.n_max)
-
-    def test_malformed_tables_are_rejected(self, scalar):
-        good = scalar.tables.to_jsonable()
-
-        def edited(**changes):
-            return {**json.loads(json.dumps(good)), **changes}
-
-        forms = good["forms"]
-        cases = [
-            {"delta": 0.1},
-            edited(forms=forms[:10]),                        # truncated
-            edited(forms=forms + [forms[-1]]),               # one too many
-            edited(forms=[[row * 2 for row in Q] for Q in forms]),  # 1 by 2
-            edited(forms=[Q[0] for Q in forms]),             # one row each
-            edited(forms=forms[:5] + [[[math.nan]]] + forms[6:]),
-            edited(n_min=0),
-            edited(n_min=good["n_max"] + 1),
-        ]
-        for data in cases:
-            with pytest.raises(ConfigError):
-                scheduler.TriggerTables.from_jsonable(data)
 
 
 class TestDecisions:
@@ -157,8 +126,7 @@ class TestDecisions:
 
     def test_packed_requires_packed_tables(self, double_integrator, corpus):
         # Every table derives the packed vectors of Q_n for n_min..n_max
-        # from its forms, including tables loaded from a plain-data view,
-        # which stores only the forms.
+        # from its forms.
         t = double_integrator.tables
         assert t.packed.shape == (t.n_max - t.n_min + 1, 3)
         for n in (t.n_min, t.n_max):
@@ -166,13 +134,11 @@ class TestDecisions:
             assert np.array_equal(t.packed[n - t.n_min],
                                   [Q[0, 0], 2.0 * Q[0, 1], Q[1, 1]])
         t = next(fx.tables for fx in corpus if fx.sys.m == 3)
-        for tables in (t, scheduler.TriggerTables.from_jsonable(
-                json.loads(json.dumps(t.to_jsonable())))):
-            for n in range(t.n_min, t.n_max + 1):
-                Q = t.forms[n]
-                ref = [Q[i, j] * (1.0 if i == j else 2.0)
-                       for i in range(3) for j in range(i, 3)]
-                assert np.array_equal(tables.packed[n - t.n_min], ref)
+        for n in range(t.n_min, t.n_max + 1):
+            Q = t.forms[n]
+            ref = [Q[i, j] * (1.0 if i == j else 2.0)
+                   for i in range(3) for j in range(i, 3)]
+            assert np.array_equal(t.packed[n - t.n_min], ref)
 
     def test_schedule_respects_window(self, corpus):
         rng = np.random.default_rng(12)
