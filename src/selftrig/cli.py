@@ -29,6 +29,23 @@ _DWELL_GRID_DIVISOR = 100
 _PLOT_POINTS = 2000
 
 
+def _derive(system, cert, trig, tau_star):
+    """``(gains, tables, derived)`` implied by a design's decisions, where
+    ``derived`` holds the ``gains``, ``feasibility`` and ``tables`` blocks
+    of ``design.json``: a fresh design writes them, a reused one is checked
+    against them."""
+    gains = design.eiss_gains(system, cert, trig, tau_star=tau_star)
+    tables = scheduler.build_tables(system, cert, trig)
+    feasibility = design.feasibility_check(system.m, 0.0, trig)
+    derived = {
+        "gains": dataclasses.asdict(gains),
+        "feasibility": {"work_unit": feasibility.work_unit,
+                        "max_tau_c": feasibility.max_tau_c},
+        "tables": {"forms": tables.forms},
+    }
+    return gains, tables, derived
+
+
 def _design_bundle(cfg, raw):
     """Build every design artifact for a validated config.
 
@@ -50,9 +67,7 @@ def _design_bundle(cfg, raw):
                                                         tcfg["tau_max"])
     trig = design.choose_trigger(tau_star, tcfg["delta"], tcfg["tau_max"],
                                  tau_min=tcfg["tau_min"])
-    gains = design.eiss_gains(system, cert, trig, tau_star=tau_star)
-    tables = scheduler.build_tables(system, cert, trig)
-    feasibility = design.feasibility_check(system.m, 0.0, trig)
+    gains, tables, derived = _derive(system, cert, trig, tau_star)
     report = {
         "tool": {"name": "selftrig", "version": __version__},
         "config_hash": reports.config_hash(raw),
@@ -66,10 +81,7 @@ def _design_bundle(cfg, raw):
         "trigger": {"delta": trig.delta, "tau_min": trig.tau_min,
                     "tau_max": trig.tau_max, "n_min": trig.n_min,
                     "n_max": trig.n_max},
-        "gains": dataclasses.asdict(gains),
-        "feasibility": {"work_unit": feasibility.work_unit,
-                        "max_tau_c": feasibility.max_tau_c},
-        "tables": {"forms": tables.forms},
+        **derived,
     }
     return system, cert, trig, gains, tables, report
 
@@ -78,21 +90,36 @@ def _design_number(value, name, integer=False):
     return reports.finite_numbers(value, name, (), integer=integer).item()
 
 
-def _read_design(path):
-    """Rebuild the design bundle from a design.json, checked entry by entry.
+def _check_derived(stored, value, path):
+    """A stored entry must be finite numbers of the derived entry's shape
+    and lie within ``1e-9 * max(1, |value|)`` of it; a stack of forms is
+    scaled per form, by its largest entry."""
+    value = np.asarray(value, dtype=float)
+    stored = reports.finite_numbers(stored, path, value.shape)
+    per_form = tuple(range(1, value.ndim))
+    scale = np.maximum(1.0, np.abs(value).max(axis=per_form))
+    bad = np.flatnonzero(np.abs(stored - value).max(axis=per_form)
+                         > 1e-9 * scale)
+    if bad.size:
+        where = f"{path}[{bad[0]}]" if value.ndim else path
+        raise ConfigError(f"{where} does not match the value its system, "
+                          f"certificate, dwell time and trigger grid imply")
 
-    Every number goes through ``reports.finite_numbers``: the system,
-    certificate, gains and ``trigger.delta``, ``tau_min`` and ``tau_max``
-    must be finite numbers, ``trigger.n_min`` and ``n_max`` integers, and
-    ``tables.forms`` of shape ``(n_max+1, m, m)``. The certificate must be
-    valid (``P`` positive definite, ``0 < lambda <= lambda_o``) and the
-    grid a valid ``TriggerConfig`` whose ``tau_min`` and ``tau_max`` lie in
-    ``((n - 1) delta, n delta]`` for their indices. The returned tables are
-    the ones ``scheduler.build_tables`` derives from the certificate and the
-    grid; each stored form must equal its derived one to within
-    ``1e-9 * max(1, max|Q_n|)``. Other keys of ``tables``, which earlier
-    versions wrote, are ignored. Any mismatch or malformed entry is a
-    ``ConfigError``.
+
+def _read_design(path):
+    """Rebuild a design from the decisions in a design.json, checked.
+
+    The decisions are read through ``reports.finite_numbers``: the system,
+    the certificate (``P`` positive definite, ``0 < lambda <= lambda_o``),
+    ``dwell_time.tau_star`` and the grid, a valid ``TriggerConfig`` with
+    integer ``n_min``, ``n_max`` and ``tau_min``, ``tau_max`` in
+    ``((n - 1) delta, n delta]`` for their indices. ``_derive`` rebuilds
+    everything else, and each ``gains``, ``feasibility`` and ``tables``
+    entry it derives must match the stored one (``_check_derived``); the
+    returned ``(system, certificate, trigger, gains, tables)`` take nothing
+    derived from the file. Other keys, which earlier versions wrote, are
+    ignored. Any malformed or mismatched entry, and any failure to derive,
+    is a ``ConfigError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -115,6 +142,8 @@ def _read_design(path):
             P, _design_number(certificate["lambda_o"], "certificate.lambda_o"),
             _design_number(certificate["lambda"], "certificate.lambda"),
             0.5 * (Q + Q.T))
+        tau_star = _design_number(data["dwell_time"]["tau_star"],
+                                  "dwell_time.tau_star")
         trig = design.TriggerConfig(**{
             key: _design_number(value, f"trigger.{key}",
                                 integer=key.startswith("n_"))
@@ -126,24 +155,15 @@ def _read_design(path):
                    for n, tau in ((trig.n_min, trig.tau_min),
                                   (trig.n_max, trig.tau_max))):
             raise ConfigError("trigger window is off its grid indices")
-        gains = design.EissGains(**{
-            key: _design_number(value, f"gains.{key}")
-            for key, value in data["gains"].items()})
-        stored = reports.finite_numbers(
-            data["tables"]["forms"], "tables.forms",
-            (trig.n_max + 1, system.m, system.m))
+        gains, tables, derived = _derive(system, cert, trig, tau_star)
+        # Files from earlier versions may differ in the last digits.
+        for block, entries in derived.items():
+            for key, value in entries.items():
+                _check_derived(data[block][key], value, f"{block}.{key}")
     except (KeyError, TypeError, AttributeError, ConfigError, DimensionError,
             DesignError, NumericError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
-    # Files from earlier versions may differ in the last digits of a form.
-    tables = scheduler.build_tables(system, cert, trig)
-    scale = np.maximum(1.0, np.abs(tables.forms).max(axis=(1, 2)))
-    bad = np.flatnonzero(np.abs(stored - tables.forms).max(axis=(1, 2))
-                         > 1e-9 * scale)
-    if bad.size:
-        raise ConfigError(f"design file form {bad[0]} does not match its "
-                          f"certificate and trigger grid")
-    return system, cert, trig, gains, tables, data
+    return system, cert, trig, gains, tables
 
 
 def _load_design(path, cfg):
@@ -161,7 +181,7 @@ def _load_design(path, cfg):
 def _bundle_for(args, cfg, raw):
     if getattr(args, "design", None):
         return _load_design(args.design, cfg)
-    return _design_bundle(cfg, raw)
+    return _design_bundle(cfg, raw)[:5]
 
 
 def _out_dir(args, cfg):
@@ -177,18 +197,20 @@ def _require_simulation(cfg, command):
     return sim_cfg
 
 
-def _disturbance(sim_cfg, m):
+def _run_self_triggered(sim_cfg, system, cert, tables):
+    """The simulation section's self-triggered run: ``(dist, x0, traj, log)``."""
     d = sim_cfg["disturbance"]
-    return sim.DisturbanceSpec(d["kind"], dimension=m, amplitude=d["amplitude"],
+    dist = sim.DisturbanceSpec(d["kind"], dimension=system.m,
+                               amplitude=d["amplitude"],
                                frequency=d["frequency"], seed=d["seed"])
-
-
-def _x0(sim_cfg, m):
     x0 = np.asarray(sim_cfg["x0"], dtype=float)
-    if x0.size != m:
-        raise ConfigError(
-            f"simulation.x0 has length {x0.size}, state dimension is {m}")
-    return x0
+    if x0.size != system.m:
+        raise ConfigError(f"simulation.x0 has length {x0.size}, state "
+                          f"dimension is {system.m}")
+    traj, log = sim.run_self_triggered(system, cert, tables, dist, x0,
+                                       sim_cfg["t_end"],
+                                       divisor=sim_cfg["integrator_divisor"])
+    return dist, x0, traj, log
 
 
 def cmd_design(args):
@@ -270,12 +292,8 @@ def _verify_payload(raw, sim_cfg, dist, log, vrep):
 def cmd_simulate(args):
     cfg, raw = reports.load_config(args.config)
     sim_cfg = _require_simulation(cfg, "simulate")
-    system, cert, trig, gains, tables, _report = _bundle_for(args, cfg, raw)
-    dist = _disturbance(sim_cfg, system.m)
-    x0 = _x0(sim_cfg, system.m)
-    traj, log = sim.run_self_triggered(system, cert, tables, dist, x0,
-                                       sim_cfg["t_end"],
-                                       divisor=sim_cfg["integrator_divisor"])
+    system, cert, _trig, gains, tables = _bundle_for(args, cfg, raw)
+    dist, _x0, traj, log = _run_self_triggered(sim_cfg, system, cert, tables)
     vrep = sim.verify(traj, log, gains, cert, dist, system)
     out = _out_dir(args, cfg)
     reports.write_trajectory_csv(out / "trajectory.csv", traj, vrep.bound_curve)
@@ -300,18 +318,15 @@ def cmd_simulate(args):
 def cmd_compare(args):
     cfg, raw = reports.load_config(args.config)
     sim_cfg = _require_simulation(cfg, "compare")
-    system, cert, trig, _gains, tables, _report = _bundle_for(args, cfg, raw)
-    dist = _disturbance(sim_cfg, system.m)
-    x0 = _x0(sim_cfg, system.m)
-    divisor = sim_cfg["integrator_divisor"]
-    _st_traj, st_log = sim.run_self_triggered(system, cert, tables, dist, x0,
-                                              sim_cfg["t_end"], divisor=divisor)
+    system, cert, trig, _gains, tables = _bundle_for(args, cfg, raw)
+    dist, x0, _st_traj, st_log = _run_self_triggered(sim_cfg, system, cert,
+                                                     tables)
     # Periodic execution at the same guaranteed rate must run at the grid
     # floor of the dwell window, which is what a platform with the same
     # evaluation step can actually schedule.
     period = trig.tau_min
     _p_traj, p_log = sim.run_periodic(system, cert, dist, x0, sim_cfg["t_end"],
-                                      period, divisor=divisor)
+                                      period, sim_cfg["integrator_divisor"])
     tau_lo, tau_mean, tau_hi = st_log.tau_stats()
     st_n = st_log.total_executions
     p_n = p_log.total_executions
@@ -350,11 +365,8 @@ def _sweep_cell(raw, delta, tau_max, cell_dir):
         row["sigma"] = repr(gains.sigma)
         row["gamma_total_coeff"] = repr(gains.gamma_total_coeff)
         if cfg["simulation"] is not None:
-            sim_cfg = cfg["simulation"]
-            dist = _disturbance(sim_cfg, system.m)
-            _traj, log = sim.run_self_triggered(
-                system, cert, tables, dist, _x0(sim_cfg, system.m),
-                sim_cfg["t_end"], divisor=sim_cfg["integrator_divisor"])
+            _dist, _x0, _traj, log = _run_self_triggered(
+                cfg["simulation"], system, cert, tables)
             _lo, mean, _hi = log.tau_stats()
             row["mean_tau_k"] = repr(mean)
             row["executions"] = str(log.total_executions)
@@ -388,7 +400,7 @@ def cmd_sweep(args):
 
 
 def cmd_feasibility(args):
-    system, _cert, trig, _gains, _tables, _data = _read_design(args.design)
+    system, _cert, trig, _gains, _tables = _read_design(args.design)
     rep = design.feasibility_check(system.m, args.tau_c, trig)
     print(f"state dimension {rep.m}, work unit {rep.work_unit} multiply-adds")
     print(f"per execution: 1.5 * {rep.work_unit} * {rep.tau_c!r} = "

@@ -53,15 +53,11 @@ _QUAD_MAX_DOUBLINGS = 12
 
 
 def _as_matrix(M, rows=None, cols=None, name="matrix"):
-    """Coerce scalars / 1-D arrays to a 2-D float array of the given shape."""
+    """Coerce scalars / 1-D arrays (as columns) to a 2-D float array of the
+    given shape."""
     A = np.asarray(M, dtype=float)
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    elif A.ndim == 1:
-        if rows is not None and cols is not None and rows == 1:
-            A = A.reshape(1, -1)
-        else:
-            A = A.reshape(-1, 1)
+    if A.ndim < 2:
+        A = A.reshape(-1, 1)
     if A.ndim != 2:
         raise DimensionError(f"{name} must be at most 2-D")
     if rows is not None and A.shape[0] != rows:
@@ -88,14 +84,11 @@ class LinearSystem:
         m = self.A.shape[0]
         if self.A.shape[1] != m:
             raise DimensionError(f"A must be square, got {self.A.shape}")
-        B = np.asarray(B, dtype=float)
-        if B.ndim <= 1:
-            B = B.reshape(1, 1) if B.ndim == 0 else B.reshape(-1, 1)
         self.B = _as_matrix(B, rows=m, name="B")
         l = self.B.shape[1]
         K = np.asarray(K, dtype=float)
-        if K.ndim <= 1:
-            K = K.reshape(1, 1) if K.ndim == 0 else K.reshape(1, -1)
+        if K.ndim < 2:
+            K = K.reshape(1, -1)
         self.K = _as_matrix(K, rows=l, cols=m, name="K")
         self.a_cl = self.A + self.B @ self.K
         self.van_loan = np.block([[self.A, self.B], [np.zeros((l, m + l))]])
@@ -134,11 +127,6 @@ class LyapunovCertificate:
             raise DesignError("enforced rate must satisfy 0 < lambda <= lambda_o")
         self.lambda_o = float(lambda_o)
         self.lam = float(lam)
-
-    def value(self, x):
-        """V(x) for a single state vector."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return math.sqrt(max(0.0, float(x @ self.P @ x)))
 
     def __repr__(self):
         return f"LyapunovCertificate(m={self.P.shape[0]}, lambda_o={self.lambda_o:.6g}, lam={self.lam:.6g})"

@@ -5,8 +5,9 @@ Configs are JSON with five sections: ``system`` (plant and gain matrices),
 ``simulation`` (run options), ``outputs`` (artifact placement), plus an
 optional ``sweep`` grid. Validation is strict: unknown keys anywhere are
 rejected by name, so typos fail loudly instead of silently falling back to
-defaults, and matrices must hold numbers, not strings or booleans
-(:func:`finite_numbers`, which also checks design files).
+defaults, and every number, scalar or matrix entry, must be a finite JSON
+number, not a string or boolean (:func:`finite_numbers`, which also checks
+design files).
 
 All artifacts are byte-deterministic: JSON is written with sorted keys,
 floats serialize through ``repr`` (shortest exact round-trip), and nothing
@@ -14,10 +15,8 @@ embeds a timestamp. ``config_hash`` fingerprints the parsed config content,
 not the file bytes, so reformatting a config does not change its identity.
 """
 
-import dataclasses
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -59,25 +58,18 @@ def _check_keys(section, path, required, optional=()):
             raise ConfigError(f"missing required key {path}.{key}")
 
 
-def _number(value, path, positive=False, nonnegative=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path} must be finite")
+def _number(value, path, positive=False):
+    v = finite_numbers(value, path, ()).item()
     if positive and v <= 0.0:
         raise ConfigError(f"{path} must be positive")
-    if nonnegative and v < 0.0:
-        raise ConfigError(f"{path} must be nonnegative")
     return v
 
 
 def _integer(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer")
-    if minimum is not None and value < minimum:
+    v = finite_numbers(value, path, (), integer=True).item()
+    if minimum is not None and v < minimum:
         raise ConfigError(f"{path} must be at least {minimum}")
-    return value
+    return v
 
 
 def finite_numbers(value, path, shape=None, integer=False):
@@ -122,9 +114,12 @@ def _vector(value, path):
 
 
 def _number_list(value, path):
-    if not isinstance(value, list) or not value:
+    values = finite_numbers(value, path)
+    if values.ndim != 1 or not values.size:
         raise ConfigError(f"{path} must be a nonempty list of numbers")
-    return [_number(v, f"{path}[{i}]", positive=True) for i, v in enumerate(value)]
+    if np.any(values <= 0.0):
+        raise ConfigError(f"{path} must hold positive numbers")
+    return values.tolist()
 
 
 def _validate_disturbance(section):
@@ -216,28 +211,21 @@ def validate_config(raw):
     return norm
 
 
-def to_jsonable(obj):
-    """Recursive conversion to plain JSON data; floats stay floats."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+def _numpy_to_json(obj):
+    # np.float64 is a float and serializes as one; arrays and numpy
+    # integers are not JSON types.
     if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
         return int(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(dataclasses.asdict(obj))
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(data, path):
     """Deterministic JSON artifact: sorted keys, repr floats, no timestamps."""
+    text = json.dumps(data, sort_keys=True, indent=2, default=_numpy_to_json)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_jsonable(data), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _fmt(v):

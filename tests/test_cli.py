@@ -79,6 +79,29 @@ class TestConfigValidation:
                 reports.validate_config(cfg)
             assert f"unknown key {expected}" in str(err.value)
 
+    def test_malformed_scalars_name_their_key(self):
+        # Config scalars and number lists follow the one number rule of
+        # matrices: no strings, booleans or non-finite values, integers
+        # where an integer is due, and each error names its key.
+        cases = [
+            (("simulation", "t_end"), ("5", True, math.nan, -math.inf, [5.0],
+                                       None, 0.0)),
+            (("lyapunov", "lambda_ratio"), ("0.5", False)),
+            (("simulation", "integrator_divisor"), (20.0, 2.5, True, "20", 0)),
+            (("sweep", "delta_list"), ([], 0.1, [[0.1]], [0.1, True],
+                                       [0.1, "0.2"], [0.1, math.inf],
+                                       [0.1, 0.0])),
+        ]
+        for (section, key), values in cases:
+            for value in values:
+                cfg = scalar_cfg(sweep={"delta_list": [0.1],
+                                        "tau_max_list": [3.0]})
+                cfg.setdefault(section, {})[key] = value
+                with pytest.raises(ConfigError) as err:
+                    reports.validate_config(cfg)
+                assert str(err.value).startswith(f"{section}.{key} must"), (
+                    key, value, str(err.value))
+
     def test_missing_required_key(self):
         cfg = scalar_cfg()
         del cfg["trigger"]["tau_max"]
@@ -264,6 +287,45 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", conf, "--design", str(path),
                          "--out", str(tmp_path / "sim")]) == 0
 
+    def test_reused_gains_are_checked(self, tmp_path, capsys):
+        # Gains and feasibility are rebuilt from the file's system,
+        # certificate, dwell time and grid, and every stored entry must
+        # match: a shrunken sigma turned a clean run into envelope
+        # violations at exit 0, and a grown gamma hides real ones. A dwell
+        # time below the window's tau_min fails the derivation itself.
+        # Entries within 1e-9 relative still load, and the run uses the
+        # derived gains, so its artifacts do not move.
+        out = tmp_path / "out"
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        tau_min = report["trigger"]["tau_min"]
+        for section, key, value in (
+                ("gains", "sigma", report["gains"]["sigma"] / 1000),
+                ("gains", "gamma_total_coeff",
+                 report["gains"]["gamma_total_coeff"] * 1000),
+                ("feasibility", "max_tau_c",
+                 report["feasibility"]["max_tau_c"] * 2),
+                ("dwell_time", "tau_star", 0.5 * tau_min)):
+            bad = copy.deepcopy(report)
+            bad[section][key] = value
+            assert_design_rejected(tmp_path, capsys, bad, (section, key))
+        bad = copy.deepcopy(report)
+        del bad["gains"]["rho_P"]
+        assert_design_rejected(tmp_path, capsys, bad, "no gains.rho_P")
+        close = copy.deepcopy(report)
+        close["gains"] = {key: value * (1.0 + 1e-12)
+                          for key, value in report["gains"].items()}
+        (tmp_path / "close.json").write_text(json.dumps(close),
+                                             encoding="utf-8")
+        conf = str(tmp_path / "config.json")
+        for name, path in (("exact", out / "design.json"),
+                           ("close", tmp_path / "close.json")):
+            assert cli.main(["simulate", "--config", conf, "--design",
+                             str(path), "--out", str(tmp_path / name)]) == 0
+        for name in ("trajectory.csv", "events.csv", "verify.json"):
+            assert ((tmp_path / "close" / name).read_bytes()
+                    == (tmp_path / "exact" / name).read_bytes())
+
     def test_malformed_design_fields_are_rejected(self, tmp_path, capsys):
         # Entries of the wrong shape, type or range in a reused design.json
         # are a config problem of the file, not a traceback.
@@ -440,9 +502,10 @@ class TestSimulateArtifacts:
 
     def test_reuse_accepts_report_with_transitions(self, outputs, tmp_path):
         # Design reports from earlier versions also stored the grid in
-        # "tables" (delta, tau_min, n_min, n_max), the held flows as a
-        # "transitions" table and the packed vectors of the forms
-        # n_min..n_max as a "packed" table; loading ignores all of them.
+        # "tables" (delta, tau_min, n_min, n_max) and "feasibility"
+        # (delta, tau_min), the held flows as a "transitions" table and the
+        # packed vectors of the forms n_min..n_max as a "packed" table;
+        # loading ignores all of them.
         designed = tmp_path / "d"
         assert run(tmp_path, scalar_cfg(), "design",
                    "--out", str(designed)) == 0
@@ -454,6 +517,8 @@ class TestSimulateArtifacts:
                                  for n in range(trigger["n_max"] + 1)]
         tables["packed"] = [[Q[0][0]]
                             for Q in tables["forms"][trigger["n_min"]:]]
+        report["feasibility"].update({key: trigger[key]
+                                      for key in ("delta", "tau_min")})
         (designed / "design.json").write_text(json.dumps(report),
                                               encoding="utf-8")
         reused = tmp_path / "reused"

@@ -30,6 +30,12 @@ def zero_dist(m):
     return sim.DisturbanceSpec("zero", m)
 
 
+def lyapunov_value(cert, x):
+    """V(x) = sqrt(x' P x) for a single state vector."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return math.sqrt(max(0.0, float(x @ cert.P @ x)))
+
+
 def rk4_reference(sys_, x, u, dist, t0, dt, steps, step0=0):
     """Classical RK4 in stage form, one step and one sample at a time."""
     x = np.asarray(x, dtype=float)
@@ -75,7 +81,7 @@ def measured_dwell_times(sys_, cert, X, tau_max, tol=1e-9):
     n_points = max(2, int(min(ORACLE_POINTS,
                               math.ceil(tau_max / max(10.0 * tol, 1e-12)))))
     step = tau_max / n_points
-    v0 = np.array([cert.value(x) for x in X])
+    v0 = np.array([lyapunov_value(cert, x) for x in X])
 
     def flows_at(taus):
         E = linalg.expm_grid(sys_.van_loan, taus.reshape(-1))
@@ -463,9 +469,9 @@ class TestVerification:
         for e, nxt in zip(log.events, log.events[1:]):
             coeff = design.disturbance_gain_coeff(fx.cert.P, fx.sys.A, e.tau,
                                                   max_step=e.tau / 64.0)
-            bound = (fx.cert.value(e.x) * math.exp(-gains.lam * e.tau)
-                     + coeff * 0.1)
-            pairs.append((bound - fx.cert.value(nxt.x)) / bound)
+            bound = (lyapunov_value(fx.cert, e.x)
+                     * math.exp(-gains.lam * e.tau) + coeff * 0.1)
+            pairs.append((bound - lyapunov_value(fx.cert, nxt.x)) / bound)
         k = rep.disturbed_decay_worst_k
         assert abs(pairs[k] - rep.disturbed_decay_worst_margin) <= 1e-12
         assert min(pairs) >= pairs[k] - 1e-12
@@ -475,8 +481,9 @@ class TestVerification:
         traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, zero,
                                            [1.0, -0.5], 30.0)
         rep = sim.verify(traj, log, gains, fx.cert, zero, fx.sys)
-        v0 = fx.cert.value(log.events[0].x)
-        decay = [(v0 * math.exp(-gains.lam * e.t) - fx.cert.value(e.x))
+        v0 = lyapunov_value(fx.cert, log.events[0].x)
+        decay = [(v0 * math.exp(-gains.lam * e.t)
+                  - lyapunov_value(fx.cert, e.x))
                  / (v0 * math.exp(-gains.lam * e.t)) for e in log.events]
         k = rep.decay_worst_k
         assert abs(decay[k] - rep.decay_worst_margin) <= 1e-12
