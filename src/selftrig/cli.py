@@ -86,8 +86,20 @@ def _design_bundle(cfg, raw):
     return system, cert, trig, gains, tables, report
 
 
-def _design_number(value, name, integer=False):
-    return reports.finite_numbers(value, name, (), integer=integer).item()
+def _design_entry(data, path):
+    """The entry of a design file at the dotted ``path``; a missing one is a
+    ``ConfigError`` that names the path."""
+    entry = data
+    for key in path.split("."):
+        if not isinstance(entry, dict) or key not in entry:
+            raise ConfigError(f"missing {path}")
+        entry = entry[key]
+    return entry
+
+
+def _design_numbers(data, path, shape=None, integer=False):
+    return reports.finite_numbers(_design_entry(data, path), path, shape,
+                                  integer=integer)
 
 
 def _check_derived(stored, value, path):
@@ -111,15 +123,15 @@ def _read_design(path):
 
     The decisions are read through ``reports.finite_numbers``: the system,
     the certificate (``P`` positive definite, ``0 < lambda <= lambda_o``),
-    ``dwell_time.tau_star`` and the grid, a valid ``TriggerConfig`` with
-    integer ``n_min``, ``n_max`` and ``tau_min``, ``tau_max`` in
-    ``((n - 1) delta, n delta]`` for their indices. ``_derive`` rebuilds
-    everything else, and each ``gains``, ``feasibility`` and ``tables``
-    entry it derives must match the stored one (``_check_derived``); the
-    returned ``(system, certificate, trigger, gains, tables)`` take nothing
-    derived from the file. Other keys, which earlier versions wrote, are
-    ignored. Any malformed or mismatched entry, and any failure to derive,
-    is a ``ConfigError``.
+    ``dwell_time.tau_star`` and the trigger window, whose integer ``n_min``,
+    ``n_max`` and times ``tau_min``, ``tau_max`` must be exactly what
+    ``design.choose_trigger`` snaps the file's own values to. ``_derive``
+    rebuilds everything else, and each ``gains``, ``feasibility`` and
+    ``tables`` entry it derives must match the stored one
+    (``_check_derived``); the returned ``(system, certificate, trigger,
+    gains, tables)`` take nothing derived from the file. Other keys, which
+    earlier versions wrote, are ignored. Any missing, malformed or
+    mismatched entry, and any failure to derive, is a ``ConfigError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -130,38 +142,34 @@ def _read_design(path):
         raise ConfigError(f"design file is not valid JSON: {exc}") from None
     try:
         system = design.LinearSystem(
-            *(reports.finite_numbers(data["system"][key], f"system.{key}")
+            *(_design_numbers(data, f"system.{key}")
               for key in ("A", "B", "K")))
-        certificate = data["certificate"]
-        P = reports.finite_numbers(certificate["P"], "certificate.P",
-                                   (system.m, system.m))
+        P = _design_numbers(data, "certificate.P", (system.m, system.m))
         a_cl = system.a_cl
         # The certificate equation recovers Q exactly from P and the loop.
         Q = -(a_cl.T @ P + P @ a_cl)
         cert = design.LyapunovCertificate(
-            P, _design_number(certificate["lambda_o"], "certificate.lambda_o"),
-            _design_number(certificate["lambda"], "certificate.lambda"),
+            P, _design_numbers(data, "certificate.lambda_o", ()).item(),
+            _design_numbers(data, "certificate.lambda", ()).item(),
             0.5 * (Q + Q.T))
-        tau_star = _design_number(data["dwell_time"]["tau_star"],
-                                  "dwell_time.tau_star")
-        trig = design.TriggerConfig(**{
-            key: _design_number(value, f"trigger.{key}",
-                                integer=key.startswith("n_"))
-            for key, value in data["trigger"].items()})
-        # choose_trigger puts tau_min and tau_max at most one step under the
-        # grid times of n_min and n_max. An edited tau_min would otherwise
-        # hold every input past the prefix the forms certify.
-        if not all((n - 1) * trig.delta < tau <= n * trig.delta
-                   for n, tau in ((trig.n_min, trig.tau_min),
-                                  (trig.n_max, trig.tau_max))):
-            raise ConfigError("trigger window is off its grid indices")
+        tau_star = _design_numbers(data, "dwell_time.tau_star", ()).item()
+        window = {key: _design_numbers(data, f"trigger.{key}", (),
+                                       integer=key.startswith("n_")).item()
+                  for key in ("delta", "tau_min", "tau_max", "n_min", "n_max")}
+        trig = design.choose_trigger(tau_star, window["delta"],
+                                     window["tau_max"], window["tau_min"])
+        for key, value in window.items():
+            if getattr(trig, key) != value:
+                raise ConfigError(f"trigger.{key} does not match the window "
+                                  f"that tau_star, delta, tau_min and "
+                                  f"tau_max snap to")
         gains, tables, derived = _derive(system, cert, trig, tau_star)
         # Files from earlier versions may differ in the last digits.
         for block, entries in derived.items():
             for key, value in entries.items():
-                _check_derived(data[block][key], value, f"{block}.{key}")
-    except (KeyError, TypeError, AttributeError, ConfigError, DimensionError,
-            DesignError, NumericError) as exc:
+                name = f"{block}.{key}"
+                _check_derived(_design_entry(data, name), value, name)
+    except (ConfigError, DimensionError, DesignError, NumericError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
     return system, cert, trig, gains, tables
 
@@ -193,8 +201,7 @@ def _out_dir(args, cfg):
 def _require_simulation(cfg, command):
     if cfg["simulation"] is None:
         raise ConfigError(f"{command} requires a simulation section in the config")
-    sim_cfg = cfg["simulation"]
-    return sim_cfg
+    return cfg["simulation"]
 
 
 def _run_self_triggered(sim_cfg, system, cert, tables):

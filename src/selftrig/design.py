@@ -19,16 +19,12 @@ Everything rests on the held-input flow ``xi(tau) = L(tau) x`` with
 exponential gives both terms at once: with ``N = [[A, B], [0, 0]]``,
 ``exp(N tau) = [[E11, E12], [0, I]]`` and ``L(tau) = E11 + E12 K``. The
 block ``N`` is built once per :class:`LinearSystem`; :func:`held_transition`
-takes one time, :func:`held_flow_chunks` a uniform grid with one fresh
-exponential per point, and :func:`decay_form` turns either into the
+takes one time, :func:`held_flow_chunks` a uniform grid (chunk by chunk,
+from ``linalg.expm_chunks``), and :func:`decay_form` turns either into the
 decay-test form. The minimum dwell time comes from a determinant root: the
 decay condition fails first at the smallest positive root of
 ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form of the
-decay of ``V``. Its scan grid comes from :func:`scan_flow_chunks`, which
-builds each point as a product of two fresh exponentials
-(``exp(N (a + b)) = exp(N a) exp(N b)``); the scan reads that grid only for
-signs and dips, and every time it returns is refined with single-point
-flows.
+decay of ``V``.
 """
 
 import math
@@ -193,29 +189,6 @@ def held_flow_chunks(sys, step, indices):
         yield idx, _held_flow(sys, E)
 
 
-def scan_flow_chunks(sys, step, count):
-    """Held flows ``L(j * step)`` for ``j = 1..count``, built as products.
-
-    The first chunk is the first chunk of ``linalg.expm_chunks``, the
-    offsets ``exp(N i step)`` for ``i = 1..per``. Each later chunk, after
-    index ``lo``, is one fresh ``exp(N lo step)`` times those offsets, since
-    ``exp(N (lo + i) step) = exp(N lo step) exp(N i step)``. Every point is
-    a single product of two fresh exponentials, so its error does not grow
-    along the grid, but it is not bitwise the point's own exponential: only
-    the dwell-time scan reads these flows, for signs and dips, and the
-    tables use :func:`held_flow_chunks`. Yields ``(idx, L)`` like that
-    function.
-    """
-    N = sys.van_loan
-    idx, offsets = next(linalg.expm_chunks(N, step, range(1, count + 1)))
-    yield idx, _held_flow(sys, offsets)
-    per = len(idx)
-    for lo in range(per, count, per):
-        part = offsets[:count - lo]
-        base = linalg.expm(N, lo * step)
-        yield idx[:len(part)] + lo, _held_flow(sys, base @ part)
-
-
 def decay_form(L, P, rate, tau):
     """Symmetrized ``L' P L - exp(-rate tau) P``.
 
@@ -260,13 +233,11 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     that dip below ``sqrt(1e-9)``. The cap defaults to ``10 / lambda``,
     ten time constants of the enforced decay.
 
-    The grid is evaluated chunk by chunk from product-built held flows
-    (:func:`scan_flow_chunks`) and stacked determinants; the two grid values
-    before each chunk carry over, so a bracket or dip that straddles a chunk
-    boundary is found as if the grid were one piece. Only the grid's signs
-    and dips are read: bisection and dip refinement evaluate single points
-    through :func:`held_transition`, so the returned time does not depend on
-    the last digits of the grid values.
+    The grid is evaluated chunk by chunk from :func:`held_flow_chunks` and
+    stacked determinants; the two grid values before each chunk carry over,
+    so a bracket or dip that straddles a chunk boundary is found as if the
+    grid were one piece. Only the grid's signs and dips are read: bisection
+    and dip refinement evaluate single points through :func:`trigger_form`.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
@@ -281,7 +252,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     rate = 2.0 * cert.lam
 
     def det_at(tau):
-        return linalg.det(decay_form(held_transition(sys, tau), P, rate, tau))
+        return linalg.det(trigger_form(sys, cert, tau))
 
     def bisect(lo, hi, flo):
         while hi - lo > _SCAN_TOL:
@@ -322,7 +293,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     # det M(0) = 0 exactly, and a placeholder before it that no test reads.
     tail_taus = np.array([math.nan, 0.0])
     tail_dets = np.array([math.nan, 0.0])
-    for idx, L in scan_flow_chunks(sys, grid_step, n_grid):
+    for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
         taus = grid_step * idx
         dets = np.linalg.det(decay_form(L, P, rate, taus))
         all_taus = np.concatenate((tail_taus, taus))
@@ -545,17 +516,11 @@ class EissGains:
     gamma_I_coeff: float
     gamma_total_coeff: float
 
-    def beta(self, s, t):
-        """Transient envelope ``sigma * s * exp(-lam t)``."""
-        return self.sigma * s * np.exp(-self.lam * t)
-
-    def gamma(self, s):
-        """Disturbance gain, linear in the disturbance bound ``s``."""
-        return self.gamma_total_coeff * s
-
     def bound(self, x0_norm, t, dist_bound):
-        """ISS envelope ``beta(x0_norm, t) + gamma(dist_bound)``."""
-        return self.beta(x0_norm, t) + self.gamma(dist_bound)
+        """ISS envelope ``sigma x0_norm exp(-lam t) + gamma_total_coeff
+        dist_bound``, linear in the disturbance bound."""
+        return (self.sigma * x0_norm * np.exp(-self.lam * t)
+                + self.gamma_total_coeff * dist_bound)
 
 
 def eiss_gains(sys, cert, trig, tau_star=None):

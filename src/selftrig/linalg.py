@@ -10,20 +10,14 @@ symmetry checks this package relies on:
 ==================  =========================================================
 ``expm``            scaling and squaring with a diagonal Pade approximant
 ``expm_grid``       the same kernel over a stack of times, one scaling each
-``expm_chunks``     ``expm_grid`` over an index range, in bounded chunks,
-                    one exponential per point
+``expm_chunks``     an index range in bounded chunks: ``expm_grid`` for the
+                    first, products with it for the rest
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
 ``det``             ``numpy.linalg.det`` of a checked square matrix
 ==================  =========================================================
-
-``expm_chunks`` stays exact per point: the trigger tables and the EISS
-quadrature take their exponentials from it, so they do not depend on how
-the chunks are cut. Only the dwell-time scan, which reads its grid for
-signs and dips alone, builds its later chunks as products with the first
-(see ``design``).
 
 All tolerances are module constants so callers can tighten or relax them in
 one place. Nothing in the package calls ``induced_norm2`` any more; it stays
@@ -135,16 +129,25 @@ def expm_chunks(M, step, indices):
     """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
 
     Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
-    ``E[i] = exp(M * idx[i] * step)``. A chunk's times are built from its
-    own index range, so no whole grid is ever materialized, and each
-    stacked temporary holds at most ``_GRID_CHUNK_ENTRIES`` entries.
+    ``E[i] = exp(M * idx[i] * step)``. The first chunk comes from
+    :func:`expm_grid`. A later chunk starting at ``idx[0]`` is one fresh
+    ``exp(M * (idx[0] - j0) * step)`` times the first chunk, ``j0`` being
+    the range's first index, since ``exp(M (a + b)) = exp(M a) exp(M b)``.
+    Every point is thus a single product of two fresh exponentials, and its
+    error does not grow along the grid. No whole grid is ever materialized,
+    and each stacked temporary holds at most ``_GRID_CHUNK_ENTRIES``
+    entries.
     """
     A = as_square(M, "expm argument")
     per = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
     for lo in range(0, len(indices), per):
         part = indices[lo:lo + per]
         idx = np.arange(part.start, part.stop, part.step)
-        yield idx, expm_grid(A, step * idx)
+        if lo == 0:
+            first = expm_grid(A, step * idx)
+            yield idx, first
+        else:
+            yield idx, expm(A, step * (idx[0] - indices[0])) @ first[:len(idx)]
 
 
 def sym_eig(S):

@@ -2,7 +2,7 @@
 
 The online controller only ever evaluates quadratic forms. For each grid
 index ``n`` the table stores ``Q_n = L_n' P L_n - exp(-2 lam n delta) P``
-where ``L_n`` is the exact held-input transition over ``n delta``, taken
+where ``L_n`` is the held-input transition over ``n delta``, taken
 from the design's held-flow primitive (``design.held_flow_chunks``);
 ``x' Q_n x <= 0`` certifies the enforced decay at that grid point. The next
 execution is scheduled ``max(tau_min, n_k delta)`` ahead, with ``n_k`` the
@@ -65,9 +65,9 @@ class TriggerTables:
 def build_tables(sys, cert, trig):
     """Precompute the trigger tables for a designed configuration.
 
-    Every form comes from its own fresh held flow, in chunks from
-    ``design.held_flow_chunks``; no recurrence is involved, so the table
-    entries carry no accumulated error.
+    The held flows come in chunks from ``design.held_flow_chunks``, each a
+    product of at most two fresh exponentials; no recurrence is involved,
+    so the table entries carry no accumulated error.
     """
     forms = np.empty((trig.n_max + 1, sys.m, sys.m))
     rate = 2.0 * cert.lam

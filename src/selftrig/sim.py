@@ -235,7 +235,6 @@ class Trajectory:
     states: np.ndarray       # (N, m)
     inputs: np.ndarray       # (N, l), input applied on [t_i, t_{i+1})
     v_values: np.ndarray     # (N,), Lyapunov function along the run
-    dt: float
 
 
 @dataclass
@@ -340,7 +339,7 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
             "Lyapunov value overflowed along the run; check the design or "
             "reduce the disturbance")
     traj = Trajectory(times=all_times, states=all_states, inputs=all_inputs,
-                      v_values=v_vals, dt=dt)
+                      v_values=v_vals)
     return traj, log
 
 

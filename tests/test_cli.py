@@ -38,9 +38,10 @@ def run(tmp_path, cfg, *argv):
     return cli.main([argv[0], "--config", conf, *argv[1:]])
 
 
-def assert_design_rejected(tmp_path, capsys, bad, label=None):
+def assert_design_rejected(tmp_path, capsys, bad, label=None, missing=None):
     """A design file that simulate, compare and feasibility each refuse
-    with exit 2 and one error line; the config is tmp_path/config.json."""
+    with exit 2 and one error line, which names the ``missing`` entry's
+    path when one is given; the config is tmp_path/config.json."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad), encoding="utf-8")
     conf = str(tmp_path / "config.json")
@@ -51,6 +52,8 @@ def assert_design_rejected(tmp_path, capsys, bad, label=None):
         assert cli.main([*argv, "--design", str(path)]) == 2, (argv[0], label)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if missing is not None:
+            assert err == f"error: malformed design file: missing {missing}\n"
 
 
 class TestConfigValidation:
@@ -206,8 +209,9 @@ class TestExitCodes:
         # Tables cut short, one too long, sized for another state dimension,
         # with a non-finite entry, or built for another grid are a config
         # problem of the design file, not a crash or a design error; so is
-        # a grid whose n_min lies outside [1, n_max] or whose tau_min is off
-        # its index, which would hold every input for tau_max.
+        # a grid whose n_min lies outside [1, n_max] or whose tau_min is not
+        # the time its window snaps to, which would hold every input for
+        # tau_max. A missing block or entry is named by its path.
         out = tmp_path / "out"
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
         report = json.loads((out / "design.json").read_text())
@@ -225,12 +229,22 @@ class TestExitCodes:
             bad["tables"]["forms"] = bad_forms
             assert_design_rejected(tmp_path, capsys, bad, label)
         assert_design_rejected(tmp_path, capsys, {**report, "tables": {}},
-                               "no forms")
+                               "no forms", missing="tables.forms")
+        no_tables = {key: value for key, value in report.items()
+                     if key != "tables"}
+        assert_design_rejected(tmp_path, capsys, no_tables, "no tables",
+                               missing="tables.forms")
+        bad = copy.deepcopy(report)
+        del bad["trigger"]["n_max"]
+        assert_design_rejected(tmp_path, capsys, bad, "no trigger.n_max",
+                               missing="trigger.n_max")
         trigger = report["trigger"]
+        delta = trigger["delta"]
         for key, value in (("delta", 0.05), ("n_min", 0),
                            ("n_min", trigger["n_max"] + 1),
                            ("n_min", trigger["n_min"] + 1),
-                           ("tau_min", trigger["tau_max"])):
+                           ("tau_min", trigger["tau_max"]),
+                           ("tau_min", (trigger["n_min"] - 0.5) * delta)):
             bad = copy.deepcopy(report)
             bad["trigger"][key] = value
             assert_design_rejected(tmp_path, capsys, bad, (key, value))
@@ -311,7 +325,8 @@ class TestExitCodes:
             assert_design_rejected(tmp_path, capsys, bad, (section, key))
         bad = copy.deepcopy(report)
         del bad["gains"]["rho_P"]
-        assert_design_rejected(tmp_path, capsys, bad, "no gains.rho_P")
+        assert_design_rejected(tmp_path, capsys, bad, "no gains.rho_P",
+                               missing="gains.rho_P")
         close = copy.deepcopy(report)
         close["gains"] = {key: value * (1.0 + 1e-12)
                           for key, value in report["gains"].items()}
@@ -467,7 +482,7 @@ class TestSimulateArtifacts:
         states[3] = [-0.0, 5e-324]
         traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
                               states=states, inputs=rng.normal(size=(n, 1)),
-                              v_values=rng.uniform(size=n), dt=0.1)
+                              v_values=rng.uniform(size=n))
         bound = rng.uniform(size=n)
         path = tmp_path / "trajectory.csv"
         reports.write_trajectory_csv(path, traj, bound)

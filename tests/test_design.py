@@ -183,11 +183,12 @@ class TestDwellTime:
         form = design.trigger_form(sys_, cert, 0.999 * tau)
         assert float(np.linalg.eigvalsh(form).max()) <= 0.0
 
-    def test_scan_grid_flows_match_single_exponentials(self, double_integrator,
-                                                        corpus):
-        # Every scan-grid flow after the first chunk is a product of a chunk
-        # base and an offset; over four chunks of the default scan step each
-        # must agree with the point's own exponential.
+    def test_held_flow_chunks_match_single_exponentials(self, double_integrator,
+                                                         corpus):
+        # The tables read range(0, n_max + 1), the dwell-time scan
+        # range(1, n + 1) and the gain quadrature's odd nodes range(1, n, 2).
+        # Over four chunks of the default scan step, every flow of each must
+        # agree with the point's own exponential, and L(0) is the identity.
         unstable = next(fx for fx in corpus
                         if np.linalg.eigvals(fx.sys.A).real.max() > 0.0)
         tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
@@ -197,14 +198,19 @@ class TestDwellTime:
             per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
             count = 3 * per + per // 2
             step = 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT
-            seen = []
-            for idx, L in design.scan_flow_chunks(sys_, step, count):
-                seen.extend(idx)
-                for j, flow in zip(idx, L):
-                    exact = design.held_transition(sys_, j * step)
-                    scale = max(1.0, float(np.abs(exact).max()))
-                    assert float(np.abs(flow - exact).max()) <= 1e-13 * scale, j
-            assert seen == list(range(1, count + 1))
+            for indices in (range(count + 1), range(1, count + 1),
+                            range(1, count, 2)):
+                chunks = list(design.held_flow_chunks(sys_, step, indices))
+                assert len(chunks) == -(-len(indices) // per)
+                assert [j for idx, _L in chunks for j in idx] == list(indices)
+                if indices[0] == 0:
+                    assert np.array_equal(chunks[0][1][0], np.eye(sys_.m))
+                for idx, L in chunks:
+                    for j, flow in zip(idx, L):
+                        exact = design.held_transition(sys_, j * step)
+                        scale = max(1.0, float(np.abs(exact).max()))
+                        assert (float(np.abs(flow - exact).max())
+                                <= 1e-13 * scale), (indices, j)
 
     @pytest.mark.parametrize("points", [1, 2, 3])
     def test_chunk_boundaries_do_not_move_the_root(self, monkeypatch, points,
@@ -289,6 +295,27 @@ class TestTriggerWindow:
         floor = tau_star if tau_min is None else tau_min
         assert n_min == n_max or (n_min + 1) * delta * (1.0 + SNAP_SLACK) > floor
 
+    @settings(max_examples=500, deadline=None)
+    @given(tau_star=POSITIVE, delta=POSITIVE, tau_max=POSITIVE,
+           tau_min=st.none() | POSITIVE)
+    @example(tau_star=5.0, delta=1.0, tau_max=3.0 - 1e-10, tau_min=None)
+    @example(tau_star=1.0, delta=0.1, tau_max=3.0, tau_min=0.35)
+    def test_a_snapped_window_snaps_to_itself(self, tau_star, delta, tau_max,
+                                              tau_min):
+        # A loaded design.json must hold the window that its own tau*,
+        # delta, tau_min and tau_max snap to, so every window that
+        # choose_trigger gives has to be a fixed point of it. From 1e7 steps
+        # on, the 1e-9 snapping slack is below the quotient's rounding, and
+        # no design has a table of that many forms.
+        try:
+            trig = design.choose_trigger(tau_star, delta, tau_max, tau_min)
+        except ConfigError:
+            return
+        if trig.n_max >= 10 ** 7:
+            return
+        assert design.choose_trigger(tau_star, delta, trig.tau_max,
+                                     trig.tau_min) == trig
+
 
 class TestGains:
     def test_scalar_energy_rate_form(self, scalar):
@@ -372,8 +399,8 @@ class TestGains:
 
     def test_gain_is_linear_in_disturbance_bound(self, scalar):
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig)
-        assert gains.gamma(0.2) == pytest.approx(2.0 * gains.gamma(0.1),
-                                                 rel=1e-14)
+        assert gains.bound(0.0, 0.0, 0.2) == pytest.approx(
+            2.0 * gains.bound(0.0, 0.0, 0.1), rel=1e-14)
         assert gains.bound(1.0, 0.0, 0.0) == pytest.approx(gains.sigma,
                                                            rel=1e-14)
 

@@ -118,12 +118,24 @@ class TestExpmGrid:
             linalg.expm_grid(np.eye(2), [0.1, math.nan])
 
     def test_chunks_cover_the_index_range_within_the_budget(self, monkeypatch):
+        # The first chunk is expm_grid's; a later one is a fresh exponential
+        # over its offset from the range's first index times the first
+        # chunk, bit for bit, and every point stays within 1e-13 of its own
+        # exponential.
         A = np.array([[0.0, 1.0], [-2.0, -0.5]])
         monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 3 * A.size)
-        chunks = list(linalg.expm_chunks(A, 0.05, range(1, 12, 2)))
-        assert [idx.tolist() for idx, _E in chunks] == [[1, 3, 5], [7, 9, 11]]
+        step = 0.05
+        chunks = list(linalg.expm_chunks(A, step, range(1, 16, 2)))
+        assert ([idx.tolist() for idx, _E in chunks]
+                == [[1, 3, 5], [7, 9, 11], [13, 15]])
+        first = chunks[0][1]
+        assert np.array_equal(first, linalg.expm_grid(A, step * chunks[0][0]))
+        for idx, E in chunks[1:]:
+            base = linalg.expm(A, step * (idx[0] - 1))
+            assert np.array_equal(E, base @ first[:len(idx)])
         for idx, E in chunks:
-            assert np.array_equal(E, linalg.expm_grid(A, 0.05 * idx))
+            exact = linalg.expm_grid(A, step * idx)
+            assert np.abs(E - exact).max() <= 1e-13 * np.abs(exact).max()
 
     @settings(max_examples=60, deadline=None)
     @given(
