@@ -96,6 +96,20 @@ class TestSystemShapes:
             design.LinearSystem(np.eye(2), np.eye(3), -np.eye(2))
 
 
+def _flow_grid_cases(double_integrator, corpus):
+    """(system, default scan step, 3.5 chunks of points) for a tangential
+    plant, the double integrator and an unstable corpus plant."""
+    unstable = next(fx for fx in corpus
+                    if np.linalg.eigvals(fx.sys.A).real.max() > 0.0)
+    tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+    cases = [(tangential, design.make_certificate(tangential, lambda_ratio=0.5))]
+    cases += [(fx.sys, fx.cert) for fx in (double_integrator, unstable)]
+    for sys_, cert in cases:
+        per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+        yield (sys_, 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT,
+               3 * per + per // 2)
+
+
 class TestDwellTime:
     def test_scalar_matches_bisection_oracle(self, scalar):
         oracle = scalar_dwell_oracle(scalar.cert.lam)
@@ -183,23 +197,31 @@ class TestDwellTime:
         form = design.trigger_form(sys_, cert, 0.999 * tau)
         assert float(np.linalg.eigvalsh(form).max()) <= 0.0
 
+    def test_scan_grid_flows_match_single_exponentials(self, double_integrator,
+                                                        corpus):
+        # Every scan-grid flow after the first chunk is a product of a chunk
+        # base and an offset; over four chunks of the default scan step each
+        # must agree with the point's own exponential.
+        for sys_, step, count in _flow_grid_cases(double_integrator, corpus):
+            seen = []
+            for idx, L in design.held_flow_chunks(sys_, step,
+                                                  range(1, count + 1)):
+                seen.extend(idx)
+                for j, flow in zip(idx, L):
+                    exact = design.held_transition(sys_, j * step)
+                    scale = max(1.0, float(np.abs(exact).max()))
+                    assert float(np.abs(flow - exact).max()) <= 1e-13 * scale, j
+            assert seen == list(range(1, count + 1))
+
     def test_held_flow_chunks_match_single_exponentials(self, double_integrator,
                                                          corpus):
-        # The tables read range(0, n_max + 1), the dwell-time scan
-        # range(1, n + 1) and the gain quadrature's odd nodes range(1, n, 2).
-        # Over four chunks of the default scan step, every flow of each must
-        # agree with the point's own exponential, and L(0) is the identity.
-        unstable = next(fx for fx in corpus
-                        if np.linalg.eigvals(fx.sys.A).real.max() > 0.0)
-        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
-        cases = [(tangential, design.make_certificate(tangential, lambda_ratio=0.5))]
-        cases += [(fx.sys, fx.cert) for fx in (double_integrator, unstable)]
-        for sys_, cert in cases:
+        # The tables read range(0, n_max + 1) and the gain quadrature's odd
+        # nodes range(1, n, 2), chunked by the same rule as the scan grid.
+        # Over four chunks, every flow of each must agree with the point's
+        # own exponential, and L(0) is the identity.
+        for sys_, step, count in _flow_grid_cases(double_integrator, corpus):
             per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
-            count = 3 * per + per // 2
-            step = 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT
-            for indices in (range(count + 1), range(1, count + 1),
-                            range(1, count, 2)):
+            for indices in (range(count + 1), range(1, count, 2)):
                 chunks = list(design.held_flow_chunks(sys_, step, indices))
                 assert len(chunks) == -(-len(indices) // per)
                 assert [j for idx, _L in chunks for j in idx] == list(indices)

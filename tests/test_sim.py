@@ -311,6 +311,19 @@ class TestDwellTimeMeasurement:
         assert np.array_equal(batch, alone)
         assert 0 < np.sum(batch < 1.0) < 6 and batch[-1] == 1.0
 
+    def test_grid_flows_match_single_exponentials(self, double_integrator):
+        # The design's held-flow grid comes in chunks; every point must
+        # equal the flow of a single exponential at the same time.
+        sys_ = double_integrator.sys
+        step = 1.5 / 700
+        chunks = list(design.held_flow_chunks(sys_, step, range(701)))
+        assert len(chunks) > 1
+        assert np.array_equal(chunks[0][1][0], np.eye(2))
+        for idx, flows in chunks:
+            for j, flow in zip(idx, flows):
+                single = design.held_transition(sys_, j * step)
+                assert np.abs(flow - single).max() <= 1e-14 * np.abs(single).max()
+
 
 class TestRunLoop:
     def test_scalar_schedule_and_horizon(self, scalar):
