@@ -35,11 +35,11 @@ print(f"tau_k min/mean/max = {lo!r}/{mean!r}/{hi!r}")
 # slack: how far below the bound the worst observed point sat.
 report = sim.verify(traj, log, gains, cert, dist, sys_)
 print(f"envelope checks: {report.checked_instants}, "
-      f"violations: {report.eiss_violations}, "
-      f"worst margin: {report.eiss_worst_margin:.3e}")
+      f"violations: {report.eiss.violations}, "
+      f"worst margin: {report.eiss.worst_margin:.3e}")
 print(f"update decay checks: {report.checked_updates}, "
-      f"violations: {report.disturbed_decay_violations}, "
-      f"worst margin: {report.disturbed_decay_worst_margin:.3e}")
+      f"violations: {report.disturbed_decay.violations}, "
+      f"worst margin: {report.disturbed_decay.worst_margin:.3e}")
 
 # The state ends up circling inside the disturbance ball instead of
 # converging; its radius is bounded by the certified gain.

@@ -270,13 +270,18 @@ def _write_plots(out, traj, log, vrep, gains):
     return plots
 
 
+def _check_json(check, where, **counts):
+    """``check`` as a block of ``verify.json``, its location under the key
+    ``where``; ``None`` for a check that was not made."""
+    if check is None:
+        return None
+    return {"violations": check.violations,
+            "worst_margin": check.worst_margin,
+            where: check.worst_at, **counts}
+
+
 def _verify_payload(raw, sim_cfg, dist, log, vrep):
     tau_lo, tau_mean, tau_hi = log.tau_stats()
-    decay = None
-    if vrep.decay_violations is not None:
-        decay = {"violations": vrep.decay_violations,
-                 "worst_margin": vrep.decay_worst_margin,
-                 "worst_k": vrep.decay_worst_k}
     return {
         "config_hash": reports.config_hash(raw),
         "t_end": sim_cfg["t_end"],
@@ -284,15 +289,11 @@ def _verify_payload(raw, sim_cfg, dist, log, vrep):
         "tolerance": vrep.tolerance,
         "executions": log.total_executions,
         "tau_k": {"min": tau_lo, "mean": tau_mean, "max": tau_hi},
-        "eiss": {"violations": vrep.eiss_violations,
-                 "worst_margin": vrep.eiss_worst_margin,
-                 "worst_index": vrep.eiss_worst_index,
-                 "checked_instants": vrep.checked_instants},
-        "decay": decay,
-        "disturbed_decay": {"violations": vrep.disturbed_decay_violations,
-                            "worst_margin": vrep.disturbed_decay_worst_margin,
-                            "worst_k": vrep.disturbed_decay_worst_k,
-                            "checked_updates": vrep.checked_updates},
+        "eiss": _check_json(vrep.eiss, "worst_index",
+                            checked_instants=vrep.checked_instants),
+        "decay": _check_json(vrep.decay, "worst_k"),
+        "disturbed_decay": _check_json(vrep.disturbed_decay, "worst_k",
+                                       checked_updates=vrep.checked_updates),
     }
 
 
@@ -314,10 +315,10 @@ def cmd_simulate(args):
     tau_lo, tau_mean, tau_hi = log.tau_stats()
     print(f"executions: {log.total_executions} over t_end={sim_cfg['t_end']!r} "
           f"(tau_k min/mean/max = {tau_lo!r}/{tau_mean!r}/{tau_hi!r})")
-    print(f"eiss violations: {vrep.eiss_violations}, disturbed decay "
-          f"violations: {vrep.disturbed_decay_violations}"
-          + ("" if vrep.decay_violations is None
-             else f", decay violations: {vrep.decay_violations}"))
+    print(f"eiss violations: {vrep.eiss.violations}, disturbed decay "
+          f"violations: {vrep.disturbed_decay.violations}"
+          + ("" if vrep.decay is None
+             else f", decay violations: {vrep.decay.violations}"))
     print(f"wrote {', '.join(written)} in {out}")
     return 0
 

@@ -181,7 +181,8 @@ def lyap_solve(A, Q):
     linear system by LU factorization. ``Q`` must be symmetric positive
     definite; the returned ``P`` is symmetrized and checked both for the
     residual (relative to ``norm(Q)``) and for positive definiteness, so a
-    successful return certifies that ``A`` is Hurwitz.
+    successful return certifies that ``A`` is Hurwitz. An overflow on the
+    way, from entries near the float range, fails the solve as well.
     """
     A = as_square(A, "Lyapunov A")
     Q = as_square(Q, "Lyapunov Q")
@@ -193,19 +194,20 @@ def lyap_solve(A, Q):
         raise NumericError("Q is not symmetric")
 
     ident = np.eye(m)
-    # Row-major vectorization: vec(A' X) = kron(A', I) vec(X),
-    # vec(X A) = kron(I, A') vec(X).
-    L = np.kron(A.T, ident) + np.kron(ident, A.T)
     try:
-        p = np.linalg.solve(L, -Q.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Lyapunov system is singular: {exc}") from exc
-    P = p.reshape(m, m)
-    P = 0.5 * (P + P.T)
-
-    residual = A.T @ P + P @ A + Q
-    q_norm = float(np.sqrt((Q * Q).sum()))
-    if float(np.sqrt((residual * residual).sum())) > _LYAP_RESIDUAL_RTOL * max(q_norm, 1e-30):
+        with np.errstate(over="raise", invalid="raise"):
+            # Row-major vectorization: vec(A' X) = kron(A', I) vec(X),
+            # vec(X A) = kron(I, A') vec(X).
+            L = np.kron(A.T, ident) + np.kron(ident, A.T)
+            p = np.linalg.solve(L, -Q.reshape(-1))
+            P = p.reshape(m, m)
+            P = 0.5 * (P + P.T)
+            residual = A.T @ P + P @ A + Q
+            q_norm = float(np.sqrt((Q * Q).sum()))
+            r_norm = float(np.sqrt((residual * residual).sum()))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NumericError(f"Lyapunov solve failed: {exc}") from exc
+    if r_norm > _LYAP_RESIDUAL_RTOL * max(q_norm, 1e-30):
         raise NumericError("Lyapunov residual out of tolerance")
     values, _ = sym_eig(P)
     if values[0] <= 0.0:

@@ -107,6 +107,25 @@ class TriggerDecision:
     op_count: int
 
 
+def _decide(tables, first, values, op_count, per_evaluation):
+    """The decision from the form values at ``n = first, first + 1, ...``:
+    ``n_k`` is one below the first positive value, else ``n_max``, and each
+    value read costs ``per_evaluation`` on top of ``op_count``."""
+    n_k = tables.n_max
+    evaluations = 0
+    for n, value in enumerate(values, first):
+        evaluations += 1
+        if value > 0.0:
+            n_k = n - 1
+            break
+    return TriggerDecision(
+        n=n_k,
+        tau=max(tables.tau_min, n_k * tables.delta),
+        evaluations=evaluations,
+        op_count=op_count + evaluations * per_evaluation,
+    )
+
+
 def next_update(x, tables):
     """Schedule the next execution by scanning the full-matrix forms.
 
@@ -116,20 +135,9 @@ def next_update(x, tables):
     """
     x = _unit_state(x, tables.m)
     m = tables.m
-    work = m * m + m
-    n_k = tables.n_max
-    evaluations = 0
-    for n in range(1, tables.n_max + 1):
-        evaluations += 1
-        if float(x @ tables.forms[n] @ x) > 0.0:
-            n_k = n - 1
-            break
-    return TriggerDecision(
-        n=n_k,
-        tau=max(tables.tau_min, n_k * tables.delta),
-        evaluations=evaluations,
-        op_count=evaluations * work,
-    )
+    return _decide(tables, 1,
+                   (float(x @ form @ x) for form in tables.forms[1:]),
+                   0, m * m + m)
 
 
 def next_update_packed(x, tables):
@@ -148,18 +156,6 @@ def next_update_packed(x, tables):
     L = tables.m * (tables.m + 1) // 2
     rows, cols = tables.triu
     z = x[rows] * x[cols]
-    op_count = L
-    n_k = tables.n_max
-    evaluations = 0
-    for n in range(tables.n_min + 1, tables.n_max + 1):
-        evaluations += 1
-        op_count += 2 * L + 1
-        if float(tables.packed[n - tables.n_min] @ z) > 0.0:
-            n_k = n - 1
-            break
-    return TriggerDecision(
-        n=n_k,
-        tau=max(tables.tau_min, n_k * tables.delta),
-        evaluations=evaluations,
-        op_count=op_count,
-    )
+    return _decide(tables, tables.n_min + 1,
+                   (float(row @ z) for row in tables.packed[1:]),
+                   L, 2 * L + 1)

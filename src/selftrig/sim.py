@@ -15,7 +15,9 @@ depends on the seed and the global step alone (not on the time or on how
 the run splits into holds) and reruns with the same seed are bit-identical.
 
 :func:`verify` checks a logged run against the designed exponential-ISS
-envelope and the decay conditions at update instants.
+envelope and the decay conditions at update instants, and reports each of
+these guarantees as one :class:`Check`: its violation count, its worst
+margin and where that margin occurred.
 
 Time grids are uniform with step ``delta / divisor`` except for one possibly
 shortened final step when the horizon is not a multiple of the step; the
@@ -85,8 +87,6 @@ class DisturbanceSpec:
         self.seed = int(seed)
         self._base = np.full(self.dimension,
                              self.amplitude / math.sqrt(self.dimension))
-        self._noise_index = -1
-        self._noise_rows = None
 
     @property
     def linf_bound(self):
@@ -96,19 +96,15 @@ class DisturbanceSpec:
     def _noise_block(self, index):
         """Draws of the steps ``index * _NOISE_BLOCK`` onwards, one per row.
 
-        One generator per block, keyed by (seed, block index); the most
-        recent block is kept, so consecutive holds draw it once.
+        One generator per block, keyed by (seed, block index).
         """
-        if index != self._noise_index:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
-            unit = np.random.default_rng(ss).uniform(
-                -1.0, 1.0, (_NOISE_BLOCK, self.dimension))
-            norms = np.linalg.norm(unit, axis=1)
-            over = norms > _NOISE_SHRINK
-            unit[over] *= (_NOISE_SHRINK / norms[over])[:, None]
-            self._noise_index = index
-            self._noise_rows = self.amplitude * unit
-        return self._noise_rows
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
+        unit = np.random.default_rng(ss).uniform(
+            -1.0, 1.0, (_NOISE_BLOCK, self.dimension))
+        norms = np.linalg.norm(unit, axis=1)
+        over = norms > _NOISE_SHRINK
+        unit[over] *= (_NOISE_SHRINK / norms[over])[:, None]
+        return self.amplitude * unit
 
     def _noise(self, step):
         block, row = np.divmod(np.asarray(step, dtype=np.int64), _NOISE_BLOCK)
@@ -383,37 +379,41 @@ def run_periodic(sys, cert, dist, x0, t_end, period, divisor=20):
     return _run_loop(sys, cert, dist, x0, t_end, dt, schedule)
 
 
+@dataclass(frozen=True)
+class Check:
+    """One guarantee checked over a run: how many relative margins
+    ``(bound - observed) / bound`` fall below ``-tolerance``, the smallest
+    margin and where it occurred (``None`` when nothing was checked)."""
+
+    violations: int
+    worst_margin: float
+    worst_at: int | None
+
+
 @dataclass
 class VerificationReport:
     """Checks of one logged run against the designed guarantees.
 
-    Margins are relative: ``(bound - observed) / bound``; an instant counts
-    as a violation when its margin falls below ``-tolerance``, which is
-    always ``1e-6``. The pure decay check only applies to undisturbed runs
-    and is ``None`` otherwise.
-    Each worst margin comes with where it occurred: the time index of the
-    trajectory for the envelope, the execution ``k`` for the decay checks
-    (for the disturbed check, the start of the dwell interval ``k -> k+1``);
-    ``None`` when nothing was checked.
+    ``eiss``, ``decay`` and ``disturbed_decay`` are one :class:`Check`
+    each; a violation is a margin below ``-tolerance``, which is always
+    ``1e-6``. The envelope check's ``worst_at`` is a time index of the
+    trajectory, out of ``checked_instants``; the decay checks' is an
+    execution ``k`` (for the disturbed check, the start of the dwell
+    interval ``k -> k+1``, out of ``checked_updates``). The pure decay
+    check only applies to undisturbed runs and is ``None`` otherwise.
     """
 
     tolerance: float
-    eiss_violations: int
-    eiss_worst_margin: float
-    eiss_worst_index: int | None
-    decay_violations: int | None
-    decay_worst_margin: float | None
-    decay_worst_k: int | None
-    disturbed_decay_violations: int
-    disturbed_decay_worst_margin: float
-    disturbed_decay_worst_k: int | None
+    eiss: Check
+    decay: Check | None
+    disturbed_decay: Check
     checked_instants: int
     checked_updates: int
     bound_curve: np.ndarray
 
 
-def _margin_summary(bounds, observed):
-    """Violation count, worst margin and its index of one check.
+def _check(bounds, observed):
+    """The :class:`Check` of ``observed`` against ``bounds``, pointwise.
 
     A margin that is not finite means a bound or an observed value left the
     representable range, which no verdict can be drawn from.
@@ -425,10 +425,10 @@ def _margin_summary(bounds, observed):
             "verification margins are not finite; the run or its bounds "
             "left the representable range")
     if not margins.size:
-        return 0, 0.0, None
+        return Check(0, 0.0, None)
     worst = int(np.argmin(margins))
-    violations = int(np.sum(margins < -_VERIFY_TOLERANCE))
-    return violations, float(margins[worst]), worst
+    return Check(int(np.sum(margins < -_VERIFY_TOLERANCE)),
+                 float(margins[worst]), worst)
 
 
 def verify(traj, log, gains, cert, dist, sys):
@@ -449,17 +449,14 @@ def verify(traj, log, gains, cert, dist, sys):
     x0_norm = float(np.linalg.norm(traj.states[0]))
     bound_curve = gains.bound(x0_norm, traj.times, d_inf)
     observed = np.linalg.norm(traj.states, axis=1)
-    eiss_violations, eiss_worst, eiss_index = _margin_summary(
-        bound_curve, observed)
 
     v_events = _lyapunov_values(cert, np.array([e.x for e in log.events]))
     t_events = np.array([e.t for e in log.events])
     taus = log.taus
 
-    decay_violations, decay_worst, decay_k = None, None, None
+    decay = None
     if d_inf == 0.0:
-        decay_violations, decay_worst, decay_k = _margin_summary(
-            v_events[0] * np.exp(-gains.lam * t_events), v_events)
+        decay = _check(v_events[0] * np.exp(-gains.lam * t_events), v_events)
 
     gamma_p = np.zeros(max(0, len(log.events) - 1))
     if d_inf > 0.0:
@@ -469,21 +466,14 @@ def verify(traj, log, gains, cert, dist, sys):
                 gain_cache[tau] = design.disturbance_gain_coeff(
                     cert.P, sys.A, tau, max_step=tau / 64.0)
             gamma_p[i] = gain_cache[tau] * d_inf
-    disturbed_violations, disturbed_worst, disturbed_k = _margin_summary(
-        v_events[:-1] * np.exp(-gains.lam * taus[:-1]) + gamma_p,
-        v_events[1:])
 
     return VerificationReport(
         tolerance=_VERIFY_TOLERANCE,
-        eiss_violations=eiss_violations,
-        eiss_worst_margin=eiss_worst,
-        eiss_worst_index=eiss_index,
-        decay_violations=decay_violations,
-        decay_worst_margin=decay_worst,
-        decay_worst_k=decay_k,
-        disturbed_decay_violations=disturbed_violations,
-        disturbed_decay_worst_margin=disturbed_worst,
-        disturbed_decay_worst_k=disturbed_k,
+        eiss=_check(bound_curve, observed),
+        decay=decay,
+        disturbed_decay=_check(
+            v_events[:-1] * np.exp(-gains.lam * taus[:-1]) + gamma_p,
+            v_events[1:]),
         checked_instants=int(observed.size),
         checked_updates=int(gamma_p.size),
         bound_curve=bound_curve,

@@ -174,6 +174,29 @@ class TestExitCodes:
         assert run(tmp_path, cfg, "design",
                    "--out", str(tmp_path / "out")) == 3
 
+    @pytest.mark.parametrize("A", [[[1e308, 1.0], [0.0, 0.0]],
+                                   [[0.0, 1e308], [0.0, 0.0]]])
+    def test_out_of_range_plant_is_one_line_design_error(self, tmp_path,
+                                                         capsys, A):
+        # The Lyapunov solve used to overflow with a numpy warning before
+        # its error line; under -W error that was a traceback.
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["system"]["A"] = A
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "error: closed loop not Hurwitz\n"
+
+    def test_out_of_range_plant_in_design_file_is_rejected(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "out"
+        assert run(tmp_path, copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG), "design",
+                   "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        for A in ([[1e308, 1.0], [0.0, 0.0]], [[0.0, 1e308], [0.0, 0.0]]):
+            bad = copy.deepcopy(report)
+            bad["system"]["A"] = A
+            assert_design_rejected(tmp_path, capsys, bad, A)
+
     def test_diverging_run_is_simulation_error(self, tmp_path):
         cfg = scalar_cfg()
         cfg["simulation"] = {"x0": [2.0], "t_end": 5.0,
@@ -471,6 +494,22 @@ class TestSimulateArtifacts:
         assert verdict["decay"]["worst_k"] in range(verdict["executions"])
         assert (verdict["disturbed_decay"]["worst_k"]
                 in range(verdict["disturbed_decay"]["checked_updates"]))
+
+    def test_one_execution_run_checks_no_update(self, tmp_path):
+        # A horizon below tau_min leaves no pair of executions to check.
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["simulation"]["t_end"] = 0.1
+        cfg["simulation"]["disturbance"] = {"kind": "sinusoid",
+                                            "amplitude": 0.1, "frequency": 1.0}
+        out = tmp_path / "out"
+        assert run(tmp_path, cfg, "simulate", "--out", str(out)) == 0
+        verdict = json.loads((out / "verify.json").read_text())
+        assert verdict["executions"] == 1
+        assert verdict["decay"] is None
+        assert verdict["disturbed_decay"] == {"violations": 0,
+                                              "worst_margin": 0.0,
+                                              "worst_k": None,
+                                              "checked_updates": 0}
 
     def test_trajectory_csv_is_shortest_round_trip(self, tmp_path):
         # Rows are formatted in chunks; the text must be each value's

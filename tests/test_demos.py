@@ -1,10 +1,12 @@
-"""Every narrative script under ``demos/`` runs to completion.
+"""Every narrative script under ``demos/``, and the README's Library
+example, runs to completion.
 
-Each demo runs in its own interpreter with ``src`` on the import path, the
-way the README invokes them, and must exit 0.
+Each runs in its own interpreter with ``src`` on the import path, the way
+the README invokes them, and must exit 0 and leave no files behind.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def run_python(args, cwd):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                            env=env, capture_output=True, text=True,
-                            timeout=120)
+    result = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    run_python([str(demo)], tmp_path)
+
+
+def test_readme_library_example_exits_zero(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    run_python(["-c", blocks[0]], tmp_path)

@@ -209,6 +209,14 @@ class TestLyapunov:
         with pytest.raises(NumericError):
             linalg.lyap_solve(np.array([[1.0]]), np.eye(1))
 
+    @pytest.mark.parametrize("A", [[[1e308, 1.0], [-1.0, -2.0]],
+                                   [[0.0, 1e308], [-1.0, -2.0]]])
+    def test_out_of_range_dynamics_are_numeric_errors(self, A):
+        # The Kronecker sum overflows, or the residual check meets inf - inf;
+        # either is a failed solve, not a numpy warning.
+        with pytest.raises(NumericError):
+            linalg.lyap_solve(np.array(A), np.eye(2))
+
     def test_rejects_asymmetric_right_hand_side(self):
         with pytest.raises(NumericError):
             linalg.lyap_solve(-np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))

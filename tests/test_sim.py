@@ -185,6 +185,18 @@ class TestDisturbance:
         for i in rng.permutation(300)[:40]:
             assert np.array_equal(single.value(1.0, steps[i]), one_hold[i, 0])
 
+    def test_noise_follows_a_changed_seed_and_amplitude(self):
+        # A spec edited after a draw draws as a fresh spec with the new
+        # values; it used to keep returning the draws it had made before.
+        steps = np.arange(10)
+        dist = sim.DisturbanceSpec("bounded_noise", 2, amplitude=0.1, seed=1)
+        dist.value(0.0, steps)
+        dist.seed = 2
+        dist.value(0.0, steps)
+        dist.amplitude = 10.0
+        fresh = sim.DisturbanceSpec("bounded_noise", 2, amplitude=10.0, seed=2)
+        assert np.array_equal(dist.value(0.0, steps), fresh.value(0.0, steps))
+
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_every_noise_draw_is_inside_the_amplitude(self, m):
         for seed, amplitude in ((0, 0.7), (1, 3.3), (2, 1e-3), (3, -0.4)):
@@ -414,11 +426,11 @@ class TestVerification:
         traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
                                            scalar.tables, dist, [2.0], 50.0)
         rep = sim.verify(traj, log, gains, scalar.cert, dist, scalar.sys)
-        assert rep.eiss_violations == 0
-        assert rep.decay_violations == 0
-        assert rep.disturbed_decay_violations == 0
+        assert rep.eiss.violations == 0
+        assert rep.decay.violations == 0
+        assert rep.disturbed_decay.violations == 0
         # The initial instant meets the envelope with equality.
-        assert rep.decay_worst_margin == pytest.approx(0.0, abs=1e-12)
+        assert rep.decay.worst_margin == pytest.approx(0.0, abs=1e-12)
         assert rep.bound_curve[0] == pytest.approx(gains.sigma * 2.0,
                                                    rel=1e-12)
 
@@ -431,10 +443,24 @@ class TestVerification:
         traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
                                            [1.0, -0.5], 30.0)
         rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
-        assert rep.decay_violations is None
-        assert rep.eiss_violations == 0
-        assert rep.disturbed_decay_violations == 0
+        assert rep.decay is None
+        assert rep.eiss.violations == 0
+        assert rep.disturbed_decay.violations == 0
         assert rep.checked_updates == log.total_executions - 1
+
+    def test_one_execution_checks_no_update(self, double_integrator):
+        fx = double_integrator
+        gains = design.eiss_gains(fx.sys, fx.cert, fx.trig,
+                                  tau_star=fx.tau_star)
+        dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
+                                   frequency=1.0)
+        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
+                                           [1.0, -0.5], 0.5 * fx.trig.tau_min)
+        rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
+        assert log.total_executions == 1
+        assert rep.disturbed_decay == sim.Check(0, 0.0, None)
+        assert rep.checked_updates == 0
+        assert rep.eiss.violations == 0
 
     def test_violations_are_counted(self, scalar):
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
@@ -447,9 +473,9 @@ class TestVerification:
         import dataclasses
         broken = dataclasses.replace(gains, sigma=0.5)
         rep = sim.verify(traj, log, broken, scalar.cert, dist, scalar.sys)
-        assert rep.eiss_violations > 0
-        assert rep.eiss_worst_margin < 0.0
-        assert rep.eiss_worst_index == 0
+        assert rep.eiss.violations > 0
+        assert rep.eiss.worst_margin < 0.0
+        assert rep.eiss.worst_at == 0
 
     def test_worst_margins_name_where_they_occur(self, double_integrator):
         fx = double_integrator
@@ -462,8 +488,8 @@ class TestVerification:
         rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
         eiss = ((rep.bound_curve - np.linalg.norm(traj.states, axis=1))
                 / rep.bound_curve)
-        assert rep.eiss_worst_index == int(np.argmin(eiss))
-        assert rep.eiss_worst_margin == eiss[rep.eiss_worst_index]
+        assert rep.eiss.worst_at == int(np.argmin(eiss))
+        assert rep.eiss.worst_margin == eiss[rep.eiss.worst_at]
         # Per-event margins recomputed one pair at a time.
         pairs = []
         for e, nxt in zip(log.events, log.events[1:]):
@@ -472,10 +498,10 @@ class TestVerification:
             bound = (lyapunov_value(fx.cert, e.x)
                      * math.exp(-gains.lam * e.tau) + coeff * 0.1)
             pairs.append((bound - lyapunov_value(fx.cert, nxt.x)) / bound)
-        k = rep.disturbed_decay_worst_k
-        assert abs(pairs[k] - rep.disturbed_decay_worst_margin) <= 1e-12
+        k = rep.disturbed_decay.worst_at
+        assert abs(pairs[k] - rep.disturbed_decay.worst_margin) <= 1e-12
         assert min(pairs) >= pairs[k] - 1e-12
-        assert rep.decay_worst_k is None
+        assert rep.decay is None
 
         zero = zero_dist(2)
         traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, zero,
@@ -485,8 +511,8 @@ class TestVerification:
         decay = [(v0 * math.exp(-gains.lam * e.t)
                   - lyapunov_value(fx.cert, e.x))
                  / (v0 * math.exp(-gains.lam * e.t)) for e in log.events]
-        k = rep.decay_worst_k
-        assert abs(decay[k] - rep.decay_worst_margin) <= 1e-12
+        k = rep.decay.worst_at
+        assert abs(decay[k] - rep.decay.worst_margin) <= 1e-12
         assert min(decay) >= decay[k] - 1e-12
 
     def test_unrepresentable_envelope_is_simulation_error(self, scalar):
