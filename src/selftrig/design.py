@@ -247,6 +247,11 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
         grid_step = tau_cap / _SCAN_POINTS_DEFAULT
     if not (0.0 < grid_step < tau_cap):
         raise DesignError(f"grid_step must lie in (0, tau_cap), got {grid_step}")
+    if tau_cap / grid_step > np.iinfo(np.intp).max:
+        raise DesignError(
+            f"dwell-time scan needs {tau_cap / grid_step:.3g} grid points "
+            f"(tau_cap={tau_cap:.6g}, grid step {grid_step:.6g}), more than "
+            f"can be indexed")
 
     P = cert.P
     rate = 2.0 * cert.lam
@@ -488,9 +493,14 @@ def hold_growth_factor(delta, n_max, rho, mu, lam, rho_P):
         raise DesignError(
             f"degenerate energy-rate bounds: mu={mu:.6g} must be below rho={rho:.6g}")
     a = mu * delta / (mu - rho)
-    e1 = math.exp((rho + 2.0 * lam) * a)
-    e2 = math.exp(2.0 * lam * (n_max - 1) * delta)
-    e3 = math.exp(2.0 * lam * a)
+    try:
+        e1 = math.exp((rho + 2.0 * lam) * a)
+        e2 = math.exp(2.0 * lam * (n_max - 1) * delta)
+        e3 = math.exp(2.0 * lam * a)
+    except OverflowError:
+        raise DesignError(
+            f"hold growth factor overflows: energy-rate bound rho={rho:.6g} "
+            f"is too large for delta={delta:.6g}") from None
     inner = e1 + e2 * (e1 - e3)
     if inner < 0.0:
         raise NumericError("growth factor radicand is negative")

@@ -235,21 +235,36 @@ def _fmt(v):
 def write_trajectory_csv(path, traj, bound_curve):
     """Dense run log: time, state, held input, Lyapunov value, ISS bound.
 
-    Rows are formatted from ``tolist`` chunks of ``_CSV_CHUNK`` rows, so the
-    Python floats exist for one chunk at a time.
+    Every value is its ``repr``. Each chunk of ``_CSV_CHUNK`` rows is
+    formatted column by column, so the Python strings exist for one chunk
+    at a time. The input is held between executions, so each input column
+    is formatted once per run of rows with equal bits, at most once per
+    chunk; bits, not ``==``, keep ``-0.0`` and ``0.0`` apart.
     """
-    m = traj.states.shape[1]
-    l = traj.inputs.shape[1]
+    inputs = np.ascontiguousarray(traj.inputs, dtype=float)
+    m, l = traj.states.shape[1], inputs.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(m)]
               + [f"u_{j + 1}" for j in range(l)] + ["V", "eiss_bound"])
-    columns = (traj.times[:, None], traj.states, traj.inputs,
-               traj.v_values[:, None], np.asarray(bound_curve)[:, None])
+    leading = [traj.times, *traj.states.T]
+    trailing = [traj.v_values, np.asarray(bound_curve, dtype=float)]
+    bits = inputs.view(np.int64)
+    # First row of every run of equal inputs after the first.
+    run_starts = np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, traj.times.size, _CSV_CHUNK):
-            rows = np.hstack([c[start:start + _CSV_CHUNK]
-                              for c in columns]).tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        for start in range(0, inputs.shape[0], _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, inputs.shape[0])
+            inner = run_starts[np.searchsorted(run_starts, start, "right"):
+                               np.searchsorted(run_starts, stop)]
+            edges = [start, *inner.tolist(), stop]
+            held = [[] for _ in range(l)]
+            for lo, hi in zip(edges, edges[1:]):
+                for column, text in zip(held, map(repr, inputs[lo].tolist())):
+                    column.extend([text] * (hi - lo))
+            cols = ([list(map(repr, c[start:stop].tolist())) for c in leading]
+                    + held
+                    + [list(map(repr, c[start:stop].tolist())) for c in trailing])
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 def write_events_csv(path, log, m):
@@ -321,8 +336,10 @@ def svg_plot(path, title, xlabel, ylabel, series):
                  f'fill="none" stroke="#333333"/>')
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}"
-                       for x, y in zip(xs, ys))
+        # px and py on arrays do Python's float operations in its order.
+        pts = " ".join(map("{:.2f},{:.2f}".format,
+                           px(np.asarray(xs, dtype=float)).tolist(),
+                           py(np.asarray(ys, dtype=float)).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * idx

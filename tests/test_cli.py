@@ -56,6 +56,77 @@ def assert_design_rejected(tmp_path, capsys, bad, label=None, missing=None):
             assert err == f"error: malformed design file: missing {missing}\n"
 
 
+def _trajectory_case(case):
+    """A trajectory and ISS bound curve for one writer oracle case."""
+    rng = np.random.default_rng(5)
+    n, l = {"one_row": (1, 1), "two_inputs": (700, 2)}.get(case, (700, 1))
+    states = rng.normal(size=(n, 2))
+    # Held inputs: runs of equal rows, as the simulator writes them.
+    edges = sorted(set(rng.integers(1, n, 12).tolist())) if n > 1 else []
+    inputs = np.empty((n, l))
+    for lo, hi in zip([0] + edges, edges + [n]):
+        inputs[lo:hi] = rng.normal(size=l)
+    if case == "hold_across_chunks":
+        inputs[200:600] = -1.25
+    elif case == "signed_zeros":
+        inputs[:300] = -0.0
+        inputs[300:400] = 0.0
+        inputs[400:520] = -0.0
+    elif case == "extremes":
+        states *= 10.0 ** rng.integers(-300, 300, (n, 2))
+        states[3] = [-0.0, 5e-324]
+        inputs[250:260] = [[1e-300]]
+        inputs[260:270] = [[-1e300]]
+    traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
+                          states=states, inputs=inputs,
+                          v_values=rng.uniform(size=n))
+    return traj, rng.uniform(size=n)
+
+
+def _trajectory_csv_oracle(traj, bound):
+    """Bytes of the trajectory CSV, formatted row by row."""
+    m, l = traj.states.shape[1], traj.inputs.shape[1]
+    header = (["t"] + [f"x_{i + 1}" for i in range(m)]
+              + [f"u_{j + 1}" for j in range(l)] + ["V", "eiss_bound"])
+    rows = np.hstack((traj.times[:, None], traj.states, traj.inputs,
+                      traj.v_values[:, None],
+                      np.asarray(bound)[:, None])).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _polyline_points(body):
+    return [line.split('points="', 1)[1].split('"', 1)[0]
+            for line in body.split("\n") if line.startswith("<polyline")]
+
+
+def _polyline_oracle(series):
+    """Polyline points of ``reports.svg_plot``, formatted point by point."""
+    width, height = reports._SVG_WIDTH, reports._SVG_HEIGHT
+    ml, mr, mt, mb = 64, 16, 36, 48
+    pw, ph = width - ml - mr, height - mt - mb
+    xs_all = [float(x) for s in series for x in s[1]]
+    ys_all = [float(y) for s in series for y in s[2]]
+    x_lo, x_hi = min(xs_all), max(xs_all)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi <= y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def px(x):
+        return ml + (x - x_lo) / (x_hi - x_lo) * pw
+
+    def py(y):
+        return mt + ph - (y - y_lo) / (y_hi - y_lo) * ph
+
+    return [" ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}"
+                     for x, y in zip(xs, ys))
+            for _label, xs, ys in series]
+
+
 class TestConfigValidation:
     def test_unknown_keys_are_named(self):
         cases = [
@@ -185,6 +256,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err == "error: closed loop not Hurwitz\n"
+
+    @pytest.mark.parametrize("value", [-1e100, -1e200])
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 0), "error: hold growth factor overflows"),
+        ((1, 0), "error: dwell-time scan needs"),
+        ((1, 1), "error: dwell-time scan needs")])
+    def test_fast_stable_plant_is_one_line_design_error(self, tmp_path, capsys,
+                                                        entry, message, value):
+        # These plants used to end in an OverflowError traceback: from
+        # math.exp in the hold growth factor, or from indexing a tau* scan
+        # grid of more than 1e100 points.
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["system"]["A"][entry[0]][entry[1]] = value
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
 
     def test_out_of_range_plant_in_design_file_is_rejected(self, tmp_path,
                                                            capsys):
@@ -532,6 +620,33 @@ class TestSimulateArtifacts:
             values = ([traj.times[i]] + list(traj.states[i])
                       + list(traj.inputs[i]) + [traj.v_values[i], bound[i]])
             assert line == ",".join(repr(float(v)) for v in values)
+
+    @pytest.mark.parametrize("case", ["hold_across_chunks", "signed_zeros",
+                                      "two_inputs", "one_row", "extremes"])
+    def test_trajectory_csv_matches_row_by_row_oracle(self, tmp_path, case):
+        traj, bound = _trajectory_case(case)
+        path = tmp_path / "trajectory.csv"
+        reports.write_trajectory_csv(path, traj, bound)
+        assert path.read_bytes() == _trajectory_csv_oracle(traj, bound)
+
+    def test_svg_polylines_match_per_point_oracle(self, tmp_path):
+        rng = np.random.default_rng(3)
+        xs = np.cumsum(rng.uniform(0.0, 0.05, 2000))
+        ys = rng.normal(size=2000) * 10.0 ** rng.integers(-3, 3, 2000)
+        # Dwell-time series as the CLI builds it: Python lists, each tau
+        # drawn as a step.
+        ts, taus = [], []
+        t = 0.0
+        for tau in rng.uniform(0.2, 1.5, 40).tolist():
+            ts.extend([t, t + tau])
+            taus.extend([tau, tau])
+            t += tau
+        for series in ([("a", xs, ys), ("b", xs, 2.0 * ys)],
+                       [("tau_k", ts, taus)]):
+            path = tmp_path / "plot.svg"
+            reports.svg_plot(path, "title", "x", "y", series)
+            body = path.read_text(encoding="utf-8")
+            assert _polyline_points(body) == _polyline_oracle(series)
 
     def test_event_times_accumulate_as_printed(self, outputs):
         with open(outputs / "events.csv", encoding="utf-8") as fh:
