@@ -238,6 +238,9 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     so a bracket or dip that straddles a chunk boundary is found as if the
     grid were one piece. Only the grid's signs and dips are read: bisection
     and dip refinement evaluate single points through :func:`trigger_form`.
+    Every determinant, of a grid chunk or of a single point, is
+    ``linalg.det``'s, so both ends of a bracket are judged by one formula:
+    the closed form for ``m = 2``, LU otherwise.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
@@ -300,7 +303,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     tail_dets = np.array([math.nan, 0.0])
     for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
         taus = grid_step * idx
-        dets = np.linalg.det(decay_form(L, P, rate, taus))
+        dets = linalg.det(decay_form(L, P, rate, taus))
         all_taus = np.concatenate((tail_taus, taus))
         all_dets = np.concatenate((tail_dets, dets))
         prev, prev2 = all_dets[1:-1], all_dets[:-2]

@@ -11,12 +11,14 @@ symmetry checks this package relies on:
 ``expm``            scaling and squaring with a diagonal Pade approximant
 ``expm_grid``       the same kernel over a stack of times, one scaling each
 ``expm_chunks``     an index range in bounded chunks: ``expm_grid`` for the
-                    first, products with it for the rest
+                    first, then growing runs of blocks, each block one
+                    stacked offset exponential times the first chunk
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
-``det``             ``numpy.linalg.det`` of a checked square matrix
+``det``             determinant of a checked square matrix or stack: closed
+                    form for 2x2, ``numpy.linalg.det`` otherwise
 ==================  =========================================================
 
 All tolerances are module constants so callers can tighten or relax them in
@@ -44,9 +46,11 @@ _PADE6 = (
     1.0 / 15840.0,
     1.0 / 665280.0,
 )
-# Entries of one stacked temporary in a chunk of ``expm_chunks``: a chunk
-# holds as many grid points as fit, and at least one.
+# Entries of the first chunk of ``expm_chunks``: it holds as many grid
+# points as fit, and at least one. Every block of a later chunk is as wide.
 _GRID_CHUNK_ENTRIES = 4096
+# Most blocks in one later chunk of ``expm_chunks``.
+_GRID_CHUNK_BLOCKS = 8
 
 _SYMMETRY_RTOL = 1e-12
 _LYAP_RESIDUAL_RTOL = 1e-9
@@ -130,24 +134,41 @@ def expm_chunks(M, step, indices):
 
     Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
     ``E[i] = exp(M * idx[i] * step)``. The first chunk comes from
-    :func:`expm_grid`. A later chunk starting at ``idx[0]`` is one fresh
-    ``exp(M * (idx[0] - j0) * step)`` times the first chunk, ``j0`` being
-    the range's first index, since ``exp(M (a + b)) = exp(M a) exp(M b)``.
-    Every point is thus a single product of two fresh exponentials, and its
-    error does not grow along the grid. No whole grid is ever materialized,
-    and each stacked temporary holds at most ``_GRID_CHUNK_ENTRIES``
-    entries.
+    :func:`expm_grid`. A later chunk is a run of blocks as wide as the first
+    chunk (its last block may be shorter); a block starting at ``idx[k]`` is
+    one fresh ``exp(M * (idx[k] - j0) * step)`` times the first chunk, ``j0``
+    being the range's first index, since ``exp(M (a + b)) = exp(M a)
+    exp(M b)``. One stacked :func:`expm_grid` gives a chunk's block offsets
+    and one broadcast product its points. Every point is thus a single
+    product of two fresh exponentials, and its error does not grow along the
+    grid. The first later chunk holds one block and each next one twice as
+    many, up to ``_GRID_CHUNK_BLOCKS``, so a caller that stops early at a
+    root computes few points past it. No whole grid is ever materialized:
+    the first chunk holds at most ``_GRID_CHUNK_ENTRIES`` entries and a
+    later one at most ``_GRID_CHUNK_BLOCKS`` times that.
     """
     A = as_square(M, "expm argument")
     per = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
-    for lo in range(0, len(indices), per):
-        part = indices[lo:lo + per]
+    if not len(indices):
+        return
+    part = indices[:per]
+    idx = np.arange(part.start, part.stop, part.step)
+    first = expm_grid(A, step * idx)
+    yield idx, first
+    lo, blocks = len(idx), 1
+    while lo < len(indices):
+        part = indices[lo:lo + blocks * per]
         idx = np.arange(part.start, part.stop, part.step)
-        if lo == 0:
-            first = expm_grid(A, step * idx)
-            yield idx, first
-        else:
-            yield idx, expm(A, step * (idx[0] - indices[0])) @ first[:len(idx)]
+        bases = expm_grid(A, step * (idx[::per] - indices[0]))
+        E = np.empty((len(idx),) + A.shape)
+        full = len(idx) // per
+        np.matmul(bases[:full, None], first,
+                  out=E[:full * per].reshape((full, per) + A.shape))
+        if full < len(bases):
+            np.matmul(bases[full], first[:len(idx) - full * per],
+                      out=E[full * per:])
+        yield idx, E
+        lo, blocks = lo + len(idx), min(2 * blocks, _GRID_CHUNK_BLOCKS)
 
 
 def sym_eig(S):
@@ -239,5 +260,27 @@ def induced_norm2(M):
 
 
 def det(M):
-    """Determinant of a finite square matrix."""
-    return float(np.linalg.det(as_square(M, "det argument")))
+    """Determinant of a finite square matrix, or of each in a stack of them.
+
+    A 2x2 determinant is the closed form ``a d - b c``, unless its products
+    leave the float range; other sizes, and those, are ``numpy.linalg.det``'s
+    LU. A single matrix gives a float, a stack an array.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim <= 2:
+        A = as_square(A, "det argument")
+    elif A.shape[-1] != A.shape[-2]:
+        raise DimensionError(
+            f"det argument must be square, got shape {A.shape}")
+    elif not np.all(np.isfinite(A)):
+        raise NumericError("det argument has non-finite entries")
+    if A.shape[-1] != 2:
+        d = np.linalg.det(A)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+        # Products past the float range lose the sign; LU keeps it.
+        lost = ~np.isfinite(d)
+        if lost.any():
+            d = np.where(lost, np.linalg.det(A), d)
+    return float(d) if A.ndim == 2 else d

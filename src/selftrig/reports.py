@@ -11,8 +11,11 @@ design files).
 
 All artifacts are byte-deterministic: JSON is written with sorted keys,
 floats serialize through ``repr`` (shortest exact round-trip), and nothing
-embeds a timestamp. ``config_hash`` fingerprints the parsed config content,
-not the file bytes, so reformatting a config does not change its identity.
+embeds a timestamp. ``dump_json`` writes the standard library's indented
+text, but formats each numeric array with one call into the C encoder and
+writes the indentation itself. ``config_hash`` fingerprints the parsed
+config content, not the file bytes, so reformatting a config does not
+change its identity.
 """
 
 import hashlib
@@ -221,9 +224,57 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# One C-encoder call per leaf or numeric array; ``dump_json`` writes the
+# indentation itself, since ``json`` falls back to its pure-Python encoder
+# whenever ``indent`` is given.
+_encode = json.JSONEncoder(default=_numpy_to_json).encode
+
+
+def _json_text(obj, depth):
+    """``json.dumps(obj, sort_keys=True, indent=2, default=_numpy_to_json)``
+    for a value nested ``depth`` levels deep, the same text."""
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        inner = "\n" + "  " * (depth + 1)
+        return ("{" + inner + ("," + inner).join(
+            _encode(k) + ": " + _json_text(v, depth + 1)
+            for k, v in sorted(obj.items()))
+                + "\n" + "  " * depth + "}")
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = "\n" + "  " * (depth + 1)
+        return ("[" + inner + ("," + inner).join(
+            _json_text(v, depth + 1) for v in obj) + "\n" + "  " * depth + "]")
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf" and obj.ndim and obj.size:
+            return _array_text(obj, depth)
+        return _json_text(obj.tolist(), depth)
+    if isinstance(obj, (dict, list, tuple)):
+        # Empty containers, and dicts with keys the stdlib must convert.
+        return json.dumps(obj, sort_keys=True, indent=2,
+                          default=_numpy_to_json).replace(
+                              "\n", "\n" + "  " * depth)
+    return _encode(obj)
+
+
+def _array_text(arr, depth):
+    """Indented JSON text of a nonempty numeric array: one C-encoder call
+    formats every element, and the nesting is joined level by level."""
+    texts = _encode(arr.ravel().tolist())[1:-1].split(", ")
+    for level in range(arr.ndim - 1, -1, -1):
+        inner = "\n" + "  " * (depth + level + 1)
+        wrap = "[" + inner + "{}\n" + "  " * (depth + level) + "]"
+        rows = zip(*[iter(texts)] * arr.shape[level])
+        texts = list(map(wrap.format, map(("," + inner).join, rows)))
+    return texts[0]
+
+
 def dump_json(data, path):
-    """Deterministic JSON artifact: sorted keys, repr floats, no timestamps."""
-    text = json.dumps(data, sort_keys=True, indent=2, default=_numpy_to_json)
+    """Deterministic JSON artifact: sorted keys, repr floats, no timestamps.
+
+    The text is the standard library's ``json.dumps(data, sort_keys=True,
+    indent=2)``, with numpy arrays as nested lists and numpy integers as
+    ints, but every numeric array goes through the C encoder in one call.
+    """
+    text = _json_text(data, 0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

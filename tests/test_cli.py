@@ -12,9 +12,13 @@ import csv
 import json
 import math
 import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from selftrig import cli, reports, sim
 from selftrig.errors import ConfigError
@@ -766,3 +770,85 @@ class TestSweep:
         with open(out / "sweep.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["status"] == "error:ConfigError"
+
+
+README_CONFIG = {
+    "system": {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]],
+               "K": [[-1.0, -2.0]]},
+    "lyapunov": {"lambda_ratio": 0.8},
+    "trigger": {"delta": 0.05, "tau_max": 1.5},
+    "simulation": {"x0": [1.0, -0.5], "t_end": 50.0,
+                   "disturbance": {"kind": "sinusoid", "amplitude": 0.1,
+                                   "frequency": 1.0}},
+    "outputs": {"directory": "out", "emit_plots": True},
+    "sweep": {"delta_list": [0.05, 0.025], "tau_max_list": [1.0, 1.5]},
+}
+
+
+def stdlib_json(data):
+    """The text ``dump_json`` must write: the standard library's indented
+    encoder, which handles every value in Python."""
+    return json.dumps(data, sort_keys=True, indent=2,
+                      default=reports._numpy_to_json) + "\n"
+
+
+_KEYS = st.text(max_size=4)
+_LEAVES = (st.none() | st.booleans() | st.text(max_size=6)
+           | st.integers(-2**70, 2**70) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]).map(np.float64))
+_ARRAYS = arrays(st.sampled_from([np.int64, np.bool_, np.uint8]),
+                 array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+_FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3,
+                                                min_side=0, max_side=4),
+                       elements=st.floats(allow_nan=True, allow_infinity=True)
+                       | st.just(-0.0))
+_PAYLOADS = st.recursive(
+    _LEAVES | _ARRAYS | _FLOAT_ARRAYS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestDumpJson:
+    def test_readme_artifacts_match_the_stdlib_encoder(self, tmp_path,
+                                                       monkeypatch):
+        # Every JSON file that design, simulate (fresh and reusing a
+        # design), compare and sweep write for the README config.
+        written = []
+        original = reports.dump_json
+
+        def checked(data, path):
+            original(data, path)
+            written.append((path, stdlib_json(data)))
+
+        monkeypatch.setattr(reports, "dump_json", checked)
+        design = tmp_path / "d" / "design.json"
+        for argv in (["design", "--out", str(design.parent)],
+                     ["simulate", "--out", str(tmp_path / "s")],
+                     ["simulate", "--design", str(design),
+                      "--out", str(tmp_path / "sd")],
+                     ["compare", "--out", str(tmp_path / "c")],
+                     ["sweep", "--out", str(tmp_path / "w")]):
+            assert run(tmp_path, README_CONFIG, *argv) == 0, argv
+        assert len(written) == 8
+        for path, text in written:
+            assert Path(path).read_text(encoding="utf-8") == text, path
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_PAYLOADS)
+    def test_payloads_match_the_stdlib_encoder(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("json") / "x.json"
+        reports.dump_json(data, path)
+        assert path.read_text(encoding="utf-8") == stdlib_json(data)
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.float32(1.5),
+                                       {1, 2}, np.array([1j])])
+    def test_unencodable_values_fail_as_in_the_stdlib(self, tmp_path, value):
+        with pytest.raises(TypeError) as want:
+            stdlib_json({"a": [value]})
+        with pytest.raises(TypeError) as got:
+            reports.dump_json({"a": [value]}, tmp_path / "x.json")
+        assert str(got.value) == str(want.value)
+        assert not (tmp_path / "x.json").exists()

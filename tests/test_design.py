@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from selftrig import design, linalg
+from selftrig import cli, design, linalg
 from selftrig.errors import ConfigError, DesignError, DimensionError
 
 # Bisection root of tau - 1 = exp(-tau / 2) on [1, 4], the scalar worked
@@ -25,6 +25,13 @@ SCALAR_TAU_STAR = 1.4776700622632157
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # Relative room for a grid time to round up onto its index.
 SNAP_SLACK = 2e-9
+
+
+def lapack_det(M):
+    """``linalg.det`` as it was before the 2x2 closed form: numpy's LU
+    determinant of one matrix (a float) or of a stack (an array)."""
+    d = np.linalg.det(np.asarray(M, dtype=float))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def scalar_dwell_oracle(lam):
@@ -94,6 +101,32 @@ class TestSystemShapes:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionError):
             design.LinearSystem(np.eye(2), np.eye(3), -np.eye(2))
+
+
+def fast_oscillator():
+    """README ``B`` and ``K`` with ``A = [[0, 1], [-1e10, 0]]``, its
+    certificate, and its dwell-time scan at (pi / omega) / 20, omega = 1e5.
+
+    Which root a fine grid finds still depends on its step: the det-sign
+    scan's double-crossing miss, so the decay test already fails a little
+    below this one.
+    """
+    sys_ = design.LinearSystem([[0.0, 1.0], [-1e10, 0.0]], [[0.0], [1.0]],
+                               [[-1.0, -2.0]])
+    cert = design.make_certificate(sys_)
+    return sys_, cert, design.min_inter_execution_time(
+        sys_, cert, grid_step=math.pi / 1e5 / 20)
+
+
+def batched_widths(count, per):
+    """Chunk widths of ``linalg.expm_chunks`` over ``count`` points: ``per``,
+    then one block of ``per``, then twice as many blocks per chunk up to
+    ``_GRID_CHUNK_BLOCKS``, the last chunk cut short."""
+    widths, blocks = [min(per, count)], 1
+    while sum(widths) < count:
+        widths.append(min(blocks * per, count - sum(widths)))
+        blocks = min(2 * blocks, linalg._GRID_CHUNK_BLOCKS)
+    return widths
 
 
 def _flow_grid_cases(double_integrator, corpus):
@@ -197,6 +230,48 @@ class TestDwellTime:
         form = design.trigger_form(sys_, cert, 0.999 * tau)
         assert float(np.linalg.eigvalsh(form).max()) <= 0.0
 
+    def test_tau_star_equals_the_lapack_det_oracle(self, monkeypatch,
+                                                   double_integrator, corpus):
+        # The scan judges m = 2 decay forms by the closed-form determinant;
+        # on these plants its tau* is bitwise the one that numpy's LU
+        # determinant gives on the same grid: the README double integrator
+        # (delta 0.05) and design_fine's (delta 0.005) on the CLI grid, the
+        # tangential plant, whose determinant only touches zero, and the
+        # corpus on the default grid.
+        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+        di = (double_integrator.sys, double_integrator.cert)
+        cases = [(*di, {"grid_step": delta / cli._DWELL_GRID_DIVISOR})
+                 for delta in (0.05, 0.005)]
+        cases += [(tangential, design.make_certificate(tangential, lambda_ratio=r), {})
+                  for r in (0.5, 0.8)]
+        cases += [(fx.sys, fx.cert, {}) for fx in corpus]
+        assert sum(s.m == 2 for s, _c, _kw in cases) >= 8
+        got = [design.min_inter_execution_time(s, c, **kw) for s, c, kw in cases]
+        monkeypatch.setattr(linalg, "det", lapack_det)
+        for (s, c, kw), mine in zip(cases, got):
+            oracle = design.min_inter_execution_time(s, c, **kw)
+            assert (mine.tau, mine.root_found) == (oracle.tau, oracle.root_found)
+
+    def test_fine_grid_finds_a_fast_oscillators_early_root(self):
+        # The decay test of the fast oscillator fails just past the root a
+        # grid of (pi / omega) / 20 finds, 190 times below the CLI grid's.
+        sys_, cert, fine = fast_oscillator()
+        assert fine.root_found and 6e-5 < fine.tau < 6.5e-5
+        form = design.trigger_form(sys_, cert, 1.01 * fine.tau)
+        assert float(np.linalg.eigvalsh(form).max()) > 0.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the CLI's scan step delta/100 is far above the period of a plant "
+        "that oscillates at 1e5 rad/s, so the scan steps over its first "
+        "roots"))
+    def test_cli_grid_finds_the_first_root_of_a_fast_oscillator(self):
+        # At delta 0.05 the CLI grid reports tau* = 0.0119; the root near
+        # 6.24e-5 is stepped over.
+        sys_, cert, fine = fast_oscillator()
+        coarse = design.min_inter_execution_time(
+            sys_, cert, grid_step=0.05 / cli._DWELL_GRID_DIVISOR)
+        assert coarse.tau <= fine.tau
+
     def test_scan_grid_flows_match_single_exponentials(self, double_integrator,
                                                         corpus):
         # Every scan-grid flow after the first chunk is a product of a chunk
@@ -217,13 +292,15 @@ class TestDwellTime:
                                                          corpus):
         # The tables read range(0, n_max + 1) and the gain quadrature's odd
         # nodes range(1, n, 2), chunked by the same rule as the scan grid.
-        # Over four chunks, every flow of each must agree with the point's
-        # own exponential, and L(0) is the identity.
+        # The tables' range ends in a chunk of two blocks, the second short.
+        # Every flow of each must agree with the point's own exponential,
+        # and L(0) is the identity.
         for sys_, step, count in _flow_grid_cases(double_integrator, corpus):
             per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
             for indices in (range(count + 1), range(1, count, 2)):
                 chunks = list(design.held_flow_chunks(sys_, step, indices))
-                assert len(chunks) == -(-len(indices) // per)
+                assert ([len(idx) for idx, _L in chunks]
+                        == batched_widths(len(indices), per))
                 assert [j for idx, _L in chunks for j in idx] == list(indices)
                 if indices[0] == 0:
                     assert np.array_equal(chunks[0][1][0], np.eye(sys_.m))

@@ -1,14 +1,17 @@
 """Kernel checks against independent references.
 
 The exponential is compared with a scaled Taylor series and the grid
-exponential with both that series and the one-time exponential. The
-symmetric eigensolver, spectral norm and determinant wrap numpy; their tests
-pin what the wrappers add (ordering, symmetry and shape checks). The
+exponential with both that series and the one-time exponential, and the
+batched grid chunks with the one-block-per-chunk generator they replaced.
+The symmetric eigensolver and spectral norm wrap numpy; their tests pin what
+the wrappers add (ordering, symmetry and shape checks). The 2x2 determinant
+is checked against numpy's LU and exact rational arithmetic. The
 Lyapunov and square-root solvers are checked against their defining
 equations.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +42,32 @@ def taylor_expm(M, t=1.0, terms=30):
 
 def random_matrix(rng, n, scale=2.0):
     return scale * rng.normal(size=(n, n))
+
+
+def one_block_chunks(M, step, indices):
+    """The grid exponentials as ``linalg.expm_chunks`` made them one block
+    per chunk: ``expm_grid`` for the first ``per`` points, then one
+    ``expm`` per later block times the first."""
+    A = np.asarray(M, dtype=float)
+    per = max(1, linalg._GRID_CHUNK_ENTRIES // A.size)
+    for lo in range(0, len(indices), per):
+        part = indices[lo:lo + per]
+        idx = np.arange(part.start, part.stop, part.step)
+        if lo == 0:
+            first = linalg.expm_grid(A, step * idx)
+            yield idx, first
+        else:
+            yield idx, linalg.expm(A, step * (idx[0] - indices[0])) @ first[:len(idx)]
+
+
+def symmetric_2x2_stack(rng, count):
+    """Seeded symmetric 2x2 matrices at scales 1e-3..1e3; a third are made
+    near-singular, with determinants 1e-4..1e-12 of their largest product."""
+    a, b, d = 10.0 ** rng.uniform(-3, 3, (3, count)) * rng.choice([-1.0, 1.0], (3, count))
+    near = rng.uniform(size=count) < 1.0 / 3.0
+    gap = 10.0 ** rng.uniform(-12, -4, count) * rng.choice([-1.0, 1.0], count)
+    d = np.where(near, b * b / a * (1.0 + gap), d)
+    return np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
 
 
 class TestExpm:
@@ -118,24 +147,50 @@ class TestExpmGrid:
             linalg.expm_grid(np.eye(2), [0.1, math.nan])
 
     def test_chunks_cover_the_index_range_within_the_budget(self, monkeypatch):
-        # The first chunk is expm_grid's; a later one is a fresh exponential
-        # over its offset from the range's first index times the first
-        # chunk, bit for bit, and every point stays within 1e-13 of its own
+        # The first chunk is expm_grid's. A later chunk is a run of blocks
+        # as wide as the first chunk, one block, then twice as many per
+        # chunk up to the cap; each block is a fresh exponential over its
+        # offset from the range's first index times the first chunk, bit
+        # for bit, and every point stays within 1e-13 of its own
         # exponential.
         A = np.array([[0.0, 1.0], [-2.0, -0.5]])
         monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 3 * A.size)
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 4)
         step = 0.05
-        chunks = list(linalg.expm_chunks(A, step, range(1, 16, 2)))
-        assert ([idx.tolist() for idx, _E in chunks]
-                == [[1, 3, 5], [7, 9, 11], [13, 15]])
+        indices = range(1, 70, 2)
+        chunks = list(linalg.expm_chunks(A, step, indices))
+        # The last chunk holds three full blocks and a tail of two points.
+        assert [len(idx) for idx, _E in chunks] == [3, 3, 6, 12, 11]
+        assert ([j for idx, _E in chunks for j in idx.tolist()]
+                == list(indices))
         first = chunks[0][1]
         assert np.array_equal(first, linalg.expm_grid(A, step * chunks[0][0]))
         for idx, E in chunks[1:]:
-            base = linalg.expm(A, step * (idx[0] - 1))
-            assert np.array_equal(E, base @ first[:len(idx)])
+            assert E.size <= linalg._GRID_CHUNK_BLOCKS * 3 * A.size
+            for lo in range(0, len(idx), 3):
+                block = E[lo:lo + 3]
+                base = linalg.expm(A, step * (idx[lo] - 1))
+                assert np.array_equal(block, base @ first[:len(block)])
         for idx, E in chunks:
             exact = linalg.expm_grid(A, step * idx)
             assert np.abs(E - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
+    def test_batched_chunks_equal_the_one_block_generator(self, n):
+        # Concatenated, the chunks are the old generator's, which made every
+        # later chunk of one block with its own expm call, bit for bit.
+        rng = np.random.default_rng(20 + n)
+        A = random_matrix(rng, n, scale=0.5)
+        per = linalg._GRID_CHUNK_ENTRIES // A.size
+        for indices in (range(0, 40 * per + per // 3),
+                        range(1, 9 * per, 2), range(5, 5 + per // 2)):
+            step = 0.7 / len(indices)
+            got = list(linalg.expm_chunks(A, step, indices))
+            want = list(one_block_chunks(A, step, indices))
+            assert np.array_equal(np.concatenate([idx for idx, _E in got]),
+                                  np.concatenate([idx for idx, _E in want]))
+            assert np.array_equal(np.concatenate([E for _idx, E in got]),
+                                  np.concatenate([E for _idx, E in want]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -250,6 +305,40 @@ class TestNormAndDet:
             M = random_matrix(rng, n)
             assert linalg.det(M) == pytest.approx(np.linalg.det(M), rel=1e-10)
 
+    def test_closed_form_2x2_agrees_with_lapack(self):
+        # Both determinants are within a few roundings of the exact one of
+        # the stored entries, whose scale is |a d| + |b c|: the closed form
+        # rounds two products and a difference, LU a quotient, a product and
+        # a difference, and numpy's det adds exp(log|det|) on top. So they
+        # must agree within 8 ulps of that scale plus 1e-12 relative, and in
+        # sign wherever the exact determinant is above that tolerance.
+        rng = np.random.default_rng(31)
+        for count in (1, 455, 2000):
+            M = symmetric_2x2_stack(rng, count)
+            got, want = linalg.det(M), np.linalg.det(M)
+            a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+            tol = 8.0 * np.finfo(float).eps * (np.abs(a * d) + np.abs(b * c))
+            assert got.shape == (count,)
+            assert np.all(np.abs(got - want) <= tol + 1e-12 * np.abs(want))
+            exact = np.array([float(Fraction(p) * Fraction(s)
+                                    - Fraction(q) * Fraction(r))
+                              for p, q, r, s in M.reshape(-1, 4).tolist()])
+            clear = np.abs(exact) > tol
+            assert clear.sum() >= count // 2
+            assert np.array_equal(np.sign(got[clear]), np.sign(exact[clear]))
+            assert np.array_equal(np.sign(want[clear]), np.sign(exact[clear]))
+            for single, value in zip(M[:5], got[:5]):
+                assert linalg.det(single) == value
+
+    def test_2x2_products_past_the_float_range_keep_their_sign(self):
+        # a d and b c overflow; LU still finds the zero and the sign.
+        huge = 1e200
+        assert linalg.det([[huge, huge], [huge, huge]]) == 0.0
+        with np.errstate(over="ignore"):
+            assert linalg.det([[huge, 1.0], [1.0, -huge]]) == -math.inf
+            stack = linalg.det([[[huge, 1.0], [1.0, huge]], [[1.0, 2.0], [3.0, 4.0]]])
+        assert stack.tolist() == [math.inf, -2.0]
+
     def test_determinant_of_singular_matrix(self):
         assert linalg.det(np.array([[1.0, 2.0], [2.0, 4.0]])) == \
             pytest.approx(0.0, abs=1e-14)
@@ -257,3 +346,7 @@ class TestNormAndDet:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             linalg.det(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            linalg.det(np.ones((4, 2, 3)))
+        with pytest.raises(NumericError):
+            linalg.det(np.full((4, 2, 2), math.nan))
