@@ -15,6 +15,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys as _sys
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from . import __version__, design, reports, scheduler, sim
 from .errors import (ConfigError, DesignError, DimensionError, NumericError,
                      SelfTrigError, SimulationError)
 
-# Dwell-time root scan: step delta/100, up to the scan's default cap.
+# Dwell-time root scan: step delta/100 (_dwell_grid_step), up to the scan's
+# default cap.
 _DWELL_GRID_DIVISOR = 100
 _PLOT_POINTS = 2000
 
@@ -46,6 +48,16 @@ def _derive(system, cert, trig, tau_star):
     return gains, tables, derived
 
 
+def _dwell_grid_step(system, delta):
+    """Step of the dwell-time scan: ``delta / 100``, but at most
+    ``(pi / omega) / 20``, where ``omega`` is the largest ``|Im lambda(A)|``,
+    so that the scan cannot step over the first root of a plant that
+    oscillates faster than the trigger grid."""
+    step = delta / _DWELL_GRID_DIVISOR
+    omega = float(np.max(np.abs(np.linalg.eigvals(system.A).imag)))
+    return min(step, math.pi / omega / 20.0) if omega > 0.0 else step
+
+
 def _design_bundle(cfg, raw):
     """Build every design artifact for a validated config.
 
@@ -61,8 +73,7 @@ def _design_bundle(cfg, raw):
                                    lambda_ratio=lyap["lambda_ratio"])
     tcfg = cfg["trigger"]
     result = design.min_inter_execution_time(
-        system, cert,
-        grid_step=tcfg["delta"] / _DWELL_GRID_DIVISOR)
+        system, cert, grid_step=_dwell_grid_step(system, tcfg["delta"]))
     tau_star = result.tau if result.root_found else min(result.tau,
                                                         tcfg["tau_max"])
     trig = design.choose_trigger(tau_star, tcfg["delta"], tcfg["tau_max"],
@@ -175,12 +186,19 @@ def _read_design(path):
 
 
 def _load_design(path, cfg):
-    """``_read_design``, for a file produced for the config's own system."""
+    """``_read_design``, for a file produced for the config's own system:
+    its matrices must equal those ``design.LinearSystem`` builds from the
+    config, where a 1-D ``B`` is a column and a 1-D ``K`` a row. A config
+    system that ``LinearSystem`` refuses matches no design file."""
     bundle = _read_design(path)
-    system = bundle[0]
-    if not all(np.array_equal(getattr(system, key),
-                              np.atleast_2d(cfg["system"][key]))
-               for key in ("A", "B", "K")):
+    keys = ("A", "B", "K")
+    try:
+        own = design.LinearSystem(*(cfg["system"][key] for key in keys))
+        same = all(np.array_equal(getattr(bundle[0], key), getattr(own, key))
+                   for key in keys)
+    except SelfTrigError:
+        same = False
+    if not same:
         raise ConfigError(
             "design file was produced for a different system than the config")
     return bundle

@@ -581,10 +581,14 @@ def eiss_gains(sys, cert, trig, tau_star=None):
 class FeasibilityReport:
     """Processor-time feasibility of the online trigger evaluation.
 
-    ``tau_c`` is the platform time for one multiply-add. The two constraints
-    are: the per-execution preprocessing plus worst-case scan must fit into
-    the minimum dwell time, and one form evaluation must fit into one grid
-    step.
+    ``tau_c`` is the platform time for one multiply-add and ``work_unit``
+    the ``m^2 + m`` multiply-adds of one form evaluation. Two constraints
+    are checked: per execution, the ``m(m+1)/2`` monomials of the packed
+    evaluator plus one form evaluation (together ``1.5 * work_unit``) must
+    fit into ``tau_min``, and one form evaluation (``work_unit``) must fit
+    into one grid step ``delta``. No comparisons are charged, although
+    ``scheduler.next_update_packed`` counts one per evaluation in its
+    ``op_count``.
     """
 
     m: int

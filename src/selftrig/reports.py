@@ -288,32 +288,23 @@ def write_trajectory_csv(path, traj, bound_curve):
 
     Every value is its ``repr``. Each chunk of ``_CSV_CHUNK`` rows is
     formatted column by column, so the Python strings exist for one chunk
-    at a time. The input is held between executions, so each input column
-    is formatted once per run of rows with equal bits, at most once per
-    chunk; bits, not ``==``, keep ``-0.0`` and ``0.0`` apart.
+    at a time. Each hold's input is formatted once and its texts repeated
+    over the hold's rows.
     """
-    inputs = np.ascontiguousarray(traj.inputs, dtype=float)
-    m, l = traj.states.shape[1], inputs.shape[1]
+    (n, m), l = traj.states.shape, traj.inputs.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(m)]
               + [f"u_{j + 1}" for j in range(l)] + ["V", "eiss_bound"])
     leading = [traj.times, *traj.states.T]
     trailing = [traj.v_values, np.asarray(bound_curve, dtype=float)]
-    bits = inputs.view(np.int64)
-    # First row of every run of equal inputs after the first.
-    run_starts = np.flatnonzero(np.any(bits[1:] != bits[:-1], axis=1)) + 1
+    texts = np.array(list(map(repr, traj.inputs.ravel().tolist())),
+                     dtype=object).reshape(traj.inputs.shape)
+    held = np.repeat(texts, np.diff(traj.holds, append=n), axis=0)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, inputs.shape[0], _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, inputs.shape[0])
-            inner = run_starts[np.searchsorted(run_starts, start, "right"):
-                               np.searchsorted(run_starts, stop)]
-            edges = [start, *inner.tolist(), stop]
-            held = [[] for _ in range(l)]
-            for lo, hi in zip(edges, edges[1:]):
-                for column, text in zip(held, map(repr, inputs[lo].tolist())):
-                    column.extend([text] * (hi - lo))
+        for start in range(0, n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n)
             cols = ([list(map(repr, c[start:stop].tolist())) for c in leading]
-                    + held
+                    + held[start:stop].T.tolist()
                     + [list(map(repr, c[start:stop].tolist())) for c in trailing])
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 

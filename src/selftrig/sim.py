@@ -225,11 +225,13 @@ def integrate_held(sys, x, u, dist, t0, dt, steps, step0=0):
 
 @dataclass
 class Trajectory:
-    """Dense log of one closed-loop run on a uniform time grid."""
+    """Dense log of one closed-loop run on a uniform time grid; hold ``k``
+    applies ``inputs[k]`` from row ``holds[k]`` until the next hold."""
 
     times: np.ndarray        # (N,)
     states: np.ndarray       # (N, m)
-    inputs: np.ndarray       # (N, l), input applied on [t_i, t_{i+1})
+    holds: np.ndarray        # (K,), row of each execution: 0, increasing
+    inputs: np.ndarray       # (K, l), input of each hold
     v_values: np.ndarray     # (N,), Lyapunov function along the run
 
 
@@ -286,18 +288,21 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
     eps = _HORIZON_EPS * max(1.0, t_end)
     times = [np.array([0.0])]
     states = [x0.reshape(1, -1)]
-    inputs = [np.zeros((1, sys.l))]
+    holds, inputs = [], []
     log = ExecutionLog()
 
     t_k = 0.0
     x = x0
     k = 0
     global_step = 0
-    while t_k < t_end - eps:
+    row = 0
+    # The controller always executes at t = 0, however short the horizon.
+    while k == 0 or t_k < t_end - eps:
         n_k, tau_k, hold_steps = schedule(x)
         log.events.append(Event(k=k, t=t_k, x=x.copy(), n=n_k, tau=tau_k))
         u = sys.K @ x
-        inputs[-1][-1] = u                      # input applied from this instant on
+        holds.append(row)
+        inputs.append(u)
 
         remaining = t_end - t_k
         full = hold_steps
@@ -319,22 +324,21 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
             seg_times = np.append(seg_times, t_end)
             seg_states = np.vstack([seg_states, short[1:]])
             global_step += 1
-        if full or tail:
-            times.append(seg_times)
-            states.append(seg_states)
-            inputs.append(np.tile(u, (len(seg_times), 1)))
+        # Every hold has rows: the horizon cut leaves tail > 0 if full == 0.
+        times.append(seg_times)
+        states.append(seg_states)
+        row += len(seg_times)
         t_k = t_k + tau_k
         k += 1
 
-    all_times = np.concatenate(times)
     all_states = np.vstack(states)
-    all_inputs = np.vstack(inputs)
     v_vals = _lyapunov_values(cert, all_states)
     if not np.all(np.isfinite(v_vals)):
         raise SimulationError(
             "Lyapunov value overflowed along the run; check the design or "
             "reduce the disturbance")
-    traj = Trajectory(times=all_times, states=all_states, inputs=all_inputs,
+    traj = Trajectory(times=np.concatenate(times), states=all_states,
+                      holds=np.array(holds), inputs=np.array(inputs),
                       v_values=v_vals)
     return traj, log
 
@@ -450,7 +454,7 @@ def verify(traj, log, gains, cert, dist, sys):
     bound_curve = gains.bound(x0_norm, traj.times, d_inf)
     observed = np.linalg.norm(traj.states, axis=1)
 
-    v_events = _lyapunov_values(cert, np.array([e.x for e in log.events]))
+    v_events = traj.v_values[traj.holds]
     t_events = np.array([e.t for e in log.events])
     taus = log.taus
 

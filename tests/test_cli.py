@@ -65,34 +65,44 @@ def _trajectory_case(case):
     rng = np.random.default_rng(5)
     n, l = {"one_row": (1, 1), "two_inputs": (700, 2)}.get(case, (700, 1))
     states = rng.normal(size=(n, 2))
-    # Held inputs: runs of equal rows, as the simulator writes them.
-    edges = sorted(set(rng.integers(1, n, 12).tolist())) if n > 1 else []
-    inputs = np.empty((n, l))
-    for lo, hi in zip([0] + edges, edges + [n]):
-        inputs[lo:hi] = rng.normal(size=l)
-    if case == "hold_across_chunks":
-        inputs[200:600] = -1.25
-    elif case == "signed_zeros":
-        inputs[:300] = -0.0
-        inputs[300:400] = 0.0
-        inputs[400:520] = -0.0
-    elif case == "extremes":
+    # Holds start at random rows, as the simulator's do. A case may pin the
+    # holds from its first to its last pinned row: each pinned row starts
+    # a hold, with the given input or a random one (None).
+    starts = set(rng.integers(1, n, 12).tolist()) if n > 1 else set()
+    pinned = {
+        # One hold across both chunk boundaries.
+        "hold_across_chunks": {200: -1.25, 600: None},
+        # Equal holds side by side, and a hold that ends at a chunk
+        # boundary.
+        "signed_zeros": {0: -0.0, 150: -0.0, 300: 0.0, 400: -0.0, 512: 0.0,
+                         520: None},
+        "extremes": {250: 1e-300, 260: -1e300, 270: None},
+    }.get(case, {})
+    if pinned:
+        starts = {s for s in starts if not min(pinned) < s < max(pinned)}
+    holds = np.array(sorted(starts | set(pinned) | {0}))
+    inputs = rng.normal(size=(len(holds), l))
+    for row, value in pinned.items():
+        if value is not None:
+            inputs[np.searchsorted(holds, row)] = value
+    if case == "extremes":
         states *= 10.0 ** rng.integers(-300, 300, (n, 2))
         states[3] = [-0.0, 5e-324]
-        inputs[250:260] = [[1e-300]]
-        inputs[260:270] = [[-1e300]]
     traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
-                          states=states, inputs=inputs,
+                          states=states, holds=holds, inputs=inputs,
                           v_values=rng.uniform(size=n))
     return traj, rng.uniform(size=n)
 
 
 def _trajectory_csv_oracle(traj, bound):
-    """Bytes of the trajectory CSV, formatted row by row."""
-    m, l = traj.states.shape[1], traj.inputs.shape[1]
+    """Bytes of the trajectory CSV, formatted row by row, with each hold's
+    input expanded over its rows."""
+    n, m = traj.states.shape
+    l = traj.inputs.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(m)]
               + [f"u_{j + 1}" for j in range(l)] + ["V", "eiss_bound"])
-    rows = np.hstack((traj.times[:, None], traj.states, traj.inputs,
+    inputs = np.repeat(traj.inputs, np.diff(traj.holds, append=n), axis=0)
+    rows = np.hstack((traj.times[:, None], traj.states, inputs,
                       traj.v_values[:, None],
                       np.asarray(bound)[:, None])).tolist()
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
@@ -319,6 +329,24 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", other,
                          "--design", str(out / "design.json"),
                          "--out", str(tmp_path / "out2")]) == 2
+
+    def test_design_reuse_accepts_the_configs_vector_gains(self, tmp_path):
+        # A 1-D B is a column and a 1-D K a row, in the config as in the
+        # design file; the file used to be compared with B as a row and
+        # refused as made for a different system.
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["system"]["B"] = [0.0, 1.0]
+        cfg["system"]["K"] = [-1.0, -2.0]
+        out = tmp_path / "out"
+        assert run(tmp_path, cfg, "design", "--out", str(out)) == 0
+        assert run(tmp_path, cfg, "simulate", "--out", str(tmp_path / "a")) == 0
+        for command in ("simulate", "compare"):
+            assert run(tmp_path, cfg, command, "--design",
+                       str(out / "design.json"),
+                       "--out", str(tmp_path / command)) == 0
+        for name in ("trajectory.csv", "events.csv", "verify.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "simulate" / name).read_bytes())
 
     def test_reused_tables_are_checked(self, tmp_path, capsys):
         # Tables cut short, one too long, sized for another state dimension,
@@ -611,8 +639,10 @@ class TestSimulateArtifacts:
         states = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300,
                                                                 (n, 2))
         states[3] = [-0.0, 5e-324]
+        # One hold per row.
         traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
-                              states=states, inputs=rng.normal(size=(n, 1)),
+                              states=states, holds=np.arange(n),
+                              inputs=rng.normal(size=(n, 1)),
                               v_values=rng.uniform(size=n))
         bound = rng.uniform(size=n)
         path = tmp_path / "trajectory.csv"

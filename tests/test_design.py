@@ -260,17 +260,20 @@ class TestDwellTime:
         form = design.trigger_form(sys_, cert, 1.01 * fine.tau)
         assert float(np.linalg.eigvalsh(form).max()) > 0.0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the CLI's scan step delta/100 is far above the period of a plant "
-        "that oscillates at 1e5 rad/s, so the scan steps over its first "
-        "roots"))
     def test_cli_grid_finds_the_first_root_of_a_fast_oscillator(self):
-        # At delta 0.05 the CLI grid reports tau* = 0.0119; the root near
-        # 6.24e-5 is stepped over.
+        # The CLI's step follows the plant's fastest mode: at delta 0.05 a
+        # step of delta/100 reported tau* = 0.0119 and stepped over the
+        # root near 6.24e-5.
         sys_, cert, fine = fast_oscillator()
         coarse = design.min_inter_execution_time(
-            sys_, cert, grid_step=0.05 / cli._DWELL_GRID_DIVISOR)
+            sys_, cert, grid_step=cli._dwell_grid_step(sys_, 0.05))
         assert coarse.tau <= fine.tau
+
+    def test_cli_grid_step_is_delta_over_100_without_oscillation(
+            self, double_integrator):
+        for delta in (0.05, 0.005):
+            assert (cli._dwell_grid_step(double_integrator.sys, delta)
+                    == delta / cli._DWELL_GRID_DIVISOR)
 
     def test_scan_grid_flows_match_single_exponentials(self, double_integrator,
                                                         corpus):

@@ -366,6 +366,49 @@ class TestRunLoop:
         assert log.events[-1].tau == pytest.approx(1.4, rel=1e-12)
         assert traj.times[-1] == pytest.approx(3.1, abs=1e-12)
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_holds_start_at_the_executions(self, double_integrator, periodic):
+        # One hold per execution, from the execution's own row on, holding
+        # K x_k; the horizon cuts the final hold short, inside a step.
+        fx = double_integrator
+        dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
+                                   frequency=1.0)
+        t_end = 10.37
+        if periodic:
+            traj, log = sim.run_periodic(fx.sys, fx.cert, dist, [1.0, -0.5],
+                                         t_end, 0.9, divisor=7)
+        else:
+            traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables,
+                                               dist, [1.0, -0.5], t_end,
+                                               divisor=7)
+        last = log.events[-1]
+        assert last.t + last.tau > t_end + 1e-3
+        assert traj.times[-1] == pytest.approx(t_end, abs=1e-12)
+        holds = traj.holds
+        assert len(holds) == log.total_executions > 5
+        assert holds[0] == 0 and np.all(np.diff(holds) > 0)
+        assert holds[-1] < len(traj.times) - 1
+        events_x = np.array([e.x for e in log.events])
+        assert traj.states[holds].tobytes() == events_x.tobytes()
+        assert traj.inputs.shape == (len(holds), fx.sys.l)
+        assert (traj.inputs.tobytes()
+                == np.array([fx.sys.K @ e.x for e in log.events]).tobytes())
+
+    def test_horizon_within_the_tolerance_still_executes_once(self, scalar):
+        # The controller executes at t = 0 however short the run; a horizon
+        # under the loop's time tolerance used to log no execution, and
+        # verify failed on the empty log.
+        dist = zero_dist(1)
+        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
+                                           scalar.tables, dist, [2.0], 1e-10)
+        assert log.total_executions == 1
+        assert traj.holds.tolist() == [0]
+        assert traj.times.tolist() == [0.0, 1e-10]
+        gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
+                                  tau_star=scalar.tau_star)
+        rep = sim.verify(traj, log, gains, scalar.cert, dist, scalar.sys)
+        assert rep.eiss.violations == rep.decay.violations == 0
+
     def test_packed_evaluator_gives_identical_run(self, double_integrator):
         # The run schedules with the full-matrix scan; the packed evaluator
         # must take the same decision at every logged state.
