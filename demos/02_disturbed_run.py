@@ -25,15 +25,16 @@ print(f"tau* = {result.tau!r}, window indices [{trig.n_min}, {trig.n_max}]")
 # A sinusoid of amplitude 0.1 hits both state equations in phase.
 dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1, frequency=1.0)
 
-traj, log = sim.run_self_triggered(sys_, cert, tables, dist,
-                                   [1.0, -0.5], 50.0)
-lo, mean, hi = log.tau_stats()
-print(f"{log.total_executions} executions over 50 time units")
+# One record holds the run: the dense log, and per execution its row,
+# held input, time t_k, dwell time tau_k and grid decision n_k.
+traj = sim.run_self_triggered(sys_, cert, tables, dist, [1.0, -0.5], 50.0)
+lo, mean, hi = traj.tau_stats()
+print(f"{traj.holds.size} executions over 50 time units")
 print(f"tau_k min/mean/max = {lo!r}/{mean!r}/{hi!r}")
 
 # The verifier replays the run against the bounds. Margins are relative
 # slack: how far below the bound the worst observed point sat.
-report = sim.verify(traj, log, gains, cert, dist, sys_)
+report = sim.verify(traj, gains, cert, dist, sys_)
 print(f"envelope checks: {report.checked_instants}, "
       f"violations: {report.eiss.violations}, "
       f"worst margin: {report.eiss.worst_margin:.3e}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, design, reports, scheduler, sim
+from . import __version__, design, linalg, reports, scheduler, sim
 from .errors import (ConfigError, DesignError, DimensionError, NumericError,
                      SelfTrigError, SimulationError)
 
@@ -140,8 +140,8 @@ def _read_design(path):
     rebuilds everything else, and each ``gains``, ``feasibility`` and
     ``tables`` entry it derives must match the stored one
     (``_check_derived``); the returned ``(system, certificate, trigger,
-    gains, tables)`` take nothing derived from the file. Other keys, which
-    earlier versions wrote, are ignored. Any missing, malformed or
+    gains, tables, tau_star)`` take nothing derived from the file. Other
+    keys, which earlier versions wrote, are ignored. Any missing, malformed or
     mismatched entry, and any failure to derive, is a ``ConfigError``.
     """
     try:
@@ -182,26 +182,44 @@ def _read_design(path):
                 _check_derived(_design_entry(data, name), value, name)
     except (ConfigError, DimensionError, DesignError, NumericError) as exc:
         raise ConfigError(f"malformed design file: {exc}") from None
-    return system, cert, trig, gains, tables
+    return system, cert, trig, gains, tables, tau_star
 
 
 def _load_design(path, cfg):
-    """``_read_design``, for a file produced for the config's own system:
-    its matrices must equal those ``design.LinearSystem`` builds from the
-    config, where a 1-D ``B`` is a column and a 1-D ``K`` a row. A config
-    system that ``LinearSystem`` refuses matches no design file."""
-    bundle = _read_design(path)
-    keys = ("A", "B", "K")
-    try:
-        own = design.LinearSystem(*(cfg["system"][key] for key in keys))
-        same = all(np.array_equal(getattr(bundle[0], key), getattr(own, key))
-                   for key in keys)
-    except SelfTrigError:
-        same = False
-    if not same:
-        raise ConfigError(
-            "design file was produced for a different system than the config")
-    return bundle
+    """``_read_design``, for a file produced from the config's own system
+    (as ``design.LinearSystem`` builds it: a 1-D ``B`` is a column, a 1-D
+    ``K`` a row), ``lambda_ratio``, ``Q`` (``linalg.lyap_residual_ok``) and
+    trigger window (exactly as ``design.choose_trigger`` snaps it). A config
+    entry the design stage refuses matches no design file."""
+    system, cert, trig, gains, tables, tau_star = _read_design(path)
+    lyap, tcfg = cfg["lyapunov"], cfg["trigger"]
+    window = (tcfg["delta"], tcfg["tau_max"], tcfg["tau_min"])
+
+    def same_system():
+        own = design.LinearSystem(*(cfg["system"][key] for key in "ABK"))
+        return all(np.array_equal(getattr(system, key), getattr(own, key))
+                   for key in "ABK")
+
+    def same_lyapunov():
+        Q = linalg.as_square(np.eye(system.m) if lyap["Q"] is None
+                             else lyap["Q"], "Q")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (cert.lam == lyap["lambda_ratio"] * cert.lambda_o
+                    and Q.shape == cert.P.shape
+                    and linalg.lyap_residual_ok(system.a_cl, cert.P, Q))
+
+    for what, same in (
+            ("system", same_system), ("lyapunov section", same_lyapunov),
+            ("trigger section",
+             lambda: trig == design.choose_trigger(tau_star, *window))):
+        try:
+            ok = same()
+        except SelfTrigError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"design file was produced for a different "
+                              f"{what} than the config")
+    return system, cert, trig, gains, tables
 
 
 def _bundle_for(args, cfg, raw):
@@ -223,7 +241,7 @@ def _require_simulation(cfg, command):
 
 
 def _run_self_triggered(sim_cfg, system, cert, tables):
-    """The simulation section's self-triggered run: ``(dist, x0, traj, log)``."""
+    """The simulation section's self-triggered run: ``(dist, x0, traj)``."""
     d = sim_cfg["disturbance"]
     dist = sim.DisturbanceSpec(d["kind"], dimension=system.m,
                                amplitude=d["amplitude"],
@@ -232,10 +250,10 @@ def _run_self_triggered(sim_cfg, system, cert, tables):
     if x0.size != system.m:
         raise ConfigError(f"simulation.x0 has length {x0.size}, state "
                           f"dimension is {system.m}")
-    traj, log = sim.run_self_triggered(system, cert, tables, dist, x0,
-                                       sim_cfg["t_end"],
-                                       divisor=sim_cfg["integrator_divisor"])
-    return dist, x0, traj, log
+    traj = sim.run_self_triggered(system, cert, tables, dist, x0,
+                                  sim_cfg["t_end"],
+                                  divisor=sim_cfg["integrator_divisor"])
+    return dist, x0, traj
 
 
 def cmd_design(args):
@@ -266,7 +284,7 @@ def _downsample(*arrays):
     return [np.asarray(a)[idx] for a in arrays]
 
 
-def _write_plots(out, traj, log, vrep, gains):
+def _write_plots(out, traj, vrep, gains):
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
     t, norm, bound = _downsample(traj.times,
@@ -279,10 +297,8 @@ def _write_plots(out, traj, log, vrep, gains):
     reports.svg_plot(plots / "lyapunov.svg", "Lyapunov function",
                      "t", "V", [("V(x(t))", t2, v),
                                 ("V(x0) exp(-lambda t)", t2, decay)])
-    ts, taus = [], []
-    for e in log.events:
-        ts.extend([e.t, e.t + e.tau])
-        taus.extend([e.tau, e.tau])
+    ts = np.column_stack((traj.t_k, traj.t_k + traj.tau_k)).ravel()
+    taus = np.repeat(traj.tau_k, 2)
     reports.svg_plot(plots / "dwell_times.svg", "Scheduled dwell times",
                      "t", "tau_k", [("tau_k", ts, taus)])
     return plots
@@ -298,15 +314,14 @@ def _check_json(check, where, **counts):
             where: check.worst_at, **counts}
 
 
-def _verify_payload(raw, sim_cfg, dist, log, vrep):
-    tau_lo, tau_mean, tau_hi = log.tau_stats()
+def _verify_payload(raw, sim_cfg, dist, traj, vrep):
     return {
         "config_hash": reports.config_hash(raw),
         "t_end": sim_cfg["t_end"],
         "disturbance_bound": dist.linf_bound,
         "tolerance": vrep.tolerance,
-        "executions": log.total_executions,
-        "tau_k": {"min": tau_lo, "mean": tau_mean, "max": tau_hi},
+        "executions": traj.holds.size,
+        "tau_k": dict(zip(("min", "mean", "max"), traj.tau_stats())),
         "eiss": _check_json(vrep.eiss, "worst_index",
                             checked_instants=vrep.checked_instants),
         "decay": _check_json(vrep.decay, "worst_k"),
@@ -319,20 +334,19 @@ def cmd_simulate(args):
     cfg, raw = reports.load_config(args.config)
     sim_cfg = _require_simulation(cfg, "simulate")
     system, cert, _trig, gains, tables = _bundle_for(args, cfg, raw)
-    dist, _x0, traj, log = _run_self_triggered(sim_cfg, system, cert, tables)
-    vrep = sim.verify(traj, log, gains, cert, dist, system)
+    dist, _x0, traj = _run_self_triggered(sim_cfg, system, cert, tables)
+    vrep = sim.verify(traj, gains, cert, dist, system)
     out = _out_dir(args, cfg)
     reports.write_trajectory_csv(out / "trajectory.csv", traj, vrep.bound_curve)
-    reports.write_events_csv(out / "events.csv", log, system.m)
-    reports.dump_json(_verify_payload(raw, sim_cfg, dist, log, vrep),
+    reports.write_events_csv(out / "events.csv", traj)
+    reports.dump_json(_verify_payload(raw, sim_cfg, dist, traj, vrep),
                       out / "verify.json")
     written = ["trajectory.csv", "events.csv", "verify.json"]
     if cfg["outputs"]["emit_plots"]:
-        _write_plots(out, traj, log, vrep, gains)
+        _write_plots(out, traj, vrep, gains)
         written.append("plots/")
-    tau_lo, tau_mean, tau_hi = log.tau_stats()
-    print(f"executions: {log.total_executions} over t_end={sim_cfg['t_end']!r} "
-          f"(tau_k min/mean/max = {tau_lo!r}/{tau_mean!r}/{tau_hi!r})")
+    print(f"executions: {traj.holds.size} over t_end={sim_cfg['t_end']!r} "
+          f"(tau_k min/mean/max = {'/'.join(map(repr, traj.tau_stats()))})")
     print(f"eiss violations: {vrep.eiss.violations}, disturbed decay "
           f"violations: {vrep.disturbed_decay.violations}"
           + ("" if vrep.decay is None
@@ -345,17 +359,15 @@ def cmd_compare(args):
     cfg, raw = reports.load_config(args.config)
     sim_cfg = _require_simulation(cfg, "compare")
     system, cert, trig, _gains, tables = _bundle_for(args, cfg, raw)
-    dist, x0, _st_traj, st_log = _run_self_triggered(sim_cfg, system, cert,
-                                                     tables)
+    dist, x0, st_traj = _run_self_triggered(sim_cfg, system, cert, tables)
     # Periodic execution at the same guaranteed rate must run at the grid
     # floor of the dwell window, which is what a platform with the same
     # evaluation step can actually schedule.
     period = trig.tau_min
-    _p_traj, p_log = sim.run_periodic(system, cert, dist, x0, sim_cfg["t_end"],
-                                      period, sim_cfg["integrator_divisor"])
-    tau_lo, tau_mean, tau_hi = st_log.tau_stats()
-    st_n = st_log.total_executions
-    p_n = p_log.total_executions
+    p_traj = sim.run_periodic(system, cert, dist, x0, sim_cfg["t_end"],
+                              period, sim_cfg["integrator_divisor"])
+    tau_lo, tau_mean, tau_hi = st_traj.tau_stats()
+    st_n, p_n = st_traj.holds.size, p_traj.holds.size
     payload = {
         "config_hash": reports.config_hash(raw),
         "t_end": sim_cfg["t_end"],
@@ -391,11 +403,10 @@ def _sweep_cell(raw, delta, tau_max, cell_dir):
         row["sigma"] = repr(gains.sigma)
         row["gamma_total_coeff"] = repr(gains.gamma_total_coeff)
         if cfg["simulation"] is not None:
-            _dist, _x0, _traj, log = _run_self_triggered(
+            _dist, _x0, traj = _run_self_triggered(
                 cfg["simulation"], system, cert, tables)
-            _lo, mean, _hi = log.tau_stats()
-            row["mean_tau_k"] = repr(mean)
-            row["executions"] = str(log.total_executions)
+            row["mean_tau_k"] = repr(traj.tau_stats()[1])
+            row["executions"] = str(traj.holds.size)
     except SelfTrigError as exc:
         row["status"] = f"error:{type(exc).__name__}"
     return row
@@ -426,7 +437,7 @@ def cmd_sweep(args):
 
 
 def cmd_feasibility(args):
-    system, _cert, trig, _gains, _tables = _read_design(args.design)
+    system, _cert, trig, *_ = _read_design(args.design)
     rep = design.feasibility_check(system.m, args.tau_c, trig)
     print(f"state dimension {rep.m}, work unit {rep.work_unit} multiply-adds")
     print(f"per execution: 1.5 * {rep.work_unit} * {rep.tau_c!r} = "

@@ -15,6 +15,7 @@ symmetry checks this package relies on:
                     stacked offset exponential times the first chunk
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
+``lyap_residual_ok`` whether a ``P`` solves it within ``lyap_solve``'s residual
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
 ``det``             determinant of a checked square matrix or stack: closed
@@ -223,17 +224,23 @@ def lyap_solve(A, Q):
             p = np.linalg.solve(L, -Q.reshape(-1))
             P = p.reshape(m, m)
             P = 0.5 * (P + P.T)
-            residual = A.T @ P + P @ A + Q
-            q_norm = float(np.sqrt((Q * Q).sum()))
-            r_norm = float(np.sqrt((residual * residual).sum()))
+            solved = lyap_residual_ok(A, P, Q)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NumericError(f"Lyapunov solve failed: {exc}") from exc
-    if r_norm > _LYAP_RESIDUAL_RTOL * max(q_norm, 1e-30):
+    if not solved:
         raise NumericError("Lyapunov residual out of tolerance")
     values, _ = sym_eig(P)
     if values[0] <= 0.0:
         raise NumericError("Lyapunov solution is not positive definite")
     return P
+
+
+def lyap_residual_ok(A, P, Q):
+    """Whether ``norm(A' P + P A + Q) <= 1e-9 norm(Q)`` (Frobenius), the
+    residual :func:`lyap_solve` accepts; a residual that is not finite fails."""
+    r = A.T @ P + P @ A + Q
+    return (float(np.sqrt((r * r).sum()))
+            <= _LYAP_RESIDUAL_RTOL * max(float(np.sqrt((Q * Q).sum())), 1e-30))
 
 
 def sqrtm_spd(P):

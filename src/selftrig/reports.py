@@ -279,10 +279,6 @@ def dump_json(data, path):
         fh.write(text + "\n")
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def write_trajectory_csv(path, traj, bound_curve):
     """Dense run log: time, state, held input, Lyapunov value, ISS bound.
 
@@ -309,17 +305,18 @@ def write_trajectory_csv(path, traj, bound_curve):
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def write_events_csv(path, log, m):
-    """Execution log; successive times satisfy t_{k+1} = t_k + tau_k exactly
-    as printed, because each t is the accumulated float sum of the taus."""
+def write_events_csv(path, traj):
+    """Execution log, one row per execution, formatted column by column;
+    successive times satisfy t_{k+1} = t_k + tau_k exactly as printed,
+    because each t is the accumulated float sum of the taus."""
+    count, m = traj.holds.size, traj.states.shape[1]
     header = ["k", "t_k"] + [f"x_{i + 1}" for i in range(m)] + ["n_k", "tau_k"]
+    *cols, taus = [map(repr, c.tolist()) for c in
+                   (traj.t_k, *traj.states[traj.holds].T, traj.tau_k)]
+    n_k = [""] * count if traj.n_k is None else traj.n_k.tolist()
+    rows = zip(map(str, range(count)), *cols, map(str, n_k), taus)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for e in log.events:
-            row = ([str(e.k), _fmt(e.t)]
-                   + [_fmt(v) for v in e.x]
-                   + ["" if e.n is None else str(e.n), _fmt(e.tau)])
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(map(",".join, [header, *rows])) + "\n")
 
 
 def _ticks(lo, hi, count=5):

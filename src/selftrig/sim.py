@@ -14,20 +14,21 @@ from one generator keyed by the seed and the block index, so every draw
 depends on the seed and the global step alone (not on the time or on how
 the run splits into holds) and reruns with the same seed are bit-identical.
 
-:func:`verify` checks a logged run against the designed exponential-ISS
+A run is one :class:`Trajectory`, its dense log and its executions.
+:func:`verify` checks a run against the designed exponential-ISS
 envelope and the decay conditions at update instants, and reports each of
 these guarantees as one :class:`Check`: its violation count, its worst
 margin and where that margin occurred.
 
 Time grids are uniform with step ``delta / divisor`` except for one possibly
 shortened final step when the horizon is not a multiple of the step; the
-horizon cut also truncates the last hold interval, whose event still logs
-the intended dwell time.
+horizon cut also truncates the last hold interval, whose execution still
+records the intended dwell time.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,44 +226,23 @@ def integrate_held(sys, x, u, dist, t0, dt, steps, step0=0):
 
 @dataclass
 class Trajectory:
-    """Dense log of one closed-loop run on a uniform time grid; hold ``k``
-    applies ``inputs[k]`` from row ``holds[k]`` until the next hold."""
+    """One closed-loop run: a dense log on a uniform time grid, and per
+    execution ``k`` its state ``states[holds[k]]``, the input ``inputs[k]``
+    it holds from row ``holds[k]`` on, its time ``t_k[k]`` (the float sum of
+    the taus before it) and its dwell time, intended even if cut short."""
 
     times: np.ndarray        # (N,)
     states: np.ndarray       # (N, m)
     holds: np.ndarray        # (K,), row of each execution: 0, increasing
     inputs: np.ndarray       # (K, l), input of each hold
+    t_k: np.ndarray          # (K,), time of each execution
+    tau_k: np.ndarray        # (K,), dwell time of each execution
+    n_k: np.ndarray | None   # (K,), grid decisions; None for periodic runs
     v_values: np.ndarray     # (N,), Lyapunov function along the run
 
-
-@dataclass
-class Event:
-    """One controller execution: measured state and scheduling outcome."""
-
-    k: int
-    t: float
-    x: np.ndarray
-    n: int | None            # grid decision; None for periodic runs
-    tau: float               # intended dwell time, even if the horizon cuts it
-
-
-@dataclass
-class ExecutionLog:
-    """All controller executions of one run."""
-
-    events: list[Event] = field(default_factory=list)
-
-    @property
-    def total_executions(self):
-        return len(self.events)
-
-    @property
-    def taus(self):
-        return np.array([e.tau for e in self.events])
-
     def tau_stats(self):
-        taus = self.taus
-        return float(taus.min()), float(taus.mean()), float(taus.max())
+        """``(min, mean, max)`` of the dwell times."""
+        return tuple(float(f(self.tau_k)) for f in (np.min, np.mean, np.max))
 
 
 def _lyapunov_values(cert, states):
@@ -280,6 +260,9 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
         raise NumericError("x0 has non-finite entries")
     if not (t_end > 0.0 and math.isfinite(t_end)):
         raise SimulationError(f"t_end must be positive and finite, got {t_end}")
+    if t_end / dt > np.iinfo(np.intp).max:
+        raise SimulationError(f"the run needs {t_end / dt:.3g} integrator "
+                              f"steps of {dt:.6g}, more than can be indexed")
     if dist.dimension != sys.m:
         raise DimensionError(
             f"disturbance dimension {dist.dimension} does not match state "
@@ -288,20 +271,18 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
     eps = _HORIZON_EPS * max(1.0, t_end)
     times = [np.array([0.0])]
     states = [x0.reshape(1, -1)]
-    holds, inputs = [], []
-    log = ExecutionLog()
+    # Per execution: (row, t_k, tau_k, n_k), and the input it holds.
+    executions, inputs = [], []
 
     t_k = 0.0
     x = x0
-    k = 0
     global_step = 0
     row = 0
     # The controller always executes at t = 0, however short the horizon.
-    while k == 0 or t_k < t_end - eps:
+    while not executions or t_k < t_end - eps:
         n_k, tau_k, hold_steps = schedule(x)
-        log.events.append(Event(k=k, t=t_k, x=x.copy(), n=n_k, tau=tau_k))
         u = sys.K @ x
-        holds.append(row)
+        executions.append((row, t_k, tau_k, n_k))
         inputs.append(u)
 
         remaining = t_end - t_k
@@ -329,7 +310,6 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
         states.append(seg_states)
         row += len(seg_times)
         t_k = t_k + tau_k
-        k += 1
 
     all_states = np.vstack(states)
     v_vals = _lyapunov_values(cert, all_states)
@@ -337,18 +317,20 @@ def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
         raise SimulationError(
             "Lyapunov value overflowed along the run; check the design or "
             "reduce the disturbance")
-    traj = Trajectory(times=np.concatenate(times), states=all_states,
+    holds, t_ks, tau_ks, n_ks = zip(*executions)
+    return Trajectory(times=np.concatenate(times), states=all_states,
                       holds=np.array(holds), inputs=np.array(inputs),
+                      t_k=np.array(t_ks), tau_k=np.array(tau_ks),
+                      n_k=None if n_ks[0] is None else np.array(n_ks),
                       v_values=v_vals)
-    return traj, log
 
 
 def run_self_triggered(sys, cert, tables, dist, x0, t_end, divisor=20):
     """Run the loop with hold intervals scheduled by the trigger tables.
 
     ``divisor`` sub-steps per grid step ``delta``; every decision comes from
-    the full-matrix scan :func:`scheduler.next_update`, so each logged event
-    is fully audited.
+    the full-matrix scan :func:`scheduler.next_update`, so each recorded
+    execution is fully audited.
     """
     if divisor < 1:
         raise SimulationError(f"divisor must be at least 1, got {divisor}")
@@ -396,7 +378,7 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    """Checks of one logged run against the designed guarantees.
+    """Checks of one run against the designed guarantees.
 
     ``eiss``, ``decay`` and ``disturbed_decay`` are one :class:`Check`
     each; a violation is a margin below ``-tolerance``, which is always
@@ -435,7 +417,7 @@ def _check(bounds, observed):
                  float(margins[worst]), worst)
 
 
-def verify(traj, log, gains, cert, dist, sys):
+def verify(traj, gains, cert, dist, sys):
     """Verify a run against the ISS envelope and the update-instant decay.
 
     The system is needed explicitly because the disturbed update-instant
@@ -455,14 +437,13 @@ def verify(traj, log, gains, cert, dist, sys):
     observed = np.linalg.norm(traj.states, axis=1)
 
     v_events = traj.v_values[traj.holds]
-    t_events = np.array([e.t for e in log.events])
-    taus = log.taus
+    taus = traj.tau_k
 
     decay = None
     if d_inf == 0.0:
-        decay = _check(v_events[0] * np.exp(-gains.lam * t_events), v_events)
+        decay = _check(v_events[0] * np.exp(-gains.lam * traj.t_k), v_events)
 
-    gamma_p = np.zeros(max(0, len(log.events) - 1))
+    gamma_p = np.zeros(taus.size - 1)
     if d_inf > 0.0:
         gain_cache = {}
         for i, tau in enumerate(taus[:-1].tolist()):

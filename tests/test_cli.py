@@ -37,6 +37,15 @@ def scalar_cfg(**overrides):
     return cfg
 
 
+def readme_cfg():
+    """The README's config, over a shorter horizon."""
+    cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+    cfg["lyapunov"] = {"lambda_ratio": 0.8}
+    cfg["simulation"].update(t_end=10.0, disturbance={
+        "kind": "sinusoid", "amplitude": 0.1, "frequency": 1.0})
+    return cfg
+
+
 def run(tmp_path, cfg, *argv):
     conf = write_config(tmp_path / "config.json", cfg)
     return cli.main([argv[0], "--config", conf, *argv[1:]])
@@ -88,9 +97,11 @@ def _trajectory_case(case):
     if case == "extremes":
         states *= 10.0 ** rng.integers(-300, 300, (n, 2))
         states[3] = [-0.0, 5e-324]
-    traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
-                          states=states, holds=holds, inputs=inputs,
-                          v_values=rng.uniform(size=n))
+    times = np.cumsum(rng.uniform(0.0, 0.1, n))
+    traj = sim.Trajectory(times=times, states=states, holds=holds,
+                          inputs=inputs, t_k=times[holds],
+                          tau_k=np.diff(times[holds], append=times[-1]),
+                          n_k=None, v_values=rng.uniform(size=n))
     return traj, rng.uniform(size=n)
 
 
@@ -106,6 +117,45 @@ def _trajectory_csv_oracle(traj, bound):
                       traj.v_values[:, None],
                       np.asarray(bound)[:, None])).tolist()
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _events_case(case, scalar, double_integrator):
+    """A run record for one events writer oracle case."""
+    fx = double_integrator
+    sinusoid = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
+                                   frequency=1.0)
+    if case == "periodic":
+        return sim.run_periodic(fx.sys, fx.cert, sinusoid, [1.0, -0.5],
+                                10.37, 0.9, divisor=7)
+    if case == "one_execution":
+        return sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      sim.DisturbanceSpec("zero", 1), [2.0],
+                                      1e-10)
+    if case == "several_hundred":
+        return sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      sim.DisturbanceSpec("zero", 1), [2.0],
+                                      600.0, divisor=1)
+    traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, sinusoid,
+                                  [1.0, -0.5], 10.0)
+    traj.states[traj.holds[:4]] = [[-0.0, 5e-324], [-5e-324, 0.0],
+                                   [2.2e-308 / 3.0, -0.0],
+                                   [-1e-310, 1e-320]]
+    return traj
+
+
+def _events_csv_oracle(traj):
+    """Bytes of the events CSV, formatted one execution at a time."""
+    m = traj.states.shape[1]
+    header = ["k", "t_k"] + [f"x_{i + 1}" for i in range(m)] + ["n_k", "tau_k"]
+    lines = [",".join(header)]
+    n_k = [None] * traj.holds.size if traj.n_k is None else traj.n_k
+    for k, (t, row, n, tau) in enumerate(zip(traj.t_k, traj.holds, n_k,
+                                             traj.tau_k)):
+        lines.append(",".join([str(k), repr(float(t))]
+                              + [repr(float(v)) for v in traj.states[row]]
+                              + ["" if n is None else str(n),
+                                 repr(float(tau))]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -329,6 +379,75 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", other,
                          "--design", str(out / "design.json"),
                          "--out", str(tmp_path / "out2")]) == 2
+
+    @pytest.mark.parametrize("change", [
+        {"trigger": {"delta": 0.025, "tau_max": 0.9},
+         "lyapunov": {"lambda_ratio": 0.5}},
+        {"trigger": {"delta": 0.025, "tau_max": 1.5}},
+        {"trigger": {"delta": 0.05, "tau_max": 0.9}},
+        {"trigger": {"delta": 0.05, "tau_max": 1.5, "tau_min": 0.5}},
+        {"lyapunov": {"lambda_ratio": 0.5}},
+        {"lyapunov": {"Q": [[2.0, 0.0], [0.0, 2.0]]}},
+        {"lyapunov": {"Q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                            [0.0, 0.0, 1.0]]}},
+    ], ids=["all", "delta", "tau_max", "tau_min", "lambda_ratio", "Q",
+            "Q_shape"])
+    def test_design_reuse_checks_lyapunov_and_trigger(self, tmp_path, capsys,
+                                                      change):
+        # A design reused under other lyapunov or trigger settings used to
+        # run on the file's window (tau_k up to 1.5 under tau_max 0.9) and
+        # exit 0.
+        out = tmp_path / "d"
+        assert run(tmp_path, readme_cfg(), "design", "--out", str(out)) == 0
+        other = write_config(tmp_path / "other.json",
+                             {**readme_cfg(), **change})
+        capsys.readouterr()
+        for command in ("simulate", "compare"):
+            assert cli.main([command, "--config", other,
+                             "--design", str(out / "design.json"),
+                             "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: design file was produced for a "
+                                  "different ")
+            assert err.count("\n") == 1
+            assert not (tmp_path / command).exists()
+
+    def test_design_reuse_runs_on_an_exact_match(self, tmp_path):
+        # Q and tau_min spelled out as the values the design took, and
+        # another simulation section, still match the design.
+        out = tmp_path / "d"
+        assert run(tmp_path, readme_cfg(), "design", "--out", str(out)) == 0
+        cfg = readme_cfg()
+        cfg["lyapunov"]["Q"] = [[1.0, 0.0], [0.0, 1.0]]
+        cfg["trigger"]["tau_min"] = 0.9
+        cfg["simulation"]["x0"] = [3.0, 0.0]
+        conf = write_config(tmp_path / "same.json", cfg)
+        for command, names in (("simulate", ("trajectory.csv", "events.csv",
+                                             "verify.json")),
+                               ("compare", ("compare.json",))):
+            fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+            assert cli.main([command, "--config", conf,
+                             "--out", str(fresh)]) == 0
+            assert cli.main([command, "--config", conf,
+                             "--design", str(out / "design.json"),
+                             "--out", str(reused)]) == 0
+            for name in names:
+                assert ((fresh / name).read_bytes()
+                        == (reused / name).read_bytes())
+
+    def test_unindexable_step_count_is_simulation_error(self, tmp_path,
+                                                        capsys):
+        # 2**62 integrator steps per grid step are more than an index can
+        # count; the step range used to raise ValueError, exit 1 with a
+        # traceback.
+        cfg = scalar_cfg()
+        cfg["simulation"]["integrator_divisor"] = 2**62
+        capsys.readouterr()
+        for command in ("simulate", "compare"):
+            assert run(tmp_path, cfg, command,
+                       "--out", str(tmp_path / command)) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_design_reuse_accepts_the_configs_vector_gains(self, tmp_path):
         # A 1-D B is a column and a 1-D K a row, in the config as in the
@@ -640,10 +759,11 @@ class TestSimulateArtifacts:
                                                                 (n, 2))
         states[3] = [-0.0, 5e-324]
         # One hold per row.
-        traj = sim.Trajectory(times=np.cumsum(rng.uniform(0.0, 0.1, n)),
-                              states=states, holds=np.arange(n),
-                              inputs=rng.normal(size=(n, 1)),
-                              v_values=rng.uniform(size=n))
+        times = np.cumsum(rng.uniform(0.0, 0.1, n))
+        traj = sim.Trajectory(times=times, states=states, holds=np.arange(n),
+                              inputs=rng.normal(size=(n, 1)), t_k=times,
+                              tau_k=np.diff(times, append=times[-1]),
+                              n_k=None, v_values=rng.uniform(size=n))
         bound = rng.uniform(size=n)
         path = tmp_path / "trajectory.csv"
         reports.write_trajectory_csv(path, traj, bound)
@@ -663,12 +783,23 @@ class TestSimulateArtifacts:
         reports.write_trajectory_csv(path, traj, bound)
         assert path.read_bytes() == _trajectory_csv_oracle(traj, bound)
 
+    @pytest.mark.parametrize("case", ["periodic", "signed_zeros",
+                                      "one_execution", "several_hundred"])
+    def test_events_csv_matches_row_by_row_oracle(self, tmp_path, case,
+                                                  scalar, double_integrator):
+        traj = _events_case(case, scalar, double_integrator)
+        count = {"one_execution": 1, "several_hundred": math.ceil(600 / 1.4)}
+        assert traj.holds.size == count.get(case, traj.holds.size) > 0
+        assert (traj.n_k is None) == (case == "periodic")
+        path = tmp_path / "events.csv"
+        reports.write_events_csv(path, traj)
+        assert path.read_bytes() == _events_csv_oracle(traj)
+
     def test_svg_polylines_match_per_point_oracle(self, tmp_path):
         rng = np.random.default_rng(3)
         xs = np.cumsum(rng.uniform(0.0, 0.05, 2000))
         ys = rng.normal(size=2000) * 10.0 ** rng.integers(-3, 3, 2000)
-        # Dwell-time series as the CLI builds it: Python lists, each tau
-        # drawn as a step.
+        # A dwell-time series of the CLI's shape: each tau drawn as a step.
         ts, taus = [], []
         t = 0.0
         for tau in rng.uniform(0.2, 1.5, 40).tolist():

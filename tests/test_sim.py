@@ -339,31 +339,27 @@ class TestDwellTimeMeasurement:
 
 class TestRunLoop:
     def test_scalar_schedule_and_horizon(self, scalar):
-        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                           scalar.tables, zero_dist(1),
-                                           [2.0], 50.0)
-        assert log.total_executions == math.ceil(50.0 / 1.4)
-        taus = log.taus
-        assert np.all(np.abs(taus - 1.4) <= 1e-12)
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      zero_dist(1), [2.0], 50.0)
+        assert traj.holds.size == math.ceil(50.0 / 1.4)
+        assert np.all(np.abs(traj.tau_k - 1.4) <= 1e-12)
         assert np.all(np.diff(traj.times) > 0.0)
         assert traj.times[-1] == pytest.approx(50.0, abs=1e-7)
         assert traj.times[0] == 0.0
 
     def test_event_times_accumulate_taus(self, scalar):
-        _traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                            scalar.tables, zero_dist(1),
-                                            [2.0], 20.0)
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      zero_dist(1), [2.0], 20.0)
         t = 0.0
-        for e in log.events:
-            assert e.t == t
-            t = t + e.tau
+        for t_k, tau_k in zip(traj.t_k.tolist(), traj.tau_k.tolist()):
+            assert t_k == t
+            t = t + tau_k
 
     def test_truncated_final_interval_logs_intended_tau(self, scalar):
-        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                           scalar.tables, zero_dist(1),
-                                           [2.0], 3.1)
-        assert log.total_executions == 3
-        assert log.events[-1].tau == pytest.approx(1.4, rel=1e-12)
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      zero_dist(1), [2.0], 3.1)
+        assert traj.holds.size == 3
+        assert traj.tau_k[-1] == pytest.approx(1.4, rel=1e-12)
         assert traj.times[-1] == pytest.approx(3.1, abs=1e-12)
 
     @pytest.mark.parametrize("periodic", [False, True])
@@ -375,60 +371,58 @@ class TestRunLoop:
                                    frequency=1.0)
         t_end = 10.37
         if periodic:
-            traj, log = sim.run_periodic(fx.sys, fx.cert, dist, [1.0, -0.5],
-                                         t_end, 0.9, divisor=7)
+            traj = sim.run_periodic(fx.sys, fx.cert, dist, [1.0, -0.5],
+                                    t_end, 0.9, divisor=7)
         else:
-            traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables,
-                                               dist, [1.0, -0.5], t_end,
-                                               divisor=7)
-        last = log.events[-1]
-        assert last.t + last.tau > t_end + 1e-3
+            traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
+                                          [1.0, -0.5], t_end, divisor=7)
+        assert traj.t_k[-1] + traj.tau_k[-1] > t_end + 1e-3
         assert traj.times[-1] == pytest.approx(t_end, abs=1e-12)
         holds = traj.holds
-        assert len(holds) == log.total_executions > 5
+        assert len(holds) == traj.t_k.size == traj.tau_k.size > 5
         assert holds[0] == 0 and np.all(np.diff(holds) > 0)
         assert holds[-1] < len(traj.times) - 1
-        events_x = np.array([e.x for e in log.events])
-        assert traj.states[holds].tobytes() == events_x.tobytes()
+        # Each execution's time is the time of its row.
+        assert np.abs(traj.times[holds] - traj.t_k).max() <= 1e-9
         assert traj.inputs.shape == (len(holds), fx.sys.l)
         assert (traj.inputs.tobytes()
-                == np.array([fx.sys.K @ e.x for e in log.events]).tobytes())
+                == np.array([fx.sys.K @ x for x in traj.states[holds]]).tobytes())
 
     def test_horizon_within_the_tolerance_still_executes_once(self, scalar):
         # The controller executes at t = 0 however short the run; a horizon
         # under the loop's time tolerance used to log no execution, and
         # verify failed on the empty log.
         dist = zero_dist(1)
-        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                           scalar.tables, dist, [2.0], 1e-10)
-        assert log.total_executions == 1
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      dist, [2.0], 1e-10)
+        assert traj.holds.size == 1
         assert traj.holds.tolist() == [0]
         assert traj.times.tolist() == [0.0, 1e-10]
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
                                   tau_star=scalar.tau_star)
-        rep = sim.verify(traj, log, gains, scalar.cert, dist, scalar.sys)
+        rep = sim.verify(traj, gains, scalar.cert, dist, scalar.sys)
         assert rep.eiss.violations == rep.decay.violations == 0
 
     def test_packed_evaluator_gives_identical_run(self, double_integrator):
         # The run schedules with the full-matrix scan; the packed evaluator
-        # must take the same decision at every logged state.
+        # must take the same decision at every executed state.
         fx = double_integrator
-        _traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables,
-                                            zero_dist(2), [1.0, -0.5], 20.0)
-        assert log.total_executions > 10
-        for e in log.events:
-            assert scheduler.next_update_packed(e.x, fx.tables).n == e.n
+        traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables,
+                                      zero_dist(2), [1.0, -0.5], 20.0)
+        assert traj.holds.size > 10
+        for x, n in zip(traj.states[traj.holds], traj.n_k.tolist()):
+            assert scheduler.next_update_packed(x, fx.tables).n == n
 
     def test_noise_runs_are_reproducible(self, double_integrator):
         fx = double_integrator
         noise = sim.DisturbanceSpec("bounded_noise", 2, amplitude=0.05,
                                     seed=33)
-        traj_a, _ = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, noise,
-                                           [1.0, 0.0], 10.0)
+        traj_a = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, noise,
+                                        [1.0, 0.0], 10.0)
         noise_b = sim.DisturbanceSpec("bounded_noise", 2, amplitude=0.05,
                                       seed=33)
-        traj_b, _ = sim.run_self_triggered(fx.sys, fx.cert, fx.tables,
-                                           noise_b, [1.0, 0.0], 10.0)
+        traj_b = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, noise_b,
+                                        [1.0, 0.0], 10.0)
         assert np.array_equal(traj_a.states, traj_b.states)
 
     def test_lyapunov_overflow_is_simulation_error(self, scalar):
@@ -439,11 +433,11 @@ class TestRunLoop:
 
     def test_periodic_schedule(self, double_integrator):
         fx = double_integrator
-        traj, log = sim.run_periodic(fx.sys, fx.cert, zero_dist(2),
-                                     [1.0, -0.5], 10.0, 0.9)
-        assert log.total_executions == math.ceil(10.0 / 0.9)
-        assert all(e.n is None for e in log.events)
-        assert all(e.tau == 0.9 for e in log.events)
+        traj = sim.run_periodic(fx.sys, fx.cert, zero_dist(2), [1.0, -0.5],
+                                10.0, 0.9)
+        assert traj.holds.size == math.ceil(10.0 / 0.9)
+        assert traj.n_k is None
+        assert np.all(traj.tau_k == 0.9)
         assert traj.times[-1] == pytest.approx(10.0, abs=1e-12)
 
     def test_input_validation(self, scalar):
@@ -459,6 +453,14 @@ class TestRunLoop:
         with pytest.raises(SimulationError):
             sim.run_periodic(scalar.sys, scalar.cert, zero_dist(1), [1.0],
                              10.0, 0.0)
+        # More steps than np.intp counts, refused before any step is taken
+        # (the step range used to raise ValueError).
+        with pytest.raises(SimulationError, match="more than can be indexed"):
+            sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                   zero_dist(1), [1.0], 10.0, divisor=2**62)
+        with pytest.raises(SimulationError, match="more than can be indexed"):
+            sim.run_periodic(scalar.sys, scalar.cert, zero_dist(1), [1.0],
+                             1e10, 1e-10)
 
 
 class TestVerification:
@@ -466,9 +468,9 @@ class TestVerification:
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
                                   tau_star=scalar.tau_star)
         dist = zero_dist(1)
-        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                           scalar.tables, dist, [2.0], 50.0)
-        rep = sim.verify(traj, log, gains, scalar.cert, dist, scalar.sys)
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      dist, [2.0], 50.0)
+        rep = sim.verify(traj, gains, scalar.cert, dist, scalar.sys)
         assert rep.eiss.violations == 0
         assert rep.decay.violations == 0
         assert rep.disturbed_decay.violations == 0
@@ -483,13 +485,13 @@ class TestVerification:
                                   tau_star=fx.tau_star)
         dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
                                    frequency=1.0)
-        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
-                                           [1.0, -0.5], 30.0)
-        rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
+        traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
+                                      [1.0, -0.5], 30.0)
+        rep = sim.verify(traj, gains, fx.cert, dist, fx.sys)
         assert rep.decay is None
         assert rep.eiss.violations == 0
         assert rep.disturbed_decay.violations == 0
-        assert rep.checked_updates == log.total_executions - 1
+        assert rep.checked_updates == traj.holds.size - 1
 
     def test_one_execution_checks_no_update(self, double_integrator):
         fx = double_integrator
@@ -497,10 +499,10 @@ class TestVerification:
                                   tau_star=fx.tau_star)
         dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
                                    frequency=1.0)
-        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
-                                           [1.0, -0.5], 0.5 * fx.trig.tau_min)
-        rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
-        assert log.total_executions == 1
+        traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
+                                      [1.0, -0.5], 0.5 * fx.trig.tau_min)
+        rep = sim.verify(traj, gains, fx.cert, dist, fx.sys)
+        assert traj.holds.size == 1
         assert rep.disturbed_decay == sim.Check(0, 0.0, None)
         assert rep.checked_updates == 0
         assert rep.eiss.violations == 0
@@ -509,13 +511,13 @@ class TestVerification:
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
                                   tau_star=scalar.tau_star)
         dist = zero_dist(1)
-        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                           scalar.tables, dist, [2.0], 20.0)
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      dist, [2.0], 20.0)
         # Shrinking the claimed transient gain below 1 must flag the start
         # of the run, where the envelope equals sigma |x0|.
         import dataclasses
         broken = dataclasses.replace(gains, sigma=0.5)
-        rep = sim.verify(traj, log, broken, scalar.cert, dist, scalar.sys)
+        rep = sim.verify(traj, broken, scalar.cert, dist, scalar.sys)
         assert rep.eiss.violations > 0
         assert rep.eiss.worst_margin < 0.0
         assert rep.eiss.worst_at == 0
@@ -526,34 +528,36 @@ class TestVerification:
                                   tau_star=fx.tau_star)
         dist = sim.DisturbanceSpec("sinusoid", 2, amplitude=0.1,
                                    frequency=1.0)
-        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
-                                           [1.0, -0.5], 30.0)
-        rep = sim.verify(traj, log, gains, fx.cert, dist, fx.sys)
+        traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, dist,
+                                      [1.0, -0.5], 30.0)
+        rep = sim.verify(traj, gains, fx.cert, dist, fx.sys)
         eiss = ((rep.bound_curve - np.linalg.norm(traj.states, axis=1))
                 / rep.bound_curve)
         assert rep.eiss.worst_at == int(np.argmin(eiss))
         assert rep.eiss.worst_margin == eiss[rep.eiss.worst_at]
-        # Per-event margins recomputed one pair at a time.
+        # Per-execution margins recomputed one pair at a time.
         pairs = []
-        for e, nxt in zip(log.events, log.events[1:]):
-            coeff = design.disturbance_gain_coeff(fx.cert.P, fx.sys.A, e.tau,
-                                                  max_step=e.tau / 64.0)
-            bound = (lyapunov_value(fx.cert, e.x)
-                     * math.exp(-gains.lam * e.tau) + coeff * 0.1)
-            pairs.append((bound - lyapunov_value(fx.cert, nxt.x)) / bound)
+        xs = traj.states[traj.holds]
+        for x, tau, nxt in zip(xs, traj.tau_k.tolist(), xs[1:]):
+            coeff = design.disturbance_gain_coeff(fx.cert.P, fx.sys.A, tau,
+                                                  max_step=tau / 64.0)
+            bound = (lyapunov_value(fx.cert, x)
+                     * math.exp(-gains.lam * tau) + coeff * 0.1)
+            pairs.append((bound - lyapunov_value(fx.cert, nxt)) / bound)
         k = rep.disturbed_decay.worst_at
         assert abs(pairs[k] - rep.disturbed_decay.worst_margin) <= 1e-12
         assert min(pairs) >= pairs[k] - 1e-12
         assert rep.decay is None
 
         zero = zero_dist(2)
-        traj, log = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, zero,
-                                           [1.0, -0.5], 30.0)
-        rep = sim.verify(traj, log, gains, fx.cert, zero, fx.sys)
-        v0 = lyapunov_value(fx.cert, log.events[0].x)
-        decay = [(v0 * math.exp(-gains.lam * e.t)
-                  - lyapunov_value(fx.cert, e.x))
-                 / (v0 * math.exp(-gains.lam * e.t)) for e in log.events]
+        traj = sim.run_self_triggered(fx.sys, fx.cert, fx.tables, zero,
+                                      [1.0, -0.5], 30.0)
+        rep = sim.verify(traj, gains, fx.cert, zero, fx.sys)
+        xs = traj.states[traj.holds]
+        v0 = lyapunov_value(fx.cert, xs[0])
+        decay = [(v0 * math.exp(-gains.lam * t) - lyapunov_value(fx.cert, x))
+                 / (v0 * math.exp(-gains.lam * t))
+                 for t, x in zip(traj.t_k.tolist(), xs)]
         k = rep.decay.worst_at
         assert abs(decay[k] - rep.decay.worst_margin) <= 1e-12
         assert min(decay) >= decay[k] - 1e-12
@@ -562,9 +566,9 @@ class TestVerification:
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig,
                                   tau_star=scalar.tau_star)
         dist = sim.DisturbanceSpec("constant", 1, amplitude=10.0)
-        traj, log = sim.run_self_triggered(scalar.sys, scalar.cert,
-                                           scalar.tables, dist, [2.0], 5.0)
+        traj = sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
+                                      dist, [2.0], 5.0)
         import dataclasses
         huge = dataclasses.replace(gains, gamma_total_coeff=1e308)
         with pytest.raises(SimulationError):
-            sim.verify(traj, log, huge, scalar.cert, dist, scalar.sys)
+            sim.verify(traj, huge, scalar.cert, dist, scalar.sys)
