@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, design, linalg, reports, scheduler, sim
+from . import __version__, design, reports, scheduler, sim
 from .errors import (ConfigError, DesignError, DimensionError, NumericError,
                      SelfTrigError, SimulationError)
 
@@ -31,21 +31,12 @@ _DWELL_GRID_DIVISOR = 100
 _PLOT_POINTS = 2000
 
 
-def _derive(system, cert, trig, tau_star):
-    """``(gains, tables, derived)`` implied by a design's decisions, where
-    ``derived`` holds the ``gains``, ``feasibility`` and ``tables`` blocks
-    of ``design.json``: a fresh design writes them, a reused one is checked
-    against them."""
-    gains = design.eiss_gains(system, cert, trig, tau_star=tau_star)
-    tables = scheduler.build_tables(system, cert, trig)
-    feasibility = design.feasibility_check(system.m, 0.0, trig)
-    derived = {
-        "gains": dataclasses.asdict(gains),
-        "feasibility": {"work_unit": feasibility.work_unit,
-                        "max_tau_c": feasibility.max_tau_c},
-        "tables": {"forms": tables.forms},
-    }
-    return gains, tables, derived
+# The blocks of design.json that a reused file must match, in the order
+# they are built. The first three hold the decisions of the config section
+# named here; the others follow from them and the dwell time.
+_DECISIONS = {"system": "system", "certificate": "lyapunov section",
+              "trigger": "trigger section"}
+_CHECKED_BLOCKS = (*_DECISIONS, "gains", "feasibility", "tables")
 
 
 def _dwell_grid_step(system, delta):
@@ -58,27 +49,40 @@ def _dwell_grid_step(system, delta):
     return min(step, math.pi / omega / 20.0) if omega > 0.0 else step
 
 
-def _design_bundle(cfg, raw):
+def _design_bundle(cfg, raw, tau_star=None):
     """Build every design artifact for a validated config.
 
     Returns ``(system, certificate, trigger, gains, tables, report)`` where
     the report is the JSON payload of ``design.json``. When the dwell-time
     scan finds no decay violation below its cap, the cap (clipped to the
-    requested window) stands in as a conservative minimum dwell time.
+    requested window) stands in as a conservative minimum dwell time. A
+    given ``tau_star`` stands in for the scan. An error of the design is
+    raised with ``block`` set to the report block (a key of
+    ``_DECISIONS``) whose step failed.
     """
-    system = design.LinearSystem(cfg["system"]["A"], cfg["system"]["B"],
-                                 cfg["system"]["K"])
-    lyap = cfg["lyapunov"]
-    cert = design.make_certificate(system, Q=lyap["Q"],
-                                   lambda_ratio=lyap["lambda_ratio"])
-    tcfg = cfg["trigger"]
-    result = design.min_inter_execution_time(
-        system, cert, grid_step=_dwell_grid_step(system, tcfg["delta"]))
-    tau_star = result.tau if result.root_found else min(result.tau,
-                                                        tcfg["tau_max"])
-    trig = design.choose_trigger(tau_star, tcfg["delta"], tcfg["tau_max"],
-                                 tau_min=tcfg["tau_min"])
-    gains, tables, derived = _derive(system, cert, trig, tau_star)
+    block = "system"
+    try:
+        system = design.LinearSystem(*(cfg["system"][key] for key in "ABK"))
+        block, lyap = "certificate", cfg["lyapunov"]
+        cert = design.make_certificate(system, Q=lyap["Q"],
+                                       lambda_ratio=lyap["lambda_ratio"])
+        block, tcfg = "trigger", cfg["trigger"]
+        dwell = {}
+        if tau_star is None:
+            result = design.min_inter_execution_time(
+                system, cert, grid_step=_dwell_grid_step(system, tcfg["delta"]))
+            tau_star = (result.tau if result.root_found
+                        else min(result.tau, tcfg["tau_max"]))
+            dwell = {"root_found": result.root_found,
+                     "tau_cap": result.tau_cap}
+        trig = design.choose_trigger(tau_star, tcfg["delta"], tcfg["tau_max"],
+                                     tau_min=tcfg["tau_min"])
+        gains = design.eiss_gains(system, cert, trig, tau_star=tau_star)
+        tables = scheduler.build_tables(system, cert, trig)
+    except SelfTrigError as exc:
+        exc.block = block
+        raise
+    feasibility = design.feasibility_check(system.m, 0.0, trig)
     report = {
         "tool": {"name": "selftrig", "version": __version__},
         "config_hash": reports.config_hash(raw),
@@ -86,13 +90,14 @@ def _design_bundle(cfg, raw):
         "certificate": {"P": cert.P, "lambda_o": cert.lambda_o,
                         "lambda": cert.lam,
                         "lambda_ratio": lyap["lambda_ratio"]},
-        "dwell_time": {"tau_star": tau_star,
-                       "root_found": result.root_found,
-                       "tau_cap": result.tau_cap},
+        "dwell_time": {"tau_star": tau_star, **dwell},
         "trigger": {"delta": trig.delta, "tau_min": trig.tau_min,
                     "tau_max": trig.tau_max, "n_min": trig.n_min,
                     "n_max": trig.n_max},
-        **derived,
+        "gains": dataclasses.asdict(gains),
+        "feasibility": {"work_unit": feasibility.work_unit,
+                        "max_tau_c": feasibility.max_tau_c},
+        "tables": {"forms": tables.forms},
     }
     return system, cert, trig, gains, tables, report
 
@@ -113,36 +118,67 @@ def _design_numbers(data, path, shape=None, integer=False):
                                   integer=integer)
 
 
-def _check_derived(stored, value, path):
-    """A stored entry must be finite numbers of the derived entry's shape
-    and lie within ``1e-9 * max(1, |value|)`` of it; a stack of forms is
-    scaled per form, by its largest entry."""
-    value = np.asarray(value, dtype=float)
-    stored = reports.finite_numbers(stored, path, value.shape)
-    per_form = tuple(range(1, value.ndim))
-    scale = np.maximum(1.0, np.abs(value).max(axis=per_form))
-    bad = np.flatnonzero(np.abs(stored - value).max(axis=per_form)
-                         > 1e-9 * scale)
-    if bad.size:
-        where = f"{path}[{bad[0]}]" if value.ndim else path
-        raise ConfigError(f"{where} does not match the value its system, "
-                          f"certificate, dwell time and trigger grid imply")
+def _file_config(data):
+    """The config that a design file's own decisions stand for: its system,
+    ``certificate.lambda_ratio`` and trigger window, and the ``Q`` that the
+    certificate equation recovers from its ``P`` and the loop."""
+    system = design.LinearSystem(*(_design_numbers(data, f"system.{key}")
+                                   for key in "ABK"))
+    P = _design_numbers(data, "certificate.P", (system.m, system.m))
+    # A Q past the float range is refused by the certificate, not warned of.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = -(system.a_cl.T @ P + P @ system.a_cl)
+        Q = 0.5 * (Q + Q.T)
+    ratio = _design_numbers(data, "certificate.lambda_ratio", ()).item()
+    return {"system": {"A": system.A, "B": system.B, "K": system.K},
+            "lyapunov": {"Q": Q, "lambda_ratio": ratio},
+            "trigger": {key: _design_numbers(data, f"trigger.{key}", ()).item()
+                        for key in ("delta", "tau_max", "tau_min")}}
 
 
-def _read_design(path):
-    """Rebuild a design from the decisions in a design.json, checked.
+def _mismatch(data, report):
+    """Path of the first entry in the checked blocks of a rebuilt ``report``
+    that the design file ``data`` does not match, or ``None``.
 
-    The decisions are read through ``reports.finite_numbers``: the system,
-    the certificate (``P`` positive definite, ``0 < lambda <= lambda_o``),
-    ``dwell_time.tau_star`` and the trigger window, whose integer ``n_min``,
-    ``n_max`` and times ``tau_min``, ``tau_max`` must be exactly what
-    ``design.choose_trigger`` snaps the file's own values to. ``_derive``
-    rebuilds everything else, and each ``gains``, ``feasibility`` and
-    ``tables`` entry it derives must match the stored one
-    (``_check_derived``); the returned ``(system, certificate, trigger,
-    gains, tables, tau_star)`` take nothing derived from the file. Other
-    keys, which earlier versions wrote, are ignored. Any missing, malformed or
-    mismatched entry, and any failure to derive, is a ``ConfigError``.
+    A ``system`` or ``trigger`` entry must be equal, grid indices as JSON
+    integers. Any other must be finite numbers of the rebuilt value's shape
+    within ``1e-9 * max(1, |v|)`` of it; a matrix is scaled by its largest
+    entry, and a stack of forms form by form. A missing or malformed entry
+    is a ``ConfigError``.
+    """
+    for block in _CHECKED_BLOCKS:
+        for key, value in report[block].items():
+            path = f"{block}.{key}"
+            value = np.asarray(value, dtype=float)
+            stored = _design_numbers(
+                data, path, None if block == "system" else value.shape,
+                integer=key.startswith("n_"))
+            if block in ("system", "trigger"):
+                if not np.array_equal(stored, value):
+                    return path
+                continue
+            matrix = tuple(range(value.ndim))[-2:]
+            bad = np.flatnonzero(
+                np.abs(stored - value).max(axis=matrix)
+                > 1e-9 * np.maximum(1.0, np.abs(value).max(axis=matrix)))
+            if bad.size:
+                return f"{path}[{bad[0]}]" if value.ndim == 3 else path
+    return None
+
+
+def _checked_design(path, cfg=None, raw=None):
+    """``(system, certificate, trigger, gains, tables)`` of the design file
+    at ``path``, rebuilt by ``_design_bundle`` at its
+    ``dwell_time.tau_star``.
+
+    A file reused with a config must be that config's own design at its
+    tau_star; with no config, the design is built from ``_file_config``.
+    The file must match the rebuilt report (``_mismatch``), and nothing
+    else is read from it. A file whose system, certificate or trigger grid
+    differs from the config's, or at whose tau_star the config has no
+    design, was produced for a different config section. Every other
+    fault, and any with no config, is the file's own: a malformed design
+    file. Both are ``ConfigError``s.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -152,79 +188,32 @@ def _read_design(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"design file is not valid JSON: {exc}") from None
     try:
-        system = design.LinearSystem(
-            *(_design_numbers(data, f"system.{key}")
-              for key in ("A", "B", "K")))
-        P = _design_numbers(data, "certificate.P", (system.m, system.m))
-        a_cl = system.a_cl
-        # The certificate equation recovers Q exactly from P and the loop.
-        Q = -(a_cl.T @ P + P @ a_cl)
-        cert = design.LyapunovCertificate(
-            P, _design_numbers(data, "certificate.lambda_o", ()).item(),
-            _design_numbers(data, "certificate.lambda", ()).item(),
-            0.5 * (Q + Q.T))
         tau_star = _design_numbers(data, "dwell_time.tau_star", ()).item()
-        window = {key: _design_numbers(data, f"trigger.{key}", (),
-                                       integer=key.startswith("n_")).item()
-                  for key in ("delta", "tau_min", "tau_max", "n_min", "n_max")}
-        trig = design.choose_trigger(tau_star, window["delta"],
-                                     window["tau_max"], window["tau_min"])
-        for key, value in window.items():
-            if getattr(trig, key) != value:
-                raise ConfigError(f"trigger.{key} does not match the window "
-                                  f"that tau_star, delta, tau_min and "
-                                  f"tau_max snap to")
-        gains, tables, derived = _derive(system, cert, trig, tau_star)
-        # Files from earlier versions may differ in the last digits.
-        for block, entries in derived.items():
-            for key, value in entries.items():
-                name = f"{block}.{key}"
-                _check_derived(_design_entry(data, name), value, name)
-    except (ConfigError, DimensionError, DesignError, NumericError) as exc:
-        raise ConfigError(f"malformed design file: {exc}") from None
-    return system, cert, trig, gains, tables, tau_star
-
-
-def _load_design(path, cfg):
-    """``_read_design``, for a file produced from the config's own system
-    (as ``design.LinearSystem`` builds it: a 1-D ``B`` is a column, a 1-D
-    ``K`` a row), ``lambda_ratio``, ``Q`` (``linalg.lyap_residual_ok``) and
-    trigger window (exactly as ``design.choose_trigger`` snaps it). A config
-    entry the design stage refuses matches no design file."""
-    system, cert, trig, gains, tables, tau_star = _read_design(path)
-    lyap, tcfg = cfg["lyapunov"], cfg["trigger"]
-    window = (tcfg["delta"], tcfg["tau_max"], tcfg["tau_min"])
-
-    def same_system():
-        own = design.LinearSystem(*(cfg["system"][key] for key in "ABK"))
-        return all(np.array_equal(getattr(system, key), getattr(own, key))
-                   for key in "ABK")
-
-    def same_lyapunov():
-        Q = linalg.as_square(np.eye(system.m) if lyap["Q"] is None
-                             else lyap["Q"], "Q")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (cert.lam == lyap["lambda_ratio"] * cert.lambda_o
-                    and Q.shape == cert.P.shape
-                    and linalg.lyap_residual_ok(system.a_cl, cert.P, Q))
-
-    for what, same in (
-            ("system", same_system), ("lyapunov section", same_lyapunov),
-            ("trigger section",
-             lambda: trig == design.choose_trigger(tau_star, *window))):
+        own = _file_config(data) if cfg is None else cfg
         try:
-            ok = same()
-        except SelfTrigError:
-            ok = False
-        if not ok:
-            raise ConfigError(f"design file was produced for a different "
-                              f"{what} than the config")
-    return system, cert, trig, gains, tables
+            *bundle, report = _design_bundle(own, raw, tau_star)
+        except SelfTrigError as exc:
+            if cfg is None:
+                raise
+            where = exc.block
+        else:
+            where = _mismatch(data, report)
+    except SelfTrigError as exc:
+        raise ConfigError(f"malformed design file: {exc}") from None
+    if where is None:
+        return bundle
+    block = where.split(".")[0]
+    if cfg is not None and block in _DECISIONS:
+        raise ConfigError(f"design file was produced for a different "
+                          f"{_DECISIONS[block]} than the config")
+    raise ConfigError(f"malformed design file: {where} does not match the "
+                      f"value its system, certificate, dwell time and trigger "
+                      f"grid imply")
 
 
 def _bundle_for(args, cfg, raw):
-    if getattr(args, "design", None):
-        return _load_design(args.design, cfg)
+    if args.design:
+        return _checked_design(args.design, cfg, raw)
     return _design_bundle(cfg, raw)[:5]
 
 
@@ -437,7 +426,7 @@ def cmd_sweep(args):
 
 
 def cmd_feasibility(args):
-    system, _cert, trig, *_ = _read_design(args.design)
+    system, _cert, trig, *_ = _checked_design(args.design)
     rep = design.feasibility_check(system.m, args.tau_c, trig)
     print(f"state dimension {rep.m}, work unit {rep.work_unit} multiply-adds")
     print(f"per execution: 1.5 * {rep.work_unit} * {rep.tau_c!r} = "
@@ -498,22 +487,19 @@ _HANDLERS = {
 }
 
 
+# Exit code of each error that a command reports in one line.
+_EXIT_CODES = {ConfigError: 2, OSError: 2, DesignError: 3, NumericError: 3,
+               DimensionError: 3, SimulationError: 4}
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except (DesignError, NumericError, DimensionError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 3
-    except SimulationError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

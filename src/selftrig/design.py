@@ -301,34 +301,38 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     # det M(0) = 0 exactly, and a placeholder before it that no test reads.
     tail_taus = np.array([math.nan, 0.0])
     tail_dets = np.array([math.nan, 0.0])
-    for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
-        taus = grid_step * idx
-        dets = linalg.det(decay_form(L, P, rate, taus))
-        all_taus = np.concatenate((tail_taus, taus))
-        all_dets = np.concatenate((tail_dets, dets))
-        prev, prev2 = all_dets[1:-1], all_dets[:-2]
-        # Point j = 1 only follows the exact zero at tau = 0, so neither
-        # test applies to it.
-        crossing = (idx > 1) & ((dets == 0.0) | ((prev < 0.0) != (dets < 0.0)))
-        dip = ((idx > 1) & (np.abs(prev) < dip_threshold)
-               & (np.abs(prev) <= np.abs(prev2)) & (np.abs(prev) <= np.abs(dets)))
-        for i in np.flatnonzero(crossing | dip):
-            tau_j = float(taus[i])
-            if crossing[i]:
-                if dets[i] == 0.0:
-                    return DwellTimeResult(tau_j, True, tau_cap)
-                if prev[i] != 0.0:
-                    root = bisect(float(all_taus[i + 1]), tau_j, float(prev[i]))
-                    return DwellTimeResult(root, True, tau_cap)
-            if dip[i]:
-                lo = float(all_taus[i])
-                t_min, f_min = golden_min(lo, tau_j)
-                if f_min <= accept_threshold:
-                    return DwellTimeResult(t_min, True, tau_cap)
-                f_lo = det_at(lo)
-                if (f_lo < 0.0) != (det_at(t_min) < 0.0):
-                    return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap)
-        tail_taus, tail_dets = all_taus[-2:], all_dets[-2:]
+    # A grid point past the float range gives a non-finite form, which
+    # linalg.det refuses with one error; numpy's overflow warnings would
+    # only print ahead of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
+            taus = grid_step * idx
+            dets = linalg.det(decay_form(L, P, rate, taus))
+            all_taus = np.concatenate((tail_taus, taus))
+            all_dets = np.concatenate((tail_dets, dets))
+            prev, prev2 = all_dets[1:-1], all_dets[:-2]
+            # Point j = 1 only follows the exact zero at tau = 0, so neither
+            # test applies to it.
+            crossing = (idx > 1) & ((dets == 0.0) | ((prev < 0.0) != (dets < 0.0)))
+            dip = ((idx > 1) & (np.abs(prev) < dip_threshold)
+                   & (np.abs(prev) <= np.abs(prev2)) & (np.abs(prev) <= np.abs(dets)))
+            for i in np.flatnonzero(crossing | dip):
+                tau_j = float(taus[i])
+                if crossing[i]:
+                    if dets[i] == 0.0:
+                        return DwellTimeResult(tau_j, True, tau_cap)
+                    if prev[i] != 0.0:
+                        root = bisect(float(all_taus[i + 1]), tau_j, float(prev[i]))
+                        return DwellTimeResult(root, True, tau_cap)
+                if dip[i]:
+                    lo = float(all_taus[i])
+                    t_min, f_min = golden_min(lo, tau_j)
+                    if f_min <= accept_threshold:
+                        return DwellTimeResult(t_min, True, tau_cap)
+                    f_lo = det_at(lo)
+                    if (f_lo < 0.0) != (det_at(t_min) < 0.0):
+                        return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap)
+            tail_taus, tail_dets = all_taus[-2:], all_dets[-2:]
 
     return DwellTimeResult(tau_cap, False, tau_cap)
 

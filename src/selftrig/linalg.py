@@ -15,7 +15,6 @@ symmetry checks this package relies on:
                     stacked offset exponential times the first chunk
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
-``lyap_residual_ok`` whether a ``P`` solves it within ``lyap_solve``'s residual
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
 ``det``             determinant of a checked square matrix or stack: closed
@@ -224,23 +223,17 @@ def lyap_solve(A, Q):
             p = np.linalg.solve(L, -Q.reshape(-1))
             P = p.reshape(m, m)
             P = 0.5 * (P + P.T)
-            solved = lyap_residual_ok(A, P, Q)
+            residual = A.T @ P + P @ A + Q
+            q_norm = float(np.sqrt((Q * Q).sum()))
+            r_norm = float(np.sqrt((residual * residual).sum()))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NumericError(f"Lyapunov solve failed: {exc}") from exc
-    if not solved:
+    if not r_norm <= _LYAP_RESIDUAL_RTOL * max(q_norm, 1e-30):
         raise NumericError("Lyapunov residual out of tolerance")
     values, _ = sym_eig(P)
     if values[0] <= 0.0:
         raise NumericError("Lyapunov solution is not positive definite")
     return P
-
-
-def lyap_residual_ok(A, P, Q):
-    """Whether ``norm(A' P + P A + Q) <= 1e-9 norm(Q)`` (Frobenius), the
-    residual :func:`lyap_solve` accepts; a residual that is not finite fails."""
-    r = A.T @ P + P @ A + Q
-    return (float(np.sqrt((r * r).sum()))
-            <= _LYAP_RESIDUAL_RTOL * max(float(np.sqrt((Q * Q).sum())), 1e-30))
 
 
 def sqrtm_spd(P):
@@ -281,13 +274,15 @@ def det(M):
             f"det argument must be square, got shape {A.shape}")
     elif not np.all(np.isfinite(A)):
         raise NumericError("det argument has non-finite entries")
-    if A.shape[-1] != 2:
-        d = np.linalg.det(A)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-        # Products past the float range lose the sign; LU keeps it.
-        lost = ~np.isfinite(d)
-        if lost.any():
-            d = np.where(lost, np.linalg.det(A), d)
+    # A determinant past the float range is an infinity, not a warning.
+    with np.errstate(over="ignore"):
+        if A.shape[-1] != 2:
+            d = np.linalg.det(A)
+        else:
+            with np.errstate(invalid="ignore"):
+                d = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+            # Products past the float range lose the sign; LU keeps it.
+            lost = ~np.isfinite(d)
+            if lost.any():
+                d = np.where(lost, np.linalg.det(A), d)
     return float(d) if A.ndim == 2 else d

@@ -9,6 +9,7 @@ the advertised accumulation identity on their printed decimal values.
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import runpy
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from selftrig import cli, reports, sim
+from selftrig import cli, design, reports, scheduler, sim
 from selftrig.errors import ConfigError
 
 from conftest import DOUBLE_INTEGRATOR_CONFIG, SCALAR_CONFIG
@@ -527,11 +528,14 @@ class TestExitCodes:
     def test_feasibility_checks_the_certificate(self, tmp_path, capsys):
         # feasibility reads the state dimension from the checked system,
         # not from len(P): a string, a ragged list or an object as P is
-        # refused instead of giving a verdict for dimension 7, 3 or 1.
+        # refused instead of giving a verdict for dimension 7, 3 or 1. A P
+        # whose Q = -(A_cl' P + P A_cl) leaves the float range used to print
+        # numpy's overflow warnings ahead of the error line.
         out = tmp_path / "out"
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(out)) == 0
         report = json.loads((out / "design.json").read_text())
-        for value in ("abcdefg", [[0.5], [0.5, 1.0], [1.0]], {"a": 0.5}):
+        for value in ("abcdefg", [[0.5], [0.5, 1.0], [1.0]], {"a": 0.5},
+                      [[1e308]]):
             bad = copy.deepcopy(report)
             bad["certificate"]["P"] = value
             assert_design_rejected(tmp_path, capsys, bad, value)
@@ -602,6 +606,77 @@ class TestExitCodes:
         for name in ("trajectory.csv", "events.csv", "verify.json"):
             assert ((tmp_path / "close" / name).read_bytes()
                     == (tmp_path / "exact" / name).read_bytes())
+
+    @pytest.mark.parametrize("factor", [0.5, 3.0])
+    def test_reused_certificate_rate_is_checked(self, tmp_path, capsys,
+                                                factor):
+        # The trigger enforces lambda = lambda_ratio * lambda_o, with
+        # lambda_o the config's own. A file whose lambda_o is scaled, with
+        # lambda and every derived block rebuilt to match, used to run
+        # under the README config at exit 0, verified at the wrong rate.
+        out = tmp_path / "out"
+        assert run(tmp_path, readme_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        system = design.LinearSystem(*(report["system"][key] for key in "ABK"))
+        P = np.asarray(report["certificate"]["P"])
+        Q = -(system.a_cl.T @ P + P @ system.a_cl)
+        lambda_o = factor * report["certificate"]["lambda_o"]
+        cert = design.LyapunovCertificate(P, lambda_o, 0.8 * lambda_o,
+                                          0.5 * (Q + Q.T))
+        trig = design.TriggerConfig(**report["trigger"])
+        bad = copy.deepcopy(report)
+        bad["certificate"].update({"lambda_o": cert.lambda_o,
+                                   "lambda": cert.lam})
+        bad["gains"] = dataclasses.asdict(design.eiss_gains(system, cert,
+                                                            trig))
+        bad["tables"]["forms"] = scheduler.build_tables(system, cert,
+                                                        trig).forms.tolist()
+        assert_design_rejected(tmp_path, capsys, bad, factor)
+
+    def test_reuse_of_a_nearly_equal_design_runs_the_fresh_design(self,
+                                                                  tmp_path):
+        # A certificate and gains that differ in the last digits, as
+        # earlier versions may have written them, still load; the run uses
+        # the design rebuilt from the config, so its artifacts are the
+        # fresh run's.
+        out = tmp_path / "out"
+        assert run(tmp_path, readme_cfg(), "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        close = copy.deepcopy(report)
+        close["certificate"]["P"] = (np.asarray(report["certificate"]["P"])
+                                     * (1.0 + 1e-12)).tolist()
+        for key in ("lambda_o", "lambda"):
+            close["certificate"][key] *= 1.0 + 1e-12
+        close["gains"] = {key: value * (1.0 + 1e-12)
+                          for key, value in report["gains"].items()}
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(close), encoding="utf-8")
+        assert run(tmp_path, readme_cfg(), "simulate",
+                   "--out", str(tmp_path / "fresh")) == 0
+        assert run(tmp_path, readme_cfg(), "simulate", "--design", str(path),
+                   "--out", str(tmp_path / "reused")) == 0
+        for name in ("trajectory.csv", "events.csv", "verify.json"):
+            assert ((tmp_path / "reused" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+    @pytest.mark.parametrize("delta", [20.0, 25.0])
+    def test_overflowing_dwell_time_scan_is_one_line_error(self, tmp_path,
+                                                           capsys, delta):
+        # Large grid steps take this plant's scan past the float range, and
+        # numpy's overflow warnings used to print ahead of the error line.
+        # The exit code is not pinned: the scan misses this plant's first
+        # root (0.1024 on a fine grid), so the error itself is not yet the
+        # right one.
+        cfg = {"system": {"A": [[-1.0226409409508492, 3.8687164740369355],
+                                [-7.267217456260566, 9.858591348892343]],
+                          "B": np.eye(2).tolist(),
+                          "K": (-6.03038615359015 * np.eye(2)).tolist()},
+               "trigger": {"delta": delta, "tau_max": 50.0}}
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design",
+                   "--out", str(tmp_path / "out")) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_malformed_design_fields_are_rejected(self, tmp_path, capsys):
         # Entries of the wrong shape, type or range in a reused design.json
