@@ -14,6 +14,7 @@ output paths), 3 design-stage numeric problems, 4 simulation failures.
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys as _sys
@@ -440,6 +441,8 @@ def cmd_feasibility(args):
     return 0 if rep.feasible else 1
 
 
+# Parsing leaves the parser as it was, so one serves every call of ``main``.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="selftrig",

@@ -436,29 +436,47 @@ def energy_rate_form(sys, cert):
 def _norm_integral(A, T, max_step):
     """``integral_0^T norm(exp(A r)) dr`` by composite Simpson quadrature.
 
-    Starts from the smallest even node count with spacing at most
-    ``max_step`` and doubles it until the value is stable to ``_QUAD_RTOL``
-    relative. The nodes of a doubled rule are the old ones plus the new odd
-    ones, so each doubling evaluates only the new nodes, batched through
-    ``linalg.expm_chunks``.
+    Starts from the smallest even node count ``n`` with spacing ``h`` at
+    most ``max_step`` and doubles it until the value is stable to
+    ``_QUAD_RTOL`` relative. The first rule's ``n + 1`` node exponentials
+    come from one ``linalg.expm_chunks`` pass and are kept; its end, odd
+    and even sums are read by index parity. A doubled rule keeps the old
+    nodes and adds the odd ones: at doubling ``k`` these are
+    ``exp(A (q 2^k + r) h_k) = E0[q] exp(A r h_k)`` for ``q < n`` and odd
+    ``r < 2^k``, with ``E0`` the kept first rule and ``h_k = h / 2^k``.
+    One ``linalg.expm_grid`` gives the offsets ``exp(A r h_k)`` and
+    broadcast products the nodes, chunked over ``q`` so that no product
+    stack exceeds the budget of a later ``expm_chunks`` chunk. Every node
+    is one first-rule node times one fresh offset, so its error does not
+    grow with ``k``, and no doubled rule is held whole. The norms are
+    ``linalg.spectral_norms``.
     """
-    def norm_sum(h, indices):
-        return sum(float(np.linalg.norm(E, 2, axis=(1, 2)).sum())
-                   for _idx, E in linalg.expm_chunks(A, h, indices))
-
     n = max(2, 2 * int(math.ceil(T / (2.0 * max_step))))
-    ends = float(np.linalg.norm(linalg.expm_grid(A, [0.0, T]), 2,
-                                axis=(1, 2)).sum())
     h = T / n
-    odd = norm_sum(h, range(1, n, 2))
-    even = norm_sum(h, range(2, n, 2))
+    first = np.empty((n + 1,) + A.shape)
+    norms = np.empty(n + 1)
+    for idx, E in linalg.expm_chunks(A, h, range(n + 1)):
+        first[idx] = E
+        norms[idx] = linalg.spectral_norms(E)
+    ends = float(norms[0] + norms[n])
+    odd = float(norms[1:n:2].sum())
+    even = float(norms[2:n:2].sum())
     value = (ends + 4.0 * odd + 2.0 * even) * h / 3.0
-    for _ in range(_QUAD_MAX_DOUBLINGS):
-        n *= 2
-        h = T / n
+    starts = first[:n]
+    width = max(1, linalg._GRID_CHUNK_ENTRIES * linalg._GRID_CHUNK_BLOCKS
+                // A.size)
+    for k in range(1, _QUAD_MAX_DOUBLINGS + 1):
+        h_k = h / 2 ** k
         even += odd
-        odd = norm_sum(h, range(1, n, 2))
-        refined = (ends + 4.0 * odd + 2.0 * even) * h / 3.0
+        odd = 0.0
+        offsets = np.arange(1, 2 ** k, 2)
+        for lo in range(0, len(offsets), width):
+            O = linalg.expm_grid(A, h_k * offsets[lo:lo + width])
+            per = max(1, width // len(O))
+            for q in range(0, n, per):
+                E = starts[q:q + per, None] @ O
+                odd += float(linalg.spectral_norms(E).sum())
+        refined = (ends + 4.0 * odd + 2.0 * even) * h_k / 3.0
         converged = abs(refined - value) <= _QUAD_RTOL * max(abs(refined), 1e-30)
         value = refined
         if converged:
@@ -473,12 +491,15 @@ def disturbance_gain_coeff(P_like, A, T, max_step=None):
     Computes ``(lambda_max(P) / sqrt(lambda_min(P))) * integral_0^T
     norm(exp(A r)) dr`` by composite Simpson quadrature, doubling the node
     count until the result is stable to 1e-6 relative. ``max_step`` bounds
-    the initial node spacing and defaults to ``T / 32``.
+    the initial node spacing, must be positive and finite, and defaults to
+    ``T / 32``.
     """
     A = linalg.as_square(A, "A")
     P_like = linalg.as_square(P_like, "P")
     if T < 0.0 or not math.isfinite(T):
         raise DesignError(f"window length must be finite and nonnegative, got {T}")
+    if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
+        raise DesignError(f"max_step must be positive and finite, got {max_step}")
     if T == 0.0:
         return 0.0
     pvals, _ = linalg.sym_eig(P_like)

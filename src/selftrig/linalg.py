@@ -17,6 +17,9 @@ symmetry checks this package relies on:
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
+``spectral_norms``  spectral norm of each matrix in a stack, from the largest
+                    eigenvalue of the scaled ``E'E``: closed form for two
+                    columns, ``numpy.linalg.eigvalsh`` otherwise
 ``det``             determinant of a checked square matrix or stack: closed
                     form for 2x2, ``numpy.linalg.det`` otherwise
 ==================  =========================================================
@@ -257,6 +260,41 @@ def induced_norm2(M):
     if A.shape[0] == 0 or A.shape[1] == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def spectral_norms(E):
+    """Spectral norm (largest singular value) of each matrix in a stack.
+
+    Each matrix ``E`` becomes ``X``, ``E`` scaled by the power of two just
+    above its largest |entry|: an exact scaling after which ``X'X`` cannot
+    overflow and its leading terms cannot underflow. The norm is that power
+    times the square root of the largest eigenvalue of ``X'X``. With two
+    columns, ``X'X = [[a, b], [b, c]]`` has the closed form
+    ``(a + c)/2 + hypot((a - c)/2, b)``, which, unlike the root of the
+    characteristic quadratic, does not cancel when the two singular values
+    are close; other sizes take ``eigvalsh``. A matrix with a non-finite
+    entry gets ``nan``, and a norm past the float range ``inf``.
+    """
+    E = np.asarray(E, dtype=float)
+    if E.ndim < 2:
+        raise DimensionError(f"expected a stack of matrices, got ndim {E.ndim}")
+    scale = np.abs(E).max(axis=(-2, -1), initial=0.0)
+    finite = np.isfinite(scale)
+    exponent = np.frexp(scale)[1]
+    X = np.ldexp(np.where(finite[..., None, None], E, 0.0),
+                 -exponent[..., None, None])
+    if X.shape[-1] == 2:
+        col0, col1 = X[..., 0], X[..., 1]
+        a = (col0 * col0).sum(axis=-1)
+        b = (col0 * col1).sum(axis=-1)
+        c = (col1 * col1).sum(axis=-1)
+        top_eig = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    else:
+        top_eig = np.linalg.eigvalsh(X.swapaxes(-1, -2) @ X)[..., -1]
+    # A norm past the float range is an infinity, not a warning.
+    with np.errstate(over="ignore"):
+        norms = np.ldexp(np.sqrt(top_eig), exponent)
+    return np.where(finite, norms, np.nan)
 
 
 def det(M):

@@ -279,6 +279,24 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")) == 0
         assert (tmp_path / "out" / "design.json").is_file()
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main builds its parser once per process. After a run, a usage
+        # error still exits 2 with argparse's text, and a rerun writes the
+        # same bytes.
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(a)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: selftrig ")
+        assert "invalid choice: 'bogus'" in err
+        assert run(tmp_path, scalar_cfg(), "design", "--out", str(b)) == 0
+        assert ((a / "design.json").read_bytes()
+                == (b / "design.json").read_bytes())
+        assert cli._build_parser() is cli._build_parser()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         assert run(tmp_path, scalar_cfg(bogus=1), "design",
                    "--out", str(tmp_path / "out")) == 2

@@ -9,6 +9,7 @@ with its rational certificate.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,34 @@ def lapack_det(M):
     determinant of one matrix (a float) or of a stack (an array)."""
     d = np.linalg.det(np.asarray(M, dtype=float))
     return float(d) if np.ndim(d) == 0 else d
+
+
+def fresh_simpson(A, T, max_step):
+    """``integral_0^T norm(exp(A r)) dr`` as the quadrature defines it, with
+    every rule built from scratch: one ``linalg.expm`` and one SVD norm per
+    node, the node count doubled from the first rule's until two rules agree
+    to 1e-6 relative. Returns the value and the last rule's node count."""
+    def simpson(n):
+        h = T / n
+        f = [np.linalg.norm(linalg.expm(A, i * h), 2) for i in range(n)]
+        f.append(np.linalg.norm(linalg.expm(A, T), 2))
+        return h / 3.0 * (f[0] + f[n] + 4.0 * sum(f[1:n:2]) + 2.0 * sum(f[2:n:2]))
+
+    n = max(2, 2 * math.ceil(T / (2.0 * max_step)))
+    value = simpson(n)
+    while True:
+        n *= 2
+        refined = simpson(n)
+        done = abs(refined - value) <= 1e-6 * abs(refined)
+        value = refined
+        if done:
+            return value, n
+
+
+def stiff_shear():
+    """``A = [[-800, 800], [0, -800]]``: over ``[0, 1]`` from a first spacing
+    of 1/32, the quadrature doubles nine times before two rules agree."""
+    return np.array([[-800.0, 800.0], [0.0, -800.0]])
 
 
 def scalar_dwell_oracle(lam):
@@ -461,6 +490,14 @@ class TestGains:
         assert design.disturbance_gain_coeff(np.eye(2), np.zeros((2, 2)),
                                              0.0) == 0.0
 
+    @pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan, math.inf])
+    def test_disturbance_gain_rejects_a_bad_max_step(self, max_step):
+        # 0 used to divide by zero, NaN to fail an integer conversion, and
+        # -1 to pass as a two-node rule.
+        with pytest.raises(DesignError, match="max_step"):
+            design.disturbance_gain_coeff(np.eye(2), np.zeros((2, 2)), 1.0,
+                                          max_step=max_step)
+
     @pytest.mark.parametrize("max_step", [None, 0.05])
     def test_disturbance_gain_matches_a_fresh_simpson_sum(self, double_integrator,
                                                           max_step):
@@ -469,25 +506,72 @@ class TestGains:
         A, P, T = double_integrator.sys.A, double_integrator.cert.P, 1.5
         weight = float(np.linalg.eigvalsh(P)[-1]) / math.sqrt(
             float(np.linalg.eigvalsh(P)[0]))
-
-        def simpson(n):
-            h = T / n
-            f = [np.linalg.norm(linalg.expm(A, i * h), 2) for i in range(n)]
-            f.append(np.linalg.norm(linalg.expm(A, T), 2))
-            return h / 3.0 * (f[0] + f[n] + 4.0 * sum(f[1:n:2]) + 2.0 * sum(f[2:n:2]))
-
         step = T / 32.0 if max_step is None else max_step
-        n = max(2, 2 * math.ceil(T / (2.0 * step)))
-        value = simpson(n)
-        while True:
-            n *= 2
-            refined = simpson(n)
-            done = abs(refined - value) <= 1e-6 * abs(refined)
-            value = refined
-            if done:
-                break
+        value, _n = fresh_simpson(A, T, step)
         got = design.disturbance_gain_coeff(P, A, T, max_step=max_step)
         assert got == pytest.approx(weight * value, rel=1e-14)
+
+    def test_quadrature_matches_a_fresh_simpson_sum_across_sizes(self, corpus):
+        # Corpus plants of order 1 and 3 and a seeded order-6 plant, over
+        # their gain windows, and a fast oscillator (norm(A) * max_step = 1)
+        # that needs two doublings: every doubled node is a kept first-rule
+        # node times a fresh offset, and none drifts from the fresh rule.
+        rng = np.random.default_rng(6)
+        A6 = rng.normal(size=(6, 6))
+        A6 -= (float(np.max(np.linalg.eigvals(A6).real)) + 0.5) * np.eye(6)
+        small = [next(fx for fx in corpus if fx.sys.m == m) for m in (1, 3)]
+        cases = [(fx.sys.A, fx.trig.n_max * fx.trig.delta, fx.trig.delta / 4.0)
+                 for fx in small]
+        cases += [(A6, 2.0, 2.0 / 60.0),
+                  (np.array([[0.0, 1.0], [-900.0, 0.0]]), 0.5, 1.0 / 900.0)]
+        for A, T, step in cases:
+            value, n = fresh_simpson(A, T, step)
+            assert design._norm_integral(A, T, step) == pytest.approx(value,
+                                                                     rel=1e-14)
+        # The oscillator, checked last, stopped two doublings in or later.
+        assert n >= 4 * 2 * math.ceil(T / (2.0 * step))
+
+    def test_doublings_give_the_same_value_in_small_chunks(self, monkeypatch):
+        # A budget of 32 2x2 products splits the 16,352 doubled nodes into
+        # 511 product chunks, and a doubling's offsets too from the seventh
+        # doubling on.
+        A, T, step = stiff_shear(), 1.0, 1.0 / 32.0
+        whole = design._norm_integral(A, T, step)
+        sizes = []
+        norms = linalg.spectral_norms
+
+        def recorded(E):
+            sizes.append(E.size)
+            return norms(E)
+
+        monkeypatch.setattr(linalg, "spectral_norms", recorded)
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 64)
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 2)
+        assert design._norm_integral(A, T, step) == pytest.approx(whole,
+                                                                  rel=1e-15)
+        assert max(sizes) <= 64 * 2
+        assert len(sizes) >= 511
+
+    def test_quadrature_memory_is_the_first_rule_plus_one_chunk(self,
+                                                                monkeypatch):
+        # Nine doublings of a 33-node first rule: the last one alone adds
+        # 8192 nodes (256 kB of 2x2 exponentials). What the quadrature holds
+        # is the first rule and its norms, plus stacks of at most one chunk's
+        # budget: the offsets with their Pade working set (about ten such
+        # stacks), the products and their scaled copy.
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 64)
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 2)
+        A, T, step = stiff_shear(), 1.0, 1.0 / 32.0
+        design._norm_integral(A, T, step)   # warm numpy's caches
+        tracemalloc.start()
+        try:
+            design._norm_integral(A, T, step)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = 33 * (A.size + 1) * 8
+        budget = 64 * 2 * 8
+        assert peak <= kept + 16 * budget + 16_000
 
     def test_eiss_gains_weigh_one_integral_twice(self, double_integrator, corpus):
         for fx in [double_integrator, *corpus[:5]]:

@@ -11,6 +11,7 @@ equations.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +290,73 @@ class TestSqrtm:
     def test_rejects_indefinite(self):
         with pytest.raises(NumericError):
             linalg.sqrtm_spd(np.diag([1.0, -1.0]))
+
+
+def rotations(angles):
+    """Stack of 2x2 rotations by ``angles``."""
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+class TestSpectralNorms:
+    """``spectral_norms`` against numpy's SVD norm, within 1e-14 relative."""
+
+    @staticmethod
+    def assert_matches_svd(E):
+        E = np.asarray(E, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg.spectral_norms(E)
+        want = np.linalg.norm(E, 2, axis=(-2, -1))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_random_stacks_of_each_size(self):
+        rng = np.random.default_rng(41)
+        for m in (1, 2, 3, 6):
+            scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(500, 1, 1))
+            self.assert_matches_svd(scales * rng.normal(size=(500, m, m)))
+        self.assert_matches_svd(rng.normal(size=(4, 5, 2, 2)))
+
+    def test_2x2_singular_values_1e_12_apart(self):
+        # U diag(1, 1 - 1e-12) V': the largest root of the characteristic
+        # quadratic, sqrt((s + sqrt(s^2 - 4 det^2)) / 2), cancels here; the
+        # hypot form does not.
+        rng = np.random.default_rng(42)
+        U, V = rotations(rng.uniform(0.0, 2.0 * math.pi, size=(2, 2000)))
+        self.assert_matches_svd(U @ np.diag([1.0, 1.0 - 1e-12]) @ V)
+        self.assert_matches_svd(U)
+
+    def test_identity_near_singular_and_zero_matrices(self):
+        self.assert_matches_svd([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+                                 [[1.0, 2.0], [2.0, 4.0]], np.zeros((2, 2)),
+                                 [[0.0, 0.0], [0.0, 3.0]],
+                                 [[1e-300, 0.0], [0.0, 0.0]]])
+        for m in (1, 3, 6):
+            self.assert_matches_svd([np.eye(m), np.ones((m, m)),
+                                     np.zeros((m, m))])
+        assert linalg.spectral_norms(np.zeros((3, 2, 2))).tolist() == [0.0] * 3
+
+    def test_entries_near_the_float_range(self):
+        # E'E of these would overflow or underflow unscaled.
+        rng = np.random.default_rng(43)
+        for m in (2, 3):
+            for scale in (1e200, 1e-200):
+                self.assert_matches_svd(scale * rng.normal(size=(50, m, m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = linalg.spectral_norms([[[1.5e308, 1.5e308], [0.0, 0.0]]])
+        assert top.tolist() == [math.inf]
+
+    def test_non_finite_matrices_give_nan(self):
+        got = linalg.spectral_norms([[[math.inf, 0.0], [0.0, 1.0]],
+                                     [[math.nan, 0.0], [0.0, 1.0]],
+                                     [[3.0, 0.0], [0.0, 4.0]]])
+        assert np.isnan(got[:2]).all() and got[2] == 4.0
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionError):
+            linalg.spectral_norms(np.ones(3))
 
 
 class TestNormAndDet:
