@@ -19,10 +19,13 @@ Everything rests on the held-input flow ``xi(tau) = L(tau) x`` with
 exponential gives both terms at once: with ``N = [[A, B], [0, 0]]``,
 ``exp(N tau) = [[E11, E12], [0, I]]`` and ``L(tau) = E11 + E12 K``. The
 block ``N`` is built once per :class:`LinearSystem`; :func:`held_transition`
-takes one time, :func:`held_flow_chunks` a uniform grid (chunk by chunk,
-from ``linalg.expm_chunks``), and :func:`decay_form` turns either into the
-decay-test form. The minimum dwell time comes from a determinant root: the
-decay condition fails first at the smallest positive root of
+takes one time and :func:`held_flow_chunks` a uniform grid, chunk by chunk
+from ``linalg.expm_chunks``: a later point is one ``m x (m+l)`` by
+``(m+l) x m`` product, ``L(a + b) = [E11(a) E12(a)] [L(b); K]``, of a fresh
+block exponential and a first-chunk flow. :func:`decay_form` turns one flow
+or a stack into the decay-test form, working entries first. The minimum
+dwell time comes from a determinant root: the decay condition fails first
+at the smallest positive root of
 ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form of the
 decay of ``V``.
 """
@@ -39,6 +42,9 @@ from .errors import ConfigError, DesignError, DimensionError, NumericError
 _SCAN_POINTS_DEFAULT = 2000
 # Width to which the dwell-time bisection and dip refinement narrow a root.
 _SCAN_TOL = 1e-9
+# Bisection steps whose 2**_BISECT_LEVELS - 1 candidate midpoints one
+# stacked evaluation judges.
+_BISECT_LEVELS = 4
 # A local minimum of |det M| on the grid below sqrt(_SCAN_TOL) is a
 # candidate tangential root; after refinement it counts as a root below this
 # fraction of sqrt(_SCAN_TOL).
@@ -183,21 +189,37 @@ def held_flow_chunks(sys, step, indices):
     """Held flows ``L(j * step)`` for ``j`` in a ``range``, chunk by chunk.
 
     Yields ``(idx, L)`` with ``L[i] = L(idx[i] * step)``, one chunk of
-    ``linalg.expm_chunks`` at a time.
+    ``linalg.expm_chunks`` at a time: its factored form ``[I 0] exp(N t)
+    [I; K]`` with ``N`` the Van Loan block. A point ``a + b`` of a later
+    block is ``L(a + b) = Phi(a) L(b) + Gamma(a) K = [Phi(a) Gamma(a)]
+    [L(b); K]``, one ``m x (m+l)`` row block of the fresh ``exp(N a)``
+    times a kept first-chunk flow. ``L`` is the ``(n, m, m)`` transposed
+    view of an ``(m, m, n)`` array, which :func:`decay_form` reads in
+    place.
     """
-    for idx, E in linalg.expm_chunks(sys.van_loan, step, indices):
-        yield idx, _held_flow(sys, E)
+    m = sys.m
+    left, right = np.eye(m, m + sys.l), np.vstack((np.eye(m), sys.K))
+    return linalg.expm_chunks(sys.van_loan, step, indices, left, right)
 
 
 def decay_form(L, P, rate, tau):
     """Symmetrized ``L' P L - exp(-rate tau) P``.
 
     ``L`` is one flow with a scalar ``tau``, or a stack of flows with one
-    time each.
+    time each. Either is worked entries first, as an ``(m, m, n)`` array:
+    one product gives ``P L`` for every flow and one ``einsum`` the forms
+    ``(P L)' L``; a stack that is a transposed view of such an array, as
+    :func:`held_flow_chunks` yields, is read without a copy. The result has
+    the shape of ``L``.
     """
-    decay = np.exp(-rate * np.asarray(tau, dtype=float))[..., None, None]
-    M = L.swapaxes(-1, -2) @ P @ L - decay * P
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    F = np.ascontiguousarray(L.reshape((-1,) + L.shape[-2:]).transpose(1, 2, 0))
+    PL = (P @ F.reshape(len(P), -1)).reshape(F.shape)
+    M = np.einsum("kin,kjn->ijn", PL, F)
+    decay = np.exp(-rate * np.asarray(tau, dtype=float)).reshape(-1)
+    M -= np.multiply.outer(P, decay)
+    M += M.transpose(1, 0, 2)
+    M *= 0.5
+    return M.transpose(2, 0, 1).reshape(L.shape)
 
 
 def trigger_form(sys, cert, tau):
@@ -233,12 +255,18 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     that dip below ``sqrt(1e-9)``. The cap defaults to ``10 / lambda``,
     ten time constants of the enforced decay.
 
-    The grid is evaluated chunk by chunk from :func:`held_flow_chunks` and
-    stacked determinants; the two grid values before each chunk carry over,
-    so a bracket or dip that straddles a chunk boundary is found as if the
-    grid were one piece. Only the grid's signs and dips are read: bisection
-    and dip refinement evaluate single points through :func:`trigger_form`.
-    Every determinant, of a grid chunk or of a single point, is
+    The grid is evaluated chunk by chunk from :func:`held_flow_chunks`,
+    :func:`decay_form` and stacked determinants; the two grid values before
+    each chunk carry over, so a bracket or dip that straddles a chunk
+    boundary is found as if the grid were one piece. Only the grid's signs
+    and dips are read; the points inside a bracket decide ``tau*``.
+    Bisection judges the ``2**_BISECT_LEVELS - 1`` midpoints of its next
+    ``_BISECT_LEVELS`` steps at once, each formed from its parent's bracket
+    as a single step would form it, through one ``linalg.expm_grid`` of the
+    Van Loan block, held flow and form, and then walks that tree; a stacked
+    exponential and form are bitwise those of one point, so the path and
+    ``tau*`` are those of one midpoint at a time. Dip refinement evaluates
+    single points through :func:`trigger_form`. Every determinant is
     ``linalg.det``'s, so both ends of a bracket are judged by one formula:
     the closed form for ``m = 2``, LU otherwise.
     """
@@ -264,14 +292,26 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
 
     def bisect(lo, hi, flo):
         while hi - lo > _SCAN_TOL:
-            mid = 0.5 * (lo + hi)
-            fmid = det_at(mid)
-            if fmid == 0.0:
-                return mid
-            if (flo < 0.0) == (fmid < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
+            # The midpoints of the next _BISECT_LEVELS steps in heap order:
+            # node i's bracket halves into those of nodes 2i+1 (lower) and
+            # 2i+2 (upper), each midpoint formed as a single step forms it.
+            brackets, mids = [(lo, hi)], []
+            while len(mids) < 2 ** _BISECT_LEVELS - 1:
+                a, b = brackets[len(mids)]
+                mids.append(0.5 * (a + b))
+                brackets += [(a, mids[-1]), (mids[-1], b)]
+            taus = np.array(mids)
+            E = linalg.expm_grid(sys.van_loan, taus)
+            fmids = linalg.det(decay_form(_held_flow(sys, E), P, rate, taus))
+            node = 0
+            while node < len(mids) and hi - lo > _SCAN_TOL:
+                mid, fmid = mids[node], float(fmids[node])
+                if fmid == 0.0:
+                    return mid
+                if (flo < 0.0) == (fmid < 0.0):
+                    lo, flo, node = mid, fmid, 2 * node + 2
+                else:
+                    hi, node = mid, 2 * node + 1
         return 0.5 * (lo + hi)
 
     def golden_min(lo, hi):
@@ -433,6 +473,9 @@ def energy_rate_form(sys, cert):
     return 0.5 * (G + G.T)
 
 
+# An exponential past the float range makes a rule's sum non-finite, which
+# the quadrature returns; numpy's overflow warnings would only precede it.
+@np.errstate(over="ignore", invalid="ignore")
 def _norm_integral(A, T, max_step):
     """``integral_0^T norm(exp(A r)) dr`` by composite Simpson quadrature.
 
@@ -450,6 +493,9 @@ def _norm_integral(A, T, max_step):
     is one first-rule node times one fresh offset, so its error does not
     grow with ``k``, and no doubled rule is held whole. The norms are
     ``linalg.spectral_norms``.
+
+    A rule whose sum is not finite, where ``exp(A r)`` leaves the float
+    range, is returned at once: no later doubling could converge.
     """
     n = max(2, 2 * int(math.ceil(T / (2.0 * max_step))))
     h = T / n
@@ -462,6 +508,8 @@ def _norm_integral(A, T, max_step):
     odd = float(norms[1:n:2].sum())
     even = float(norms[2:n:2].sum())
     value = (ends + 4.0 * odd + 2.0 * even) * h / 3.0
+    if not math.isfinite(value):
+        return value
     starts = first[:n]
     width = max(1, linalg._GRID_CHUNK_ENTRIES * linalg._GRID_CHUNK_BLOCKS
                 // A.size)
@@ -477,6 +525,8 @@ def _norm_integral(A, T, max_step):
                 E = starts[q:q + per, None] @ O
                 odd += float(linalg.spectral_norms(E).sum())
         refined = (ends + 4.0 * odd + 2.0 * even) * h_k / 3.0
+        if not math.isfinite(refined):
+            return refined
         converged = abs(refined - value) <= _QUAD_RTOL * max(abs(refined), 1e-30)
         value = refined
         if converged:
@@ -589,6 +639,11 @@ def eiss_gains(sys, cert, trig, tau_star=None):
     if denominator <= 0.0:
         raise NumericError("geometric accumulation denominator vanished")
     gamma_total = gamma_P / math.sqrt(p_min) * g_value / denominator + gamma_I
+    if not math.isfinite(gamma_total):
+        raise DesignError(
+            f"EISS gains overflow: norm(exp(A r)) over the longest hold "
+            f"n_max*delta={trig.n_max * trig.delta:.6g} leaves the float "
+            f"range")
     return EissGains(
         sigma=sigma,
         lam=cert.lam,

@@ -12,7 +12,8 @@ symmetry checks this package relies on:
 ``expm_grid``       the same kernel over a stack of times, one scaling each
 ``expm_chunks``     an index range in bounded chunks: ``expm_grid`` for the
                     first, then growing runs of blocks, each block one
-                    stacked offset exponential times the first chunk
+                    stacked offset exponential times the first chunk; with
+                    factors, ``left exp(M t) right`` entries first
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
@@ -132,7 +133,7 @@ def _expm_stack(X):
     return R
 
 
-def expm_chunks(M, step, indices):
+def expm_chunks(M, step, indices, left=None, right=None):
     """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
 
     Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
@@ -149,6 +150,14 @@ def expm_chunks(M, step, indices):
     root computes few points past it. No whole grid is ever materialized:
     the first chunk holds at most ``_GRID_CHUNK_ENTRIES`` entries and a
     later one at most ``_GRID_CHUNK_BLOCKS`` times that.
+
+    Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
+    ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks,
+    as the ``(n, p, q)`` transposed view of a ``(p, q, n)`` array. The first
+    chunk's ``exp(M b) right`` is kept entries first, as a ``(k, q, n)``
+    array, and a later block's points are its fresh ``left exp(M a)`` times
+    the kept entries: for each of the ``p q`` entries of a chunk, one
+    product of the blocks' rows with the kept ``k x n`` matrix.
     """
     A = as_square(M, "expm argument")
     per = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
@@ -157,19 +166,34 @@ def expm_chunks(M, step, indices):
     part = indices[:per]
     idx = np.arange(part.start, part.stop, part.step)
     first = expm_grid(A, step * idx)
-    yield idx, first
+    if right is None:
+        yield idx, first
+    else:
+        first = first.reshape(-1, len(A)) @ right
+        first = np.ascontiguousarray(
+            first.reshape(len(idx), len(A), -1).transpose(1, 2, 0))
+        E = (left @ first.reshape(len(A), -1)).reshape(len(left), -1, len(idx))
+        yield idx, E.transpose(2, 0, 1)
     lo, blocks = len(idx), 1
     while lo < len(indices):
         part = indices[lo:lo + blocks * per]
         idx = np.arange(part.start, part.stop, part.step)
         bases = expm_grid(A, step * (idx[::per] - indices[0]))
-        E = np.empty((len(idx),) + A.shape)
-        full = len(idx) // per
-        np.matmul(bases[:full, None], first,
-                  out=E[:full * per].reshape((full, per) + A.shape))
-        if full < len(bases):
-            np.matmul(bases[full], first[:len(idx) - full * per],
-                      out=E[full * per:])
+        if right is None:
+            E = np.empty((len(idx),) + A.shape)
+            full = len(idx) // per
+            np.matmul(bases[:full, None], first,
+                      out=E[:full * per].reshape((full, per) + A.shape))
+            if full < len(bases):
+                np.matmul(bases[full], first[:len(idx) - full * per],
+                          out=E[full * per:])
+        else:
+            # (p, 1, blocks, k) rows times (q, k, n) kept entries gives
+            # (p, q, blocks, n); a short last block is cut off the end.
+            rows = (left @ bases).transpose(1, 0, 2)[:, None]
+            E = np.matmul(rows, first.transpose(1, 0, 2))
+            E = E.reshape(E.shape[:2] + (-1,))[:, :, :len(idx)]
+            E = E.transpose(2, 0, 1)
         yield idx, E
         lo, blocks = lo + len(idx), min(2 * blocks, _GRID_CHUNK_BLOCKS)
 

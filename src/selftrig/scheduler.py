@@ -65,9 +65,11 @@ class TriggerTables:
 def build_tables(sys, cert, trig):
     """Precompute the trigger tables for a designed configuration.
 
-    The held flows come in chunks from ``design.held_flow_chunks``, each a
-    product of at most two fresh exponentials; no recurrence is involved,
-    so the table entries carry no accumulated error.
+    The held flows come in chunks from ``design.held_flow_chunks``: each
+    is a first-chunk flow, or one product of a fresh block exponential's
+    rows with a first-chunk flow; no recurrence is involved, so the table
+    entries carry no accumulated error. The forms come from
+    ``design.decay_form`` on each chunk's entries-first flows.
     """
     forms = np.empty((trig.n_max + 1, sys.m, sys.m))
     rate = 2.0 * cert.lam

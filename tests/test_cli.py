@@ -357,6 +357,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
 
+    def test_overflowing_gain_integral_is_one_line_design_error(self, tmp_path,
+                                                                capsys):
+        # norm(exp(10 r)) leaves the float range within the longest hold of
+        # 75; design used to print numpy warnings, write NaN gammas into
+        # design.json and exit 0.
+        cfg = {"system": {"A": [[10.0]], "B": [[1.0]], "K": [[-10.5]]},
+               "trigger": {"delta": 0.3, "tau_max": 75.0}}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: EISS gains overflow: norm(exp(A r)) over the "
+                       "longest hold n_max*delta=75 leaves the float range\n")
+        assert not (out / "design.json").exists()
+
     def test_out_of_range_plant_in_design_file_is_rejected(self, tmp_path,
                                                            capsys):
         out = tmp_path / "out"

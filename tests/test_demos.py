@@ -2,7 +2,8 @@
 example, runs to completion.
 
 Each runs in its own interpreter with ``src`` on the import path, the way
-the README invokes them, and must exit 0 and leave no files behind.
+the README invokes them, with warnings turned into errors as in the
+in-process tests, and must exit 0 and leave no files behind.
 """
 
 import os
@@ -20,8 +21,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def run_python(args, cwd):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    result = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     assert list(cwd.iterdir()) == []
 

@@ -147,6 +147,90 @@ def fast_oscillator():
         sys_, cert, grid_step=math.pi / 1e5 / 20)
 
 
+def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
+    """The dwell-time scan as it was before its bisection judged several
+    levels of midpoints at once: the same grid, signs and dips, but every
+    bisection and dip-refinement point one ``trigger_form`` and one
+    ``linalg.det`` of its own. Returns ``(tau, root_found)``."""
+    tol = design._SCAN_TOL
+    tau_cap = 10.0 / cert.lam if tau_cap is None else tau_cap
+    if grid_step is None:
+        grid_step = tau_cap / design._SCAN_POINTS_DEFAULT
+
+    def det_at(tau):
+        return linalg.det(design.trigger_form(sys_, cert, tau))
+
+    def bisect(lo, hi, flo):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fmid = det_at(mid)
+            if fmid == 0.0:
+                return mid
+            if (flo < 0.0) == (fmid < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def golden_min(a, b):
+        inv = (math.sqrt(5.0) - 1.0) / 2.0
+        c, d = b - inv * (b - a), a + inv * (b - a)
+        fc, fd = abs(det_at(c)), abs(det_at(d))
+        while b - a > tol:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - inv * (b - a)
+                fc = abs(det_at(c))
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv * (b - a)
+                fd = abs(det_at(d))
+        mid = 0.5 * (a + b)
+        return mid, abs(det_at(mid))
+
+    dip = math.sqrt(tol)
+    accept = dip * design._TANGENT_ACCEPT_FACTOR
+    rate = 2.0 * cert.lam
+    taus, dets = [math.nan, 0.0], [math.nan, 0.0]
+    n_grid = int(math.ceil(tau_cap / grid_step))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, L in design.held_flow_chunks(sys_, grid_step,
+                                              range(1, n_grid + 1)):
+            chunk = linalg.det(design.decay_form(L, cert.P, rate, grid_step * idx))
+            for j, f in zip(idx.tolist(), chunk.tolist()):
+                tau, prev, prev2 = grid_step * j, dets[-1], dets[-2]
+                if j > 1 and (f == 0.0 or (prev < 0.0) != (f < 0.0)):
+                    if f == 0.0:
+                        return tau, True
+                    if prev != 0.0:
+                        return bisect(taus[-1], tau, prev), True
+                if (j > 1 and abs(prev) < dip and abs(prev) <= abs(prev2)
+                        and abs(prev) <= abs(f)):
+                    lo = taus[-2]
+                    t_min, f_min = golden_min(lo, tau)
+                    if f_min <= accept:
+                        return t_min, True
+                    f_lo = det_at(lo)
+                    if (f_lo < 0.0) != (det_at(t_min) < 0.0):
+                        return bisect(lo, t_min, f_lo), True
+                taus, dets = [taus[-1], tau], [prev, f]
+    return tau_cap, False
+
+
+def spectrum_shift_plant(seed, m):
+    """The first plant of the spectrum-shift generator (``B = I``) whose
+    default scan finds a dwell-time root: the benchmark's seeded plants."""
+    rng = np.random.default_rng(seed)
+    while True:
+        A = rng.normal(size=(m, m))
+        shift = float(np.max(np.real(np.linalg.eigvals(A)))) + 0.5
+        sys_ = design.LinearSystem(A, np.eye(m), -shift * np.eye(m))
+        cert = design.make_certificate(sys_)
+        result = design.min_inter_execution_time(sys_, cert)
+        if result.root_found:
+            return sys_, cert, result.tau
+
+
 def batched_widths(count, per):
     """Chunk widths of ``linalg.expm_chunks`` over ``count`` points: ``per``,
     then one block of ``per``, then twice as many blocks per chunk up to
@@ -361,6 +445,72 @@ class TestDwellTime:
             assert (got.tau, got.root_found) == (want.tau, want.root_found)
 
 
+    def test_batched_bisection_equals_the_sequential_oracle(
+            self, double_integrator, corpus):
+        # Bisection judges four levels of midpoints with one stacked
+        # evaluation; tau* and root_found are bitwise those of one point at
+        # a time: the README (delta 0.05) and design_fine (delta 0.005)
+        # double integrators on their CLI grids, the tangential plant at two
+        # ratios, the fast oscillator, design_fine's m=6 base plant on its
+        # CLI grid, and the corpus on the default and the CLI grid.
+        grid = cli._dwell_grid_step
+        di = double_integrator
+        cases = [(di.sys, di.cert, {"grid_step": grid(di.sys, delta)})
+                 for delta in (0.05, 0.005)]
+        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+        cases += [(tangential, design.make_certificate(tangential, lambda_ratio=r), {})
+                  for r in (0.5, 0.8)]
+        fast, fast_cert, _ = fast_oscillator()
+        cases.append((fast, fast_cert, {"grid_step": math.pi / 1e5 / 20}))
+        m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
+        cases.append((m6, m6_cert, {"grid_step": grid(m6, m6_tau / 20)}))
+        for fx in corpus:
+            cases += [(fx.sys, fx.cert, {}),
+                      (fx.sys, fx.cert, {"grid_step": grid(fx.sys, fx.trig.delta)})]
+        for sys_, cert, kw in cases:
+            got = design.min_inter_execution_time(sys_, cert, **kw)
+            assert (got.tau, got.root_found) == sequential_scan(sys_, cert, **kw)
+
+    def test_grid_forms_match_single_point_forms(self, double_integrator,
+                                                 corpus):
+        # Every form of the scan grid, over three chunks and more, is within
+        # 1e-13 of its largest entry of the form of the point's own flow:
+        # the double integrator, a corpus m=3 plant and a seeded m=6 plant.
+        m3 = next(fx for fx in corpus if fx.sys.m == 3)
+        m6, m6_cert, _tau = spectrum_shift_plant(0, 6)
+        for sys_, cert in ((double_integrator.sys, double_integrator.cert),
+                           (m3.sys, m3.cert), (m6, m6_cert)):
+            step = 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT
+            per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+            rate = 2.0 * cert.lam
+            chunks = list(design.held_flow_chunks(sys_, step,
+                                                  range(1, 3 * per + 2)))
+            assert len(chunks) >= 3
+            for idx, L in chunks:
+                forms = design.decay_form(L, cert.P, rate, step * idx)
+                for j, form in zip(idx, forms):
+                    single = design.decay_form(
+                        design.held_transition(sys_, j * step), cert.P, rate,
+                        j * step)
+                    scale = float(np.abs(single).max())
+                    assert float(np.abs(form - single).max()) <= 1e-13 * scale, j
+
+    def test_decay_form_is_one_formula_for_a_point_and_a_stack(self,
+                                                                corpus):
+        # A stack's forms are bitwise the forms of its flows one at a time,
+        # whether the stack is contiguous or a transposed entries-first view.
+        for fx in corpus:
+            taus = np.linspace(0.1, 2.0, 15) * fx.tau_star
+            L = np.stack([design.held_transition(fx.sys, t) for t in taus])
+            view = np.ascontiguousarray(L.transpose(1, 2, 0)).transpose(2, 0, 1)
+            rate = 2.0 * fx.cert.lam
+            single = [design.decay_form(flow, fx.cert.P, rate, t)
+                      for flow, t in zip(L, taus)]
+            for stack in (L, view):
+                assert np.array_equal(design.decay_form(stack, fx.cert.P, rate, taus),
+                                      single)
+
+
 class TestTriggerWindow:
     def test_scalar_snapping(self, scalar):
         trig = scalar.trig
@@ -572,6 +722,23 @@ class TestGains:
         kept = 33 * (A.size + 1) * 8
         budget = 64 * 2 * 8
         assert peak <= kept + 16 * budget + 16_000
+
+    def test_an_overflowing_first_rule_ends_the_quadrature(self, monkeypatch):
+        # exp(10 r) leaves the float range before r = 75: the first rule's
+        # sum is infinite, so no doubling runs (it used to run all twelve),
+        # and no numpy warning is raised on the way.
+        normed = []
+        norms = linalg.spectral_norms
+        monkeypatch.setattr(linalg, "spectral_norms",
+                            lambda E: normed.append(len(E)) or norms(E))
+        value = design._norm_integral(np.array([[10.0]]), 75.0, 0.075)
+        assert not math.isfinite(value)
+        assert sum(normed) == 1001
+        sys_ = design.LinearSystem(10.0, 1.0, -10.5)
+        cert = design.make_certificate(sys_)
+        trig = design.choose_trigger(0.36, 0.3, 75.0)
+        with pytest.raises(DesignError, match=r"longest hold n_max\*delta=75 "):
+            design.eiss_gains(sys_, cert, trig)
 
     def test_eiss_gains_weigh_one_integral_twice(self, double_integrator, corpus):
         for fx in [double_integrator, *corpus[:5]]:

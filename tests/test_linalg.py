@@ -193,6 +193,24 @@ class TestExpmGrid:
             assert np.array_equal(np.concatenate([E for _idx, E in got]),
                                   np.concatenate([E for _idx, E in want]))
 
+    @pytest.mark.parametrize("n, p, q", [(1, 1, 1), (3, 2, 1), (5, 2, 3)])
+    def test_factored_chunks_are_the_plain_chunks_between_the_factors(
+            self, monkeypatch, n, p, q):
+        # With factors, every chunk is left exp(M t) right on the same
+        # indices, within 1e-13 of the plain chunk taken between them.
+        rng = np.random.default_rng(40 + n)
+        A = random_matrix(rng, n, scale=0.5)
+        left, right = rng.normal(size=(p, n)), rng.normal(size=(n, q))
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 5 * A.size)
+        indices = range(2, 200, 3)
+        plain = list(linalg.expm_chunks(A, 0.01, indices))
+        factored = list(linalg.expm_chunks(A, 0.01, indices, left, right))
+        assert len(factored) == len(plain) >= 5
+        for (idx, E), (fidx, F) in zip(plain, factored):
+            assert np.array_equal(idx, fidx) and F.shape == (len(idx), p, q)
+            want = left @ E @ right
+            assert np.abs(F - want).max() <= 1e-13 * np.abs(want).max()
+
     @settings(max_examples=60, deadline=None)
     @given(
         M=st.integers(1, 5).flatmap(lambda n: arrays(
