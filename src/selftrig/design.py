@@ -19,8 +19,8 @@ Everything rests on the held-input flow ``xi(tau) = L(tau) x`` with
 exponential gives both terms at once: with ``N = [[A, B], [0, 0]]``,
 ``exp(N tau) = [[E11, E12], [0, I]]`` and ``L(tau) = E11 + E12 K``. The
 block ``N`` is built once per :class:`LinearSystem`; :func:`held_transition`
-takes one time and :func:`held_flow_chunks` a uniform grid, chunk by chunk
-from ``linalg.expm_chunks``: a later point is one ``m x (m+l)`` by
+takes one time or a few and :func:`held_flow_chunks` a uniform grid, chunk by
+chunk from ``linalg.expm_chunks``: a later point is one ``m x (m+l)`` by
 ``(m+l) x m`` product, ``L(a + b) = [E11(a) E12(a)] [L(b); K]``, of a fresh
 block exponential and a first-chunk flow. :func:`decay_form` turns one flow
 or a stack into the decay-test form, working entries first. The minimum
@@ -156,7 +156,7 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
     Q = np.eye(m) if Q is None else linalg.as_square(Q, "Q")
     if Q.shape[0] != m:
         raise DimensionError(f"Q has shape {Q.shape}, expected {(m, m)}")
-    qvals, _ = linalg.sym_eig(Q)
+    qvals, _ = linalg.sym_eig(Q, "Q")
     if qvals[0] <= 0.0:
         raise DesignError("Q must be positive definite")
     try:
@@ -174,15 +174,16 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
     return LyapunovCertificate(P, lambda_o, lambda_ratio * lambda_o, Q)
 
 
-def _held_flow(sys, E):
-    """``L = E11 + E12 K`` from one Van Loan exponential or a stack of them."""
-    m = sys.m
-    return E[..., :m, :m] + E[..., :m, m:] @ sys.K
-
-
 def held_transition(sys, tau):
-    """Exact flow matrix of the held loop: ``xi(tau) = L(tau) x``."""
-    return _held_flow(sys, linalg.expm(sys.van_loan, tau))
+    """Exact flow matrix of the held loop: ``xi(tau) = L(tau) x``.
+
+    An array of times gives a stack of flows from one ``linalg.expm_grid``
+    of the Van Loan block, each bitwise the flow of its time alone.
+    """
+    m = sys.m
+    E = linalg.expm_grid(sys.van_loan, tau)
+    L = E[:, :m, :m] + E[:, :m, m:] @ sys.K
+    return L.reshape(np.shape(tau) + (m, m))
 
 
 def held_flow_chunks(sys, step, indices):
@@ -226,7 +227,8 @@ def trigger_form(sys, cert, tau):
     """Symmetric matrix of the sampled decay test at dwell time ``tau``.
 
     ``x' M(tau) x <= 0`` certifies ``V(xi_x(tau)) <= V(x) exp(-lam tau)``
-    (the squared form of the condition).
+    (the squared form of the condition). An array of times gives a stack
+    of forms, each bitwise the form of its time alone.
     """
     return decay_form(held_transition(sys, tau), cert.P, 2.0 * cert.lam, tau)
 
@@ -256,19 +258,19 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     ten time constants of the enforced decay.
 
     The grid is evaluated chunk by chunk from :func:`held_flow_chunks`,
-    :func:`decay_form` and stacked determinants; the two grid values before
-    each chunk carry over, so a bracket or dip that straddles a chunk
-    boundary is found as if the grid were one piece. Only the grid's signs
-    and dips are read; the points inside a bracket decide ``tau*``.
-    Bisection judges the ``2**_BISECT_LEVELS - 1`` midpoints of its next
+    :func:`decay_form` and stacked determinants, point ``j`` at time
+    ``grid_step * j``; the two determinants before each chunk carry over,
+    so a bracket or dip that straddles a chunk boundary is found as if the
+    grid were one piece. Only the grid's signs and dips are read; the
+    points inside a bracket decide ``tau*``. One evaluator, ``det_at``,
+    judges every point off the grid, at one time or a stack: the dip
+    checks, the golden section's first pair at once, and the
+    ``2**_BISECT_LEVELS - 1`` midpoints of the bisection's next
     ``_BISECT_LEVELS`` steps at once, each formed from its parent's bracket
-    as a single step would form it, through one ``linalg.expm_grid`` of the
-    Van Loan block, held flow and form, and then walks that tree; a stacked
-    exponential and form are bitwise those of one point, so the path and
-    ``tau*`` are those of one midpoint at a time. Dip refinement evaluates
-    single points through :func:`trigger_form`. Every determinant is
-    ``linalg.det``'s, so both ends of a bracket are judged by one formula:
-    the closed form for ``m = 2``, LU otherwise.
+    as a single step would form it. A stacked form is bitwise that of one
+    point, so the path and ``tau*`` are those of one point at a time. Every
+    determinant is ``linalg.det``'s, so both ends of a bracket are judged
+    by one formula: the closed form for ``m = 2``, LU otherwise.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
@@ -284,9 +286,6 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
             f"(tau_cap={tau_cap:.6g}, grid step {grid_step:.6g}), more than "
             f"can be indexed")
 
-    P = cert.P
-    rate = 2.0 * cert.lam
-
     def det_at(tau):
         return linalg.det(trigger_form(sys, cert, tau))
 
@@ -300,9 +299,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
                 a, b = brackets[len(mids)]
                 mids.append(0.5 * (a + b))
                 brackets += [(a, mids[-1]), (mids[-1], b)]
-            taus = np.array(mids)
-            E = linalg.expm_grid(sys.van_loan, taus)
-            fmids = linalg.det(decay_form(_held_flow(sys, E), P, rate, taus))
+            fmids = det_at(np.array(mids))
             node = 0
             while node < len(mids) and hi - lo > _SCAN_TOL:
                 mid, fmid = mids[node], float(fmids[node])
@@ -315,12 +312,12 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
         return 0.5 * (lo + hi)
 
     def golden_min(lo, hi):
-        # Golden-section refinement of a local minimum of |det M|.
+        # Golden-section minimum of |det M|: its point and signed det M.
         inv = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
         c = b - inv * (b - a)
         d = a + inv * (b - a)
-        fc, fd = abs(det_at(c)), abs(det_at(d))
+        fc, fd = np.abs(det_at(np.array([c, d]))).tolist()
         while b - a > _SCAN_TOL:
             if fc < fd:
                 b, d, fd = d, c, fc
@@ -331,25 +328,23 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
                 d = a + inv * (b - a)
                 fd = abs(det_at(d))
         mid = 0.5 * (a + b)
-        return mid, abs(det_at(mid))
+        return mid, det_at(mid)
 
     dip_threshold = math.sqrt(_SCAN_TOL)
     accept_threshold = dip_threshold * _TANGENT_ACCEPT_FACTOR
 
     n_grid = int(math.ceil(tau_cap / grid_step))
-    # The two grid points before the current chunk: tau = 0, where
-    # det M(0) = 0 exactly, and a placeholder before it that no test reads.
-    tail_taus = np.array([math.nan, 0.0])
-    tail_dets = np.array([math.nan, 0.0])
+    # det M at the two grid points before the current chunk: at tau = 0,
+    # where it is 0 exactly, and a placeholder before it that no test reads.
+    tail = np.array([math.nan, 0.0])
     # A grid point past the float range gives a non-finite form, which
     # linalg.det refuses with one error; numpy's overflow warnings would
     # only print ahead of it.
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
-            taus = grid_step * idx
-            dets = linalg.det(decay_form(L, P, rate, taus))
-            all_taus = np.concatenate((tail_taus, taus))
-            all_dets = np.concatenate((tail_dets, dets))
+            dets = linalg.det(decay_form(L, cert.P, 2.0 * cert.lam,
+                                         grid_step * idx))
+            all_dets = np.concatenate((tail, dets))
             prev, prev2 = all_dets[1:-1], all_dets[:-2]
             # Point j = 1 only follows the exact zero at tau = 0, so neither
             # test applies to it.
@@ -357,22 +352,23 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
             dip = ((idx > 1) & (np.abs(prev) < dip_threshold)
                    & (np.abs(prev) <= np.abs(prev2)) & (np.abs(prev) <= np.abs(dets)))
             for i in np.flatnonzero(crossing | dip):
-                tau_j = float(taus[i])
+                j = int(idx[i])
+                tau_j = grid_step * j
                 if crossing[i]:
                     if dets[i] == 0.0:
                         return DwellTimeResult(tau_j, True, tau_cap)
                     if prev[i] != 0.0:
-                        root = bisect(float(all_taus[i + 1]), tau_j, float(prev[i]))
+                        root = bisect(grid_step * (j - 1), tau_j, float(prev[i]))
                         return DwellTimeResult(root, True, tau_cap)
                 if dip[i]:
-                    lo = float(all_taus[i])
+                    lo = grid_step * (j - 2)
                     t_min, f_min = golden_min(lo, tau_j)
-                    if f_min <= accept_threshold:
+                    if abs(f_min) <= accept_threshold:
                         return DwellTimeResult(t_min, True, tau_cap)
                     f_lo = det_at(lo)
-                    if (f_lo < 0.0) != (det_at(t_min) < 0.0):
+                    if (f_lo < 0.0) != (f_min < 0.0):
                         return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap)
-            tail_taus, tail_dets = all_taus[-2:], all_dets[-2:]
+            tail = all_dets[-2:]
 
     return DwellTimeResult(tau_cap, False, tau_cap)
 
@@ -534,31 +530,26 @@ def _norm_integral(A, T, max_step):
     return value
 
 
-def disturbance_gain_coeff(P_like, A, T, max_step=None):
+def disturbance_gain_coeff(P_like, A, T):
     """Coefficient ``c`` such that the disturbance contribution to ``V`` over
     a window of length ``T`` is at most ``c * sup|d|``.
 
     Computes ``(lambda_max(P) / sqrt(lambda_min(P))) * integral_0^T
-    norm(exp(A r)) dr`` by composite Simpson quadrature, doubling the node
-    count until the result is stable to 1e-6 relative. ``max_step`` bounds
-    the initial node spacing, must be positive and finite, and defaults to
-    ``T / 32``.
+    norm(exp(A r)) dr`` by composite Simpson quadrature, from a first rule
+    with node spacing at most ``T / 64``, doubling the node count until the
+    result is stable to 1e-6 relative.
     """
     A = linalg.as_square(A, "A")
     P_like = linalg.as_square(P_like, "P")
     if T < 0.0 or not math.isfinite(T):
         raise DesignError(f"window length must be finite and nonnegative, got {T}")
-    if max_step is not None and not (max_step > 0.0 and math.isfinite(max_step)):
-        raise DesignError(f"max_step must be positive and finite, got {max_step}")
     if T == 0.0:
         return 0.0
     pvals, _ = linalg.sym_eig(P_like)
     if pvals[0] <= 0.0:
         raise NumericError("weight matrix is not positive definite")
     weight = float(pvals[-1]) / math.sqrt(float(pvals[0]))
-    if max_step is None:
-        max_step = T / 32.0
-    return weight * _norm_integral(A, T, max_step)
+    return weight * _norm_integral(A, T, T / 64.0)
 
 
 def hold_growth_factor(delta, n_max, rho, mu, lam, rho_P):

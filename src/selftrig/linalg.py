@@ -11,9 +11,9 @@ symmetry checks this package relies on:
 ``expm``            scaling and squaring with a diagonal Pade approximant
 ``expm_grid``       the same kernel over a stack of times, one scaling each
 ``expm_chunks``     an index range in bounded chunks: ``expm_grid`` for the
-                    first, then growing runs of blocks, each block one
-                    stacked offset exponential times the first chunk; with
-                    factors, ``left exp(M t) right`` entries first
+                    first, then runs of blocks, each block one offset
+                    exponential times the first chunk; with factors,
+                    ``left exp(M t) right``
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
@@ -53,7 +53,7 @@ _PADE6 = (
 # Entries of the first chunk of ``expm_chunks``: it holds as many grid
 # points as fit, and at least one. Every block of a later chunk is as wide.
 _GRID_CHUNK_ENTRIES = 4096
-# Most blocks in one later chunk of ``expm_chunks``.
+# Blocks in one later chunk of ``expm_chunks``.
 _GRID_CHUNK_BLOCKS = 8
 
 _SYMMETRY_RTOL = 1e-12
@@ -145,11 +145,10 @@ def expm_chunks(M, step, indices, left=None, right=None):
     exp(M b)``. One stacked :func:`expm_grid` gives a chunk's block offsets
     and one broadcast product its points. Every point is thus a single
     product of two fresh exponentials, and its error does not grow along the
-    grid. The first later chunk holds one block and each next one twice as
-    many, up to ``_GRID_CHUNK_BLOCKS``, so a caller that stops early at a
-    root computes few points past it. No whole grid is ever materialized:
-    the first chunk holds at most ``_GRID_CHUNK_ENTRIES`` entries and a
-    later one at most ``_GRID_CHUNK_BLOCKS`` times that.
+    grid. Every later chunk holds ``_GRID_CHUNK_BLOCKS`` blocks; only the
+    last may hold fewer. No whole grid is ever materialized: the first
+    chunk holds at most ``_GRID_CHUNK_ENTRIES`` entries and a later one at
+    most ``_GRID_CHUNK_BLOCKS`` times that.
 
     Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
     ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks,
@@ -174,9 +173,9 @@ def expm_chunks(M, step, indices, left=None, right=None):
             first.reshape(len(idx), len(A), -1).transpose(1, 2, 0))
         E = (left @ first.reshape(len(A), -1)).reshape(len(left), -1, len(idx))
         yield idx, E.transpose(2, 0, 1)
-    lo, blocks = len(idx), 1
+    lo = len(idx)
     while lo < len(indices):
-        part = indices[lo:lo + blocks * per]
+        part = indices[lo:lo + _GRID_CHUNK_BLOCKS * per]
         idx = np.arange(part.start, part.stop, part.step)
         bases = expm_grid(A, step * (idx[::per] - indices[0]))
         if right is None:
@@ -195,10 +194,18 @@ def expm_chunks(M, step, indices, left=None, right=None):
             E = E.reshape(E.shape[:2] + (-1,))[:, :, :len(idx)]
             E = E.transpose(2, 0, 1)
         yield idx, E
-        lo, blocks = lo + len(idx), min(2 * blocks, _GRID_CHUNK_BLOCKS)
+        lo += len(idx)
 
 
-def sym_eig(S):
+def _check_symmetric(A, name):
+    """Raise ``NumericError`` unless ``A`` is symmetric to within
+    ``_SYMMETRY_RTOL`` relative to its largest entry (at least 1)."""
+    scale = max(1.0, float(np.abs(A).max()))
+    if float(np.abs(A - A.T).max()) > _SYMMETRY_RTOL * scale:
+        raise NumericError(f"{name} is not symmetric")
+
+
+def sym_eig(S, name="sym_eig argument"):
     """Eigendecomposition of a symmetric matrix.
 
     Parameters
@@ -207,6 +214,8 @@ def sym_eig(S):
         Square matrix, symmetric to within ``_SYMMETRY_RTOL`` relative to its
         largest entry. It is symmetrized as ``(S + S') / 2`` before the
         decomposition.
+    name : str
+        What an error calls ``S``.
 
     Returns
     -------
@@ -214,10 +223,8 @@ def sym_eig(S):
         ``values`` ascending, ``vectors`` orthogonal with eigenvectors in
         columns, so that ``S ~= vectors @ diag(values) @ vectors.T``.
     """
-    A = as_square(S, "sym_eig argument")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A - A.T).max()) > _SYMMETRY_RTOL * scale:
-        raise NumericError("sym_eig argument is not symmetric")
+    A = as_square(S, name)
+    _check_symmetric(A, name)
     values, vectors = np.linalg.eigh(0.5 * (A + A.T))
     return values, vectors
 
@@ -237,9 +244,7 @@ def lyap_solve(A, Q):
     m = A.shape[0]
     if Q.shape[0] != m:
         raise DimensionError(f"Q has shape {Q.shape}, expected {(m, m)}")
-    scale = max(1.0, float(np.abs(Q).max()))
-    if float(np.abs(Q - Q.T).max()) > _SYMMETRY_RTOL * scale:
-        raise NumericError("Q is not symmetric")
+    _check_symmetric(Q, "Q")
 
     ident = np.eye(m)
     try:

@@ -449,7 +449,7 @@ def verify(traj, gains, cert, dist, sys):
         for i, tau in enumerate(taus[:-1].tolist()):
             if tau not in gain_cache:
                 gain_cache[tau] = design.disturbance_gain_coeff(
-                    cert.P, sys.A, tau, max_step=tau / 64.0)
+                    cert.P, sys.A, tau)
             gamma_p[i] = gain_cache[tau] * d_inf
 
     return VerificationReport(

@@ -328,6 +328,13 @@ class TestExitCodes:
         assert run(tmp_path, cfg, "design",
                    "--out", str(tmp_path / "out")) == 3
 
+    def test_asymmetric_q_is_named_in_its_error(self, tmp_path, capsys):
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["lyapunov"] = {"Q": [[1.0, 0.5], [0.0, 1.0]]}
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "error: Q is not symmetric\n"
+
     @pytest.mark.parametrize("A", [[[1e308, 1.0], [0.0, 0.0]],
                                    [[0.0, 1e308], [0.0, 0.0]]])
     def test_out_of_range_plant_is_one_line_design_error(self, tmp_path,

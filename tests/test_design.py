@@ -233,12 +233,11 @@ def spectrum_shift_plant(seed, m):
 
 def batched_widths(count, per):
     """Chunk widths of ``linalg.expm_chunks`` over ``count`` points: ``per``,
-    then one block of ``per``, then twice as many blocks per chunk up to
-    ``_GRID_CHUNK_BLOCKS``, the last chunk cut short."""
-    widths, blocks = [min(per, count)], 1
+    then ``_GRID_CHUNK_BLOCKS`` blocks of ``per`` per chunk, the last chunk
+    cut short."""
+    widths = [min(per, count)]
     while sum(widths) < count:
-        widths.append(min(blocks * per, count - sum(widths)))
-        blocks = min(2 * blocks, linalg._GRID_CHUNK_BLOCKS)
+        widths.append(min(linalg._GRID_CHUNK_BLOCKS * per, count - sum(widths)))
     return widths
 
 
@@ -254,6 +253,29 @@ def _flow_grid_cases(double_integrator, corpus):
         per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
         yield (sys_, 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT,
                3 * per + per // 2)
+
+
+def _oracle_cases(double_integrator, corpus):
+    """(system, certificate, scan keywords) of the sequential-oracle checks:
+    the README (delta 0.05) and design_fine (delta 0.005) double integrators
+    on their CLI grids, the tangential plant at two ratios, the fast
+    oscillator, design_fine's m=6 base plant on its CLI grid, and the corpus
+    on the default and the CLI grid."""
+    grid = cli._dwell_grid_step
+    di = double_integrator
+    cases = [(di.sys, di.cert, {"grid_step": grid(di.sys, delta)})
+             for delta in (0.05, 0.005)]
+    tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+    cases += [(tangential, design.make_certificate(tangential, lambda_ratio=r), {})
+              for r in (0.5, 0.8)]
+    fast, fast_cert, _ = fast_oscillator()
+    cases.append((fast, fast_cert, {"grid_step": math.pi / 1e5 / 20}))
+    m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
+    cases.append((m6, m6_cert, {"grid_step": grid(m6, m6_tau / 20)}))
+    for fx in corpus:
+        cases += [(fx.sys, fx.cert, {}),
+                  (fx.sys, fx.cert, {"grid_step": grid(fx.sys, fx.trig.delta)})]
+    return cases
 
 
 class TestDwellTime:
@@ -408,7 +430,7 @@ class TestDwellTime:
                                                          corpus):
         # The tables read range(0, n_max + 1) and the gain quadrature's odd
         # nodes range(1, n, 2), chunked by the same rule as the scan grid.
-        # The tables' range ends in a chunk of two blocks, the second short.
+        # The tables' range ends in a chunk of three blocks, the third short.
         # Every flow of each must agree with the point's own exponential,
         # and L(0) is the identity.
         for sys_, step, count in _flow_grid_cases(double_integrator, corpus):
@@ -447,35 +469,57 @@ class TestDwellTime:
 
     def test_batched_bisection_equals_the_sequential_oracle(
             self, double_integrator, corpus):
-        # Bisection judges four levels of midpoints with one stacked
-        # evaluation; tau* and root_found are bitwise those of one point at
-        # a time: the README (delta 0.05) and design_fine (delta 0.005)
-        # double integrators on their CLI grids, the tangential plant at two
-        # ratios, the fast oscillator, design_fine's m=6 base plant on its
-        # CLI grid, and the corpus on the default and the CLI grid.
-        grid = cli._dwell_grid_step
-        di = double_integrator
-        cases = [(di.sys, di.cert, {"grid_step": grid(di.sys, delta)})
-                 for delta in (0.05, 0.005)]
-        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
-        cases += [(tangential, design.make_certificate(tangential, lambda_ratio=r), {})
-                  for r in (0.5, 0.8)]
-        fast, fast_cert, _ = fast_oscillator()
-        cases.append((fast, fast_cert, {"grid_step": math.pi / 1e5 / 20}))
-        m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
-        cases.append((m6, m6_cert, {"grid_step": grid(m6, m6_tau / 20)}))
-        for fx in corpus:
-            cases += [(fx.sys, fx.cert, {}),
-                      (fx.sys, fx.cert, {"grid_step": grid(fx.sys, fx.trig.delta)})]
+        # Bisection judges four levels of midpoints, and the golden section
+        # its first pair, with one stacked evaluation; tau* and root_found
+        # are bitwise those of one point at a time.
+        for sys_, cert, kw in _oracle_cases(double_integrator, corpus):
+            got = design.min_inter_execution_time(sys_, cert, **kw)
+            assert (got.tau, got.root_found) == sequential_scan(sys_, cert, **kw)
+
+    def test_dip_sign_test_equals_the_sequential_oracle(
+            self, monkeypatch, double_integrator, corpus):
+        # With no dip accepted as a tangential root, every dip the scans
+        # refine reaches the sign test, which reads the golden section's
+        # own value at its point; the oracle evaluates that point afresh.
+        # Two scalar loops whose roots lie 1e-4 apart, inside one grid
+        # step, make a dip whose refined value is negative, so the test
+        # sees a sign change there and bisects.
+        monkeypatch.setattr(design, "_TANGENT_ACCEPT_FACTOR", 0.0)
+        split = design.LinearSystem(np.zeros((2, 2)), np.eye(2),
+                                    -np.diag([1.0, 1.0 + 1e-4]))
+        cases = _oracle_cases(double_integrator, corpus)
+        cases.append((split, design.make_certificate(split, lambda_ratio=0.5), {}))
         for sys_, cert, kw in cases:
             got = design.min_inter_execution_time(sys_, cert, **kw)
             assert (got.tau, got.root_found) == sequential_scan(sys_, cert, **kw)
 
-    def test_grid_forms_match_single_point_forms(self, double_integrator,
-                                                 corpus):
-        # Every form of the scan grid, over three chunks and more, is within
-        # 1e-13 of its largest entry of the form of the point's own flow:
-        # the double integrator, a corpus m=3 plant and a seeded m=6 plant.
+    def test_stacked_flows_and_forms_equal_one_time_at_a_time(self, corpus):
+        # held_transition and trigger_form on 15 times give, bit for bit,
+        # the flows and forms of each time alone: the corpus, the tangential
+        # plant and design_fine's m=6 base plant.
+        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+        m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
+        cases = [(fx.sys, fx.cert, fx.tau_star) for fx in corpus]
+        cases += [(tangential, design.make_certificate(tangential, lambda_ratio=0.5),
+                   SCALAR_TAU_STAR), (m6, m6_cert, m6_tau)]
+        for sys_, cert, tau in cases:
+            taus = np.linspace(0.1, 2.0, 15) * tau
+            flows = design.held_transition(sys_, taus)
+            forms = design.trigger_form(sys_, cert, taus)
+            assert flows.shape == forms.shape == (15, sys_.m, sys_.m)
+            assert np.array_equal(
+                flows, [design.held_transition(sys_, t) for t in taus])
+            assert np.array_equal(
+                forms, [design.trigger_form(sys_, cert, t) for t in taus])
+
+    def test_grid_forms_match_single_point_forms(self, monkeypatch,
+                                                 double_integrator, corpus):
+        # Every form of the scan grid, over three chunks, is within 1e-13 of
+        # its largest entry of the form of the point's own flow: the double
+        # integrator, a corpus m=3 plant and a seeded m=6 plant. Two blocks
+        # per later chunk put three chunks in the first 3 * per + 1 points;
+        # further along, the m=6 plant's growing forms leave 1e-13.
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 2)
         m3 = next(fx for fx in corpus if fx.sys.m == 3)
         m6, m6_cert, _tau = spectrum_shift_plant(0, 6)
         for sys_, cert in ((double_integrator.sys, double_integrator.cert),
@@ -640,25 +684,22 @@ class TestGains:
         assert design.disturbance_gain_coeff(np.eye(2), np.zeros((2, 2)),
                                              0.0) == 0.0
 
-    @pytest.mark.parametrize("max_step", [0.0, -1.0, math.nan, math.inf])
-    def test_disturbance_gain_rejects_a_bad_max_step(self, max_step):
-        # 0 used to divide by zero, NaN to fail an integer conversion, and
-        # -1 to pass as a two-node rule.
-        with pytest.raises(DesignError, match="max_step"):
-            design.disturbance_gain_coeff(np.eye(2), np.zeros((2, 2)), 1.0,
-                                          max_step=max_step)
-
     @pytest.mark.parametrize("max_step", [None, 0.05])
     def test_disturbance_gain_matches_a_fresh_simpson_sum(self, double_integrator,
                                                           max_step):
         # The quadrature reuses the nodes of each halved rule; a rule built
-        # from scratch at the node count where it stops must agree.
+        # from scratch at the node count where it stops must agree, from the
+        # first spacing T / 64 that disturbance_gain_coeff fixes (None) and
+        # from a given one.
         A, P, T = double_integrator.sys.A, double_integrator.cert.P, 1.5
         weight = float(np.linalg.eigvalsh(P)[-1]) / math.sqrt(
             float(np.linalg.eigvalsh(P)[0]))
-        step = T / 32.0 if max_step is None else max_step
-        value, _n = fresh_simpson(A, T, step)
-        got = design.disturbance_gain_coeff(P, A, T, max_step=max_step)
+        if max_step is None:
+            value, _n = fresh_simpson(A, T, T / 64.0)
+            got = design.disturbance_gain_coeff(P, A, T)
+        else:
+            value, _n = fresh_simpson(A, T, max_step)
+            got = weight * design._norm_integral(A, T, max_step)
         assert got == pytest.approx(weight * value, rel=1e-14)
 
     def test_quadrature_matches_a_fresh_simpson_sum_across_sizes(self, corpus):
@@ -741,14 +782,16 @@ class TestGains:
             design.eiss_gains(sys_, cert, trig)
 
     def test_eiss_gains_weigh_one_integral_twice(self, double_integrator, corpus):
+        # gamma_P is the integral weighted by lambda_max(P) /
+        # sqrt(lambda_min(P)), gamma_I the same integral with weight 1.
         for fx in [double_integrator, *corpus[:5]]:
             gains = design.eiss_gains(fx.sys, fx.cert, fx.trig)
             T = fx.trig.n_max * fx.trig.delta
-            step = fx.trig.delta / 4.0
-            assert gains.gamma_P_coeff == design.disturbance_gain_coeff(
-                fx.cert.P, fx.sys.A, T, max_step=step)
-            assert gains.gamma_I_coeff == design.disturbance_gain_coeff(
-                np.eye(fx.sys.m), fx.sys.A, T, max_step=step)
+            integral = design._norm_integral(fx.sys.A, T, fx.trig.delta / 4.0)
+            pvals, _ = linalg.sym_eig(fx.cert.P)
+            weight = float(pvals[-1]) / math.sqrt(float(pvals[0]))
+            assert gains.gamma_P_coeff == weight * integral
+            assert gains.gamma_I_coeff == integral
 
     def test_gain_is_linear_in_disturbance_bound(self, scalar):
         gains = design.eiss_gains(scalar.sys, scalar.cert, scalar.trig)

@@ -148,20 +148,19 @@ class TestExpmGrid:
             linalg.expm_grid(np.eye(2), [0.1, math.nan])
 
     def test_chunks_cover_the_index_range_within_the_budget(self, monkeypatch):
-        # The first chunk is expm_grid's. A later chunk is a run of blocks
-        # as wide as the first chunk, one block, then twice as many per
-        # chunk up to the cap; each block is a fresh exponential over its
-        # offset from the range's first index times the first chunk, bit
-        # for bit, and every point stays within 1e-13 of its own
-        # exponential.
+        # The first chunk is expm_grid's. A later chunk is a run of the
+        # cap's number of blocks as wide as the first chunk, the last chunk
+        # cut short; each block is a fresh exponential over its offset from
+        # the range's first index times the first chunk, bit for bit, and
+        # every point stays within 1e-13 of its own exponential.
         A = np.array([[0.0, 1.0], [-2.0, -0.5]])
         monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 3 * A.size)
         monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 4)
         step = 0.05
         indices = range(1, 70, 2)
         chunks = list(linalg.expm_chunks(A, step, indices))
-        # The last chunk holds three full blocks and a tail of two points.
-        assert [len(idx) for idx, _E in chunks] == [3, 3, 6, 12, 11]
+        # The last chunk holds two full blocks and a tail of two points.
+        assert [len(idx) for idx, _E in chunks] == [3, 12, 12, 8]
         assert ([j for idx, _E in chunks for j in idx.tolist()]
                 == list(indices))
         first = chunks[0][1]
@@ -197,11 +196,13 @@ class TestExpmGrid:
     def test_factored_chunks_are_the_plain_chunks_between_the_factors(
             self, monkeypatch, n, p, q):
         # With factors, every chunk is left exp(M t) right on the same
-        # indices, within 1e-13 of the plain chunk taken between them.
+        # indices, within 1e-13 of the plain chunk taken between them; two
+        # blocks per later chunk make five chunks and more.
         rng = np.random.default_rng(40 + n)
         A = random_matrix(rng, n, scale=0.5)
         left, right = rng.normal(size=(p, n)), rng.normal(size=(n, q))
         monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 5 * A.size)
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 2)
         indices = range(2, 200, 3)
         plain = list(linalg.expm_chunks(A, 0.01, indices))
         factored = list(linalg.expm_chunks(A, 0.01, indices, left, right))

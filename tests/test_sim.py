@@ -539,8 +539,7 @@ class TestVerification:
         pairs = []
         xs = traj.states[traj.holds]
         for x, tau, nxt in zip(xs, traj.tau_k.tolist(), xs[1:]):
-            coeff = design.disturbance_gain_coeff(fx.cert.P, fx.sys.A, tau,
-                                                  max_step=tau / 64.0)
+            coeff = design.disturbance_gain_coeff(fx.cert.P, fx.sys.A, tau)
             bound = (lyapunov_value(fx.cert, x)
                      * math.exp(-gains.lam * tau) + coeff * 0.1)
             pairs.append((bound - lyapunov_value(fx.cert, nxt)) / bound)
