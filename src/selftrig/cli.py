@@ -414,7 +414,7 @@ def cmd_sweep(args):
             for (delta, tau_max), cell_dir in zip(cells, dirs)]
     columns = ["delta", "tau_max", "n_max", "sigma", "gamma_total_coeff",
                "mean_tau_k", "executions", "status"]
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with reports.overwrite(out / "sweep.csv", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float)

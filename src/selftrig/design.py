@@ -78,6 +78,8 @@ class LinearSystem:
     of length ``m`` becomes a column, ``K`` of length ``m`` becomes a row.
     Construction fails with ``DesignError`` if ``A + B K`` is not Hurwitz,
     established through a Lyapunov solve rather than an eigenvalue check.
+    That solve's ``P`` of ``(A+BK)' P + P (A+BK) = -I`` is kept as
+    ``lyap_identity``, the certificate of the default ``Q``.
     ``van_loan`` is the held-flow block ``[[A, B], [0, 0]]``.
     """
 
@@ -95,7 +97,7 @@ class LinearSystem:
         self.a_cl = self.A + self.B @ self.K
         self.van_loan = np.block([[self.A, self.B], [np.zeros((l, m + l))]])
         try:
-            linalg.lyap_solve(self.a_cl, np.eye(m))
+            self.lyap_identity = linalg.lyap_solve(self.a_cl, np.eye(m))
         except NumericError as exc:
             raise DesignError("closed loop not Hurwitz") from exc
 
@@ -116,12 +118,13 @@ class LyapunovCertificate:
 
     ``lambda_o`` is the certified continuous-closed-loop decay rate of ``V``
     and ``lam`` the slower rate the trigger enforces; the design headroom
-    ``lam < lambda_o`` is what buys a positive dwell time.
+    ``lam < lambda_o`` is what buys a positive dwell time. ``P_half``, the
+    square root of ``P``, is computed unless it is given.
     """
 
-    def __init__(self, P, lambda_o, lam, Q):
+    def __init__(self, P, lambda_o, lam, Q, P_half=None):
         self.P = linalg.as_square(P, "P")
-        self.P_half = linalg.sqrtm_spd(self.P)
+        self.P_half = linalg.sqrtm_spd(self.P) if P_half is None else P_half
         self.Q = linalg.as_square(Q, "Q")
         if not (lambda_o > 0.0 and math.isfinite(lambda_o)):
             raise DesignError("lambda_o must be positive and finite")
@@ -142,7 +145,8 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
     sys : LinearSystem
     Q : array_like or None
         Symmetric positive definite right-hand side of
-        ``(A+BK)' P + P (A+BK) = -Q``; identity when omitted.
+        ``(A+BK)' P + P (A+BK) = -Q``; identity when omitted, whose ``P``
+        is the system's own ``lyap_identity``.
     lambda_ratio : float
         Fraction of the certified rate to enforce, in (0, 1).
 
@@ -153,16 +157,19 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
     if not 0.0 < lambda_ratio < 1.0:
         raise DesignError(f"lambda_ratio must lie in (0, 1), got {lambda_ratio}")
     m = sys.m
-    Q = np.eye(m) if Q is None else linalg.as_square(Q, "Q")
-    if Q.shape[0] != m:
-        raise DimensionError(f"Q has shape {Q.shape}, expected {(m, m)}")
-    qvals, _ = linalg.sym_eig(Q, "Q")
-    if qvals[0] <= 0.0:
-        raise DesignError("Q must be positive definite")
-    try:
-        P = linalg.lyap_solve(sys.a_cl, Q)
-    except NumericError as exc:
-        raise DesignError("closed loop not Hurwitz") from exc
+    if Q is None:
+        Q, P = np.eye(m), sys.lyap_identity
+    else:
+        Q = linalg.as_square(Q, "Q")
+        if Q.shape[0] != m:
+            raise DimensionError(f"Q has shape {Q.shape}, expected {(m, m)}")
+        qvals, _ = linalg.sym_eig(Q, "Q")
+        if qvals[0] <= 0.0:
+            raise DesignError("Q must be positive definite")
+        try:
+            P = linalg.lyap_solve(sys.a_cl, Q)
+        except NumericError as exc:
+            raise DesignError("closed loop not Hurwitz") from exc
     P_half = linalg.sqrtm_spd(P)
     # P^{-1/2} Q P^{-1/2} through two triangular-free solves.
     X = np.linalg.solve(P_half, Q)
@@ -171,7 +178,8 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
     lambda_o = 0.5 * float(wvals[0])
     if lambda_o <= 0.0:
         raise DesignError("certificate has no positive decay rate")
-    return LyapunovCertificate(P, lambda_o, lambda_ratio * lambda_o, Q)
+    return LyapunovCertificate(P, lambda_o, lambda_ratio * lambda_o, Q,
+                               P_half=P_half)
 
 
 def held_transition(sys, tau):

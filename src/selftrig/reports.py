@@ -12,14 +12,21 @@ design files).
 All artifacts are byte-deterministic: JSON is written with sorted keys,
 floats serialize through ``repr`` (shortest exact round-trip), and nothing
 embeds a timestamp. ``dump_json`` writes the standard library's indented
-text, but formats each numeric array with one call into the C encoder and
-writes the indentation itself. ``config_hash`` fingerprints the parsed
-config content, not the file bytes, so reformatting a config does not
-change its identity.
+text, but formats each numeric array with one call into the C encoder,
+once per distinct float, and writes the indentation itself. Every artifact
+goes through :func:`overwrite`, which rewrites an existing file in place
+and cuts it to the written length. Truncating to zero first, as
+``open(path, "w")`` does, makes each rewrite wait for the filesystem: on
+ext4, for one, closing a file that was truncated to zero and rewritten
+starts its write-back, and the next truncate waits for it.
+``config_hash`` fingerprints the parsed config content, not the file
+bytes, so reformatting a config does not change its identity.
 """
 
+import contextlib
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -257,8 +264,23 @@ def _json_text(obj, depth):
 
 def _array_text(arr, depth):
     """Indented JSON text of a nonempty numeric array: one C-encoder call
-    formats every element, and the nesting is joined level by level."""
-    texts = _encode(arr.ravel().tolist())[1:-1].split(", ")
+    formats every element, and the nesting is joined level by level.
+
+    A float array is formatted once per distinct bit pattern and the texts
+    are spread back by index: the symmetric forms of a design repeat every
+    off-diagonal entry, and a zero form is one value. Equal bits have equal
+    texts, and values that compare equal but differ in their bits, such as
+    ``0.0`` and ``-0.0``, keep their own.
+    """
+    flat = arr.ravel()
+    # Widths up to 64 bits have an unsigned integer view.
+    if flat.dtype.kind == "f" and flat.itemsize <= 8:
+        bits, index = np.unique(flat.view(f"u{flat.itemsize}"),
+                                return_inverse=True)
+        distinct = _encode(bits.view(flat.dtype).tolist())[1:-1].split(", ")
+        texts = list(map(distinct.__getitem__, index.tolist()))
+    else:
+        texts = _encode(flat.tolist())[1:-1].split(", ")
     for level in range(arr.ndim - 1, -1, -1):
         inner = "\n" + "  " * (depth + level + 1)
         wrap = "[" + inner + "{}\n" + "  " * (depth + level) + "]"
@@ -267,15 +289,41 @@ def _array_text(arr, depth):
     return texts[0]
 
 
+@contextlib.contextmanager
+def overwrite(path, newline=None):
+    """Text file opened for writing over ``path`` in place, UTF-8.
+
+    Works as ``open(path, "w", encoding="utf-8", newline=newline)``, but an
+    existing file is not truncated to zero when it is opened; it is cut to
+    the written length when the block ends, also when the block raises.
+    The bytes written are the same. ``open`` passes its own flags to the
+    opener, ``O_BINARY`` among them where the platform has one, so newlines
+    are translated once, by the text layer.
+    """
+    with open(path, "w", encoding="utf-8", newline=newline,
+              opener=_open_untruncated) as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
+def _open_untruncated(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def dump_json(data, path):
     """Deterministic JSON artifact: sorted keys, repr floats, no timestamps.
 
     The text is the standard library's ``json.dumps(data, sort_keys=True,
     indent=2)``, with numpy arrays as nested lists and numpy integers as
-    ints, but every numeric array goes through the C encoder in one call.
+    ints, but every numeric array goes through the C encoder in one call
+    (:func:`_array_text`, once per distinct float). The whole text is built
+    before the file is opened, so a value that cannot be encoded writes
+    nothing, and :func:`overwrite` writes it over any earlier file.
     """
     text = _json_text(data, 0)
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         fh.write(text + "\n")
 
 
@@ -295,7 +343,7 @@ def write_trajectory_csv(path, traj, bound_curve):
     texts = np.array(list(map(repr, traj.inputs.ravel().tolist())),
                      dtype=object).reshape(traj.inputs.shape)
     held = np.repeat(texts, np.diff(traj.holds, append=n), axis=0)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with overwrite(path, newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_CHUNK):
             stop = min(start + _CSV_CHUNK, n)
@@ -315,7 +363,7 @@ def write_events_csv(path, traj):
                    (traj.t_k, *traj.states[traj.holds].T, traj.tau_k)]
     n_k = [""] * count if traj.n_k is None else traj.n_k.tolist()
     rows = zip(map(str, range(count)), *cols, map(str, n_k), taus)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with overwrite(path, newline="\n") as fh:
         fh.write("\n".join(map(",".join, [header, *rows])) + "\n")
 
 
@@ -394,5 +442,5 @@ def svg_plot(path, title, xlabel, ylabel, series):
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with overwrite(path, newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from selftrig import cli, design, reports, scheduler, sim
+from selftrig import cli, design, linalg, reports, scheduler, sim
 from selftrig.errors import ConfigError
 
 from conftest import DOUBLE_INTEGRATOR_CONFIG, SCALAR_CONFIG
@@ -767,13 +767,18 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_unusable_output_path_is_one_line_error(self, tmp_path, capsys):
+        # An output directory under a file, and a design.json that is a
+        # directory (the tests run as root, which a read-only mode would
+        # not stop).
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
-        assert run(tmp_path, scalar_cfg(), "design",
-                   "--out", str(blocker / "sub")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        (tmp_path / "out" / "design.json").mkdir(parents=True)
+        for out in (blocker / "sub", tmp_path / "out"):
+            assert run(tmp_path, scalar_cfg(), "design",
+                       "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
     def test_feasibility_verdicts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -813,6 +818,57 @@ class TestDesignArtifact:
         assert run(tmp_path, scalar_cfg(), "design", "--out", str(b)) == 0
         assert ((a / "design.json").read_bytes()
                 == (b / "design.json").read_bytes())
+
+    def test_reruns_over_longer_files_stay_byte_identical(self, tmp_path):
+        # Each command runs into one directory after a run that wrote longer
+        # files there; what it leaves must be what it writes into a fresh
+        # directory, so a rewrite is cut to its own length.
+        def cfg(tau_max=1.5, t_end=50.0, deltas=(0.05, 0.1),
+                tau_maxes=(1.0, 1.5, 2.0)):
+            c = copy.deepcopy(README_CONFIG)
+            c["trigger"]["tau_max"] = tau_max
+            c["simulation"]["t_end"] = t_end
+            c["sweep"] = {"delta_list": list(deltas),
+                          "tau_max_list": list(tau_maxes)}
+            return c
+
+        reused = tmp_path / "reused"
+        final = {"design": cfg(tau_max=1.0), "simulate": cfg(t_end=5.0),
+                 "sweep": cfg(deltas=(0.1,), tau_maxes=(1.0, 1.5))}
+        for command, last in final.items():
+            assert run(tmp_path, cfg(), command, "--out", str(reused)) == 0
+            assert run(tmp_path, last, command, "--out", str(reused)) == 0
+            fresh = tmp_path / f"fresh_{command}"
+            assert run(tmp_path, last, command, "--out", str(fresh)) == 0
+            files = [p for p in fresh.rglob("*") if p.is_file()]
+            assert files, command
+            for path in files:
+                assert ((reused / path.relative_to(fresh)).read_bytes()
+                        == path.read_bytes()), path
+
+    @pytest.mark.parametrize("Q", [None, [[1.0, 0.0], [0.0, 1.0]]])
+    def test_default_q_design_solves_one_lyapunov_equation(self, tmp_path,
+                                                           monkeypatch, Q):
+        # The Hurwitz check's solve is the default-Q certificate; an explicit
+        # Q, even the identity, is solved on its own.
+        calls = []
+        original = linalg.lyap_solve
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "lyap_solve", counted)
+        cfg = copy.deepcopy(README_CONFIG)
+        if Q is not None:
+            cfg["lyapunov"]["Q"] = Q
+        out = tmp_path / "out"
+        assert run(tmp_path, cfg, "design", "--out", str(out)) == 0
+        assert len(calls) == (1 if Q is None else 2)
+        system = design.LinearSystem(*(cfg["system"][key] for key in "ABK"))
+        fresh = original(system.a_cl, np.eye(2))
+        P = json.loads((out / "design.json").read_text())["certificate"]["P"]
+        assert np.asarray(P).tobytes() == fresh.tobytes()
 
 
 class TestSimulateArtifacts:
@@ -1075,16 +1131,24 @@ _LEAVES = (st.none() | st.booleans() | st.text(max_size=6)
            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]).map(np.float64))
 _ARRAYS = arrays(st.sampled_from([np.int64, np.bool_, np.uint8]),
                  array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+# About half of the elements come from a small pool, so arrays repeat
+# values as a design's symmetric forms do.
 _FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3,
                                                 min_side=0, max_side=4),
                        elements=st.floats(allow_nan=True, allow_infinity=True)
-                       | st.just(-0.0))
+                       | st.sampled_from([0.0, -0.0, 0.1, -2.5, 1e300,
+                                          math.nan, math.inf, -math.inf]))
 _PAYLOADS = st.recursive(
     _LEAVES | _ARRAYS | _FLOAT_ARRAYS,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=12)
+
+
+def _symmetric_stack():
+    S = np.random.default_rng(0).normal(size=(4, 3, 3))
+    return S + S.transpose(0, 2, 1)
 
 
 class TestDumpJson:
@@ -1118,6 +1182,25 @@ class TestDumpJson:
         path = tmp_path_factory.mktemp("json") / "x.json"
         reports.dump_json(data, path)
         assert path.read_text(encoding="utf-8") == stdlib_json(data)
+
+    @pytest.mark.parametrize("value", [
+        np.array([[0.0, -0.0], [-0.0, 0.0]]),
+        np.array([math.nan, -math.nan, math.inf, -math.inf, math.nan, 1.0]),
+        np.array([0.1, 0.1, 0.30000000000000004, 0.1, 0.3, 0.3]),
+        # A NaN with a payload, the quiet NaN, -0.0 and 0.0.
+        np.array([0x7FF8000000000001, 0x7FF8000000000000, 1 << 63, 0],
+                 dtype=np.uint64).view(np.float64),
+        _symmetric_stack(),
+        np.zeros((3, 2, 2)),
+        np.array([[1.5, 0.1, -0.0], [0.1, 1.5, 3.4028235e38]], dtype=np.float32),
+    ])
+    def test_repeated_floats_match_the_stdlib_encoder(self, tmp_path, value):
+        # Floats are formatted once per distinct bit pattern: values equal
+        # as floats but not in their bits keep their own texts.
+        path = tmp_path / "x.json"
+        reports.dump_json({"a": value, "b": [value, value.T]}, path)
+        assert path.read_text(encoding="utf-8") == stdlib_json(
+            {"a": value, "b": [value, value.T]})
 
     @pytest.mark.parametrize("value", [np.bool_(True), np.float32(1.5),
                                        {1, 2}, np.array([1j])])
