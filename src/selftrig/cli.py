@@ -50,17 +50,20 @@ def _dwell_grid_step(system, delta):
     return min(step, math.pi / omega / 20.0) if omega > 0.0 else step
 
 
-def _design_bundle(cfg, raw, tau_star=None):
+def _design_bundle(cfg, raw, tau_star=None, scans=None):
     """Build every design artifact for a validated config.
 
     Returns ``(system, certificate, trigger, gains, tables, report)`` where
     the report is the JSON payload of ``design.json``. When the dwell-time
     scan finds no decay violation below its cap, the cap (clipped to the
     requested window) stands in as a conservative minimum dwell time. A
-    given ``tau_star`` stands in for the scan. An error of the design is
-    raised with ``block`` set to the report block (a key of
-    ``_DECISIONS``) whose step failed.
+    given ``tau_star`` stands in for the scan. ``scans`` maps a scan's grid
+    step to its result, for configs that share system and certificate: a
+    scan found there is not run again, and a scan that is run is added. An
+    error of the design is raised with ``block`` set to the report block (a
+    key of ``_DECISIONS``) whose step failed.
     """
+    scans = {} if scans is None else scans
     block = "system"
     try:
         system = design.LinearSystem(*(cfg["system"][key] for key in "ABK"))
@@ -70,8 +73,11 @@ def _design_bundle(cfg, raw, tau_star=None):
         block, tcfg = "trigger", cfg["trigger"]
         dwell = {}
         if tau_star is None:
-            result = design.min_inter_execution_time(
-                system, cert, grid_step=_dwell_grid_step(system, tcfg["delta"]))
+            step = _dwell_grid_step(system, tcfg["delta"])
+            if step not in scans:
+                scans[step] = design.min_inter_execution_time(
+                    system, cert, grid_step=step)
+            result = scans[step]
             tau_star = (result.tau if result.root_found
                         else min(result.tau, tcfg["tau_max"]))
             dwell = {"root_found": result.root_found,
@@ -376,7 +382,7 @@ def cmd_compare(args):
     return 0
 
 
-def _sweep_cell(raw, delta, tau_max, cell_dir):
+def _sweep_cell(raw, delta, tau_max, cell_dir, scans):
     cell_raw = copy.deepcopy(raw)
     cell_raw.pop("sweep", None)
     cell_raw["trigger"]["delta"] = delta
@@ -386,7 +392,8 @@ def _sweep_cell(raw, delta, tau_max, cell_dir):
            "status": "ok"}
     try:
         cfg = reports.validate_config(cell_raw)
-        system, cert, trig, gains, tables, report = _design_bundle(cfg, cell_raw)
+        system, cert, trig, gains, tables, report = _design_bundle(
+            cfg, cell_raw, scans=scans)
         cell_dir.mkdir(parents=True, exist_ok=True)
         reports.dump_json(report, cell_dir / "design.json")
         row["n_max"] = str(trig.n_max)
@@ -410,7 +417,10 @@ def cmd_sweep(args):
                    for tm in cfg["sweep"]["tau_max_list"])
     out = _out_dir(args, cfg)
     dirs = [out / "cells" / f"cell_{i:03d}" for i in range(len(cells))]
-    rows = [_sweep_cell(raw, delta, tau_max, cell_dir)
+    # The cells differ only in delta and tau_max, so cells whose deltas
+    # give one scan step share one dwell-time scan.
+    scans = {}
+    rows = [_sweep_cell(raw, delta, tau_max, cell_dir, scans)
             for (delta, tau_max), cell_dir in zip(cells, dirs)]
     columns = ["delta", "tau_max", "n_max", "sigma", "gamma_total_coeff",
                "mean_tau_k", "executions", "status"]

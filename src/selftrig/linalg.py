@@ -10,9 +10,10 @@ symmetry checks this package relies on:
 ==================  =========================================================
 ``expm``            scaling and squaring with a diagonal Pade approximant
 ``expm_grid``       the same kernel over a stack of times, one scaling each
-``expm_chunks``     an index range in bounded chunks: ``expm_grid`` for the
-                    first, then runs of blocks, each block one offset
-                    exponential times the first chunk; with factors,
+``expm_chunks``     an index range of ``n`` points in bounded chunks of
+                    blocks about ``sqrt(n)`` wide: ``expm_grid`` for the
+                    first block, then runs of blocks, each block one offset
+                    exponential times the first; with factors,
                     ``left exp(M t) right``
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
@@ -50,10 +51,12 @@ _PADE6 = (
     1.0 / 15840.0,
     1.0 / 665280.0,
 )
-# Entries of the first chunk of ``expm_chunks``: it holds as many grid
-# points as fit, and at least one. Every block of a later chunk is as wide.
+# Entry budget of one block of ``expm_chunks``: a block of an ``n``-point
+# range holds ``ceil(sqrt(n))`` grid points, but no more than fit in this
+# budget, and at least one.
 _GRID_CHUNK_ENTRIES = 4096
-# Blocks in one later chunk of ``expm_chunks``.
+# A later chunk of ``expm_chunks`` holds as many blocks as fit in this many
+# block budgets.
 _GRID_CHUNK_BLOCKS = 8
 
 _SYMMETRY_RTOL = 1e-12
@@ -137,18 +140,24 @@ def expm_chunks(M, step, indices, left=None, right=None):
     """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
 
     Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
-    ``E[i] = exp(M * idx[i] * step)``. The first chunk comes from
-    :func:`expm_grid`. A later chunk is a run of blocks as wide as the first
-    chunk (its last block may be shorter); a block starting at ``idx[k]`` is
-    one fresh ``exp(M * (idx[k] - j0) * step)`` times the first chunk, ``j0``
+    ``E[i] = exp(M * idx[i] * step)``. A block of an ``n``-point range is
+    ``ceil(sqrt(n))`` points wide, or as many as ``_GRID_CHUNK_ENTRIES``
+    entries hold if that is fewer (at least one). The first chunk is one
+    block, from :func:`expm_grid`. A later chunk is a run of blocks as wide
+    (its last block may be shorter); a block starting at ``idx[k]`` is one
+    fresh ``exp(M * (idx[k] - j0) * step)`` times the first chunk, ``j0``
     being the range's first index, since ``exp(M (a + b)) = exp(M a)
     exp(M b)``. One stacked :func:`expm_grid` gives a chunk's block offsets
     and one broadcast product its points. Every point is thus a single
     product of two fresh exponentials, and its error does not grow along the
-    grid. Every later chunk holds ``_GRID_CHUNK_BLOCKS`` blocks; only the
-    last may hold fewer. No whole grid is ever materialized: the first
-    chunk holds at most ``_GRID_CHUNK_ENTRIES`` entries and a later one at
-    most ``_GRID_CHUNK_BLOCKS`` times that.
+    grid. While ``n`` is at most the square of the budget's points, a range
+    thus costs at most ``2 ceil(sqrt(n)) - 1`` fresh exponentials, one
+    block and one per later block; a longer range has blocks of the budget,
+    about ``n / budget`` of them. Every later chunk holds as many blocks as
+    ``_GRID_CHUNK_BLOCKS`` block budgets do; only the last may hold fewer.
+    No whole grid is ever materialized: the first chunk holds at most
+    ``_GRID_CHUNK_ENTRIES`` entries and a later one at most
+    ``_GRID_CHUNK_BLOCKS`` times that.
 
     Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
     ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks,
@@ -159,9 +168,11 @@ def expm_chunks(M, step, indices, left=None, right=None):
     product of the blocks' rows with the kept ``k x n`` matrix.
     """
     A = as_square(M, "expm argument")
-    per = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
     if not len(indices):
         return
+    budget = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
+    per = min(budget, math.isqrt(len(indices) - 1) + 1)
+    blocks = _GRID_CHUNK_BLOCKS * budget // per
     part = indices[:per]
     idx = np.arange(part.start, part.stop, part.step)
     first = expm_grid(A, step * idx)
@@ -175,7 +186,7 @@ def expm_chunks(M, step, indices, left=None, right=None):
         yield idx, E.transpose(2, 0, 1)
     lo = len(idx)
     while lo < len(indices):
-        part = indices[lo:lo + _GRID_CHUNK_BLOCKS * per]
+        part = indices[lo:lo + blocks * per]
         idx = np.arange(part.start, part.stop, part.step)
         bases = expm_grid(A, step * (idx[::per] - indices[0]))
         if right is None:

@@ -1094,6 +1094,38 @@ class TestSweep:
         for gains in by_delta.values():
             assert gains == sorted(gains)
 
+    def test_cells_share_one_dwell_time_scan_per_delta(self, tmp_path,
+                                                         monkeypatch):
+        # Six cells over two deltas run two scans. Unfed, the stable plant
+        # decays at its certified rate while held, so no scan finds a root
+        # below its cap, 10 / lambda = 20, and each cell clips that cap to
+        # its own tau_max.
+        calls = []
+        scan = design.min_inter_execution_time
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["grid_step"])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(design, "min_inter_execution_time", counted)
+        cfg = scalar_cfg(system={"A": -1.0, "B": 1.0, "K": 0.0},
+                         sweep={"delta_list": [0.1, 0.05],
+                                "tau_max_list": [3.0, 1.5, 2.0]})
+        del cfg["simulation"]
+        out = tmp_path / "out"
+        assert run(tmp_path, cfg, "sweep", "--out", str(out)) == 0
+        assert sorted(calls) == [0.05 / 100, 0.1 / 100]
+        with open(out / "sweep.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok"] * 6
+        for i, row in enumerate(rows):
+            report = json.loads((out / "cells" / f"cell_{i:03d}"
+                                 / "design.json").read_text())
+            dwell = report["dwell_time"]
+            assert dwell["tau_star"] == float(row["tau_max"])
+            assert dwell["root_found"] is False
+            assert dwell["tau_cap"] == pytest.approx(20.0, rel=1e-12)
+
     def test_failed_cells_are_recorded(self, tmp_path):
         cfg = scalar_cfg(sweep={"delta_list": [2.0], "tau_max_list": [3.0]})
         del cfg["simulation"]
@@ -1115,6 +1147,24 @@ README_CONFIG = {
     "outputs": {"directory": "out", "emit_plots": True},
     "sweep": {"delta_list": [0.05, 0.025], "tau_max_list": [1.0, 1.5]},
 }
+
+
+class TestReadmeDesign:
+    def test_dwell_time_and_gains_are_pinned(self, tmp_path):
+        # The README design's tau* and gains, at 1e-9 relative, so that a
+        # change to the scan or the gain quadrature that moves them shows
+        # here. gamma_I is the integral of norm([[1, r], [0, 1]]) =
+        # (r + sqrt(r^2 + 4)) / 2 over the longest hold, 1.5: 1.5 + ln 2.
+        out = tmp_path / "out"
+        assert run(tmp_path, README_CONFIG, "design", "--out", str(out)) == 0
+        report = json.loads((out / "design.json").read_text())
+        got = {"tau_star": report["dwell_time"]["tau_star"], **report["gains"]}
+        want = {"tau_star": 0.9123932976722715, "sigma": 6.433464964323204,
+                "gamma_P_coeff": 6.917892466411577,
+                "gamma_I_coeff": 1.5 + math.log(2.0),
+                "gamma_total_coeff": 181.35058103388866}
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-9), key
 
 
 def stdlib_json(data):

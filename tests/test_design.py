@@ -8,6 +8,7 @@ bisection with no shared code. The double integrator pins the matrix path
 with its rational certificate.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -38,8 +39,10 @@ def lapack_det(M):
 def fresh_simpson(A, T, max_step):
     """``integral_0^T norm(exp(A r)) dr`` as the quadrature defines it, with
     every rule built from scratch: one ``linalg.expm`` and one SVD norm per
-    node, the node count doubled from the first rule's until two rules agree
-    to 1e-6 relative. Returns the value and the last rule's node count."""
+    node. The first rule stands if its node count is a multiple of 4 and it
+    agrees with the rule of half as many nodes to 1e-6 relative; otherwise
+    the node count is doubled until two rules agree to 1e-6 relative.
+    Returns the value and the last rule's node count."""
     def simpson(n):
         h = T / n
         f = [np.linalg.norm(linalg.expm(A, i * h), 2) for i in range(n)]
@@ -48,6 +51,8 @@ def fresh_simpson(A, T, max_step):
 
     n = max(2, 2 * math.ceil(T / (2.0 * max_step)))
     value = simpson(n)
+    if n % 4 == 0 and abs(value - simpson(n // 2)) <= 1e-6 * abs(value):
+        return value, n
     while True:
         n *= 2
         refined = simpson(n)
@@ -231,18 +236,22 @@ def spectrum_shift_plant(seed, m):
             return sys_, cert, result.tau
 
 
-def batched_widths(count, per):
-    """Chunk widths of ``linalg.expm_chunks`` over ``count`` points: ``per``,
-    then ``_GRID_CHUNK_BLOCKS`` blocks of ``per`` per chunk, the last chunk
-    cut short."""
+def batched_widths(count, budget):
+    """Chunk widths of ``linalg.expm_chunks`` over ``count`` points with a
+    budget of ``budget`` points: blocks of ``ceil(sqrt(count))`` points, at
+    most ``budget``; the first chunk one block, a later one as many blocks
+    as ``_GRID_CHUNK_BLOCKS * budget`` points hold, the last chunk cut
+    short."""
+    per = min(budget, math.isqrt(count - 1) + 1)
+    chunk = linalg._GRID_CHUNK_BLOCKS * budget // per * per
     widths = [min(per, count)]
     while sum(widths) < count:
-        widths.append(min(linalg._GRID_CHUNK_BLOCKS * per, count - sum(widths)))
+        widths.append(min(chunk, count - sum(widths)))
     return widths
 
 
 def _flow_grid_cases(double_integrator, corpus):
-    """(system, default scan step, 3.5 chunks of points) for a tangential
+    """(system, default scan step, 3.5 budgets of points) for a tangential
     plant, the double integrator and an unstable corpus plant."""
     unstable = next(fx for fx in corpus
                     if np.linalg.eigvals(fx.sys.A).real.max() > 0.0)
@@ -250,9 +259,9 @@ def _flow_grid_cases(double_integrator, corpus):
     cases = [(tangential, design.make_certificate(tangential, lambda_ratio=0.5))]
     cases += [(fx.sys, fx.cert) for fx in (double_integrator, unstable)]
     for sys_, cert in cases:
-        per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+        budget = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
         yield (sys_, 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT,
-               3 * per + per // 2)
+               3 * budget + budget // 2)
 
 
 def _oracle_cases(double_integrator, corpus):
@@ -412,9 +421,9 @@ class TestDwellTime:
 
     def test_scan_grid_flows_match_single_exponentials(self, double_integrator,
                                                         corpus):
-        # Every scan-grid flow after the first chunk is a product of a chunk
-        # base and an offset; over four chunks of the default scan step each
-        # must agree with the point's own exponential.
+        # Every scan-grid flow after the first block is a product of a block
+        # base and a first-block flow; over 3.5 budgets of the default scan
+        # step each must agree with the point's own exponential.
         for sys_, step, count in _flow_grid_cases(double_integrator, corpus):
             seen = []
             for idx, L in design.held_flow_chunks(sys_, step,
@@ -426,19 +435,40 @@ class TestDwellTime:
                     assert float(np.abs(flow - exact).max()) <= 1e-13 * scale, j
             assert seen == list(range(1, count + 1))
 
-    def test_held_flow_chunks_match_single_exponentials(self, double_integrator,
-                                                         corpus):
-        # The tables read range(0, n_max + 1) and the gain quadrature's odd
-        # nodes range(1, n, 2), chunked by the same rule as the scan grid.
-        # The tables' range ends in a chunk of three blocks, the third short.
-        # Every flow of each must agree with the point's own exponential,
-        # and L(0) is the identity.
+    def test_design_fine_scans_keep_budget_wide_blocks(self,
+                                                       double_integrator):
+        # design_fine's scans, of the double integrator at delta 0.005 and
+        # of its m=6 plant at delta tau*/20, each on the CLI grid, span more
+        # than their budget squared of points: their blocks stay as wide as
+        # the budget and a later chunk holds _GRID_CHUNK_BLOCKS of them.
+        m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
+        di = double_integrator
+        for sys_, cert, delta in ((di.sys, di.cert, 0.005),
+                                  (m6, m6_cert, m6_tau / 20.0)):
+            step = cli._dwell_grid_step(sys_, delta)
+            n_grid = math.ceil(10.0 / cert.lam / step)
+            budget = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+            assert n_grid > budget ** 2
+            chunks = itertools.islice(
+                design.held_flow_chunks(sys_, step, range(1, n_grid + 1)), 3)
+            assert ([len(idx) for idx, _L in chunks]
+                    == [budget] + 2 * [linalg._GRID_CHUNK_BLOCKS * budget])
+
+    def test_held_flow_chunks_match_single_exponentials(
+            self, monkeypatch, double_integrator, corpus):
+        # The tables read range(0, n_max + 1); a strided range(1, n, 2)
+        # is chunked by the same rule. Blocks are ceil(sqrt(n)) points
+        # wide, and with one block budget per later chunk each range takes
+        # three to five chunks, the last cut short. Every flow of each must
+        # agree with the point's own exponential, and L(0) is the identity.
+        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 1)
         for sys_, step, count in _flow_grid_cases(double_integrator, corpus):
-            per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+            budget = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
             for indices in (range(count + 1), range(1, count, 2)):
                 chunks = list(design.held_flow_chunks(sys_, step, indices))
                 assert ([len(idx) for idx, _L in chunks]
-                        == batched_widths(len(indices), per))
+                        == batched_widths(len(indices), budget))
+                assert len(chunks) >= 3
                 assert [j for idx, _L in chunks for j in idx] == list(indices)
                 if indices[0] == 0:
                     assert np.array_equal(chunks[0][1][0], np.eye(sys_.m))
@@ -516,19 +546,19 @@ class TestDwellTime:
                                                  double_integrator, corpus):
         # Every form of the scan grid, over three chunks, is within 1e-13 of
         # its largest entry of the form of the point's own flow: the double
-        # integrator, a corpus m=3 plant and a seeded m=6 plant. Two blocks
-        # per later chunk put three chunks in the first 3 * per + 1 points;
-        # further along, the m=6 plant's growing forms leave 1e-13.
+        # integrator, a corpus m=3 plant and a seeded m=6 plant. Later
+        # chunks of two budgets put three chunks in the first 3 * budget + 1
+        # points; further along, the m=6 plant's growing forms leave 1e-13.
         monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 2)
         m3 = next(fx for fx in corpus if fx.sys.m == 3)
         m6, m6_cert, _tau = spectrum_shift_plant(0, 6)
         for sys_, cert in ((double_integrator.sys, double_integrator.cert),
                            (m3.sys, m3.cert), (m6, m6_cert)):
             step = 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT
-            per = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
+            budget = linalg._GRID_CHUNK_ENTRIES // sys_.van_loan.size
             rate = 2.0 * cert.lam
             chunks = list(design.held_flow_chunks(sys_, step,
-                                                  range(1, 3 * per + 2)))
+                                                  range(1, 3 * budget + 2)))
             assert len(chunks) >= 3
             for idx, L in chunks:
                 forms = design.decay_form(L, cert.P, rate, step * idx)
@@ -705,8 +735,9 @@ class TestGains:
     def test_quadrature_matches_a_fresh_simpson_sum_across_sizes(self, corpus):
         # Corpus plants of order 1 and 3 and a seeded order-6 plant, over
         # their gain windows, and a fast oscillator (norm(A) * max_step = 1)
-        # that needs two doublings: every doubled node is a kept first-rule
-        # node times a fresh offset, and none drifts from the fresh rule.
+        # that needs two doublings: the quadrature stops at the fresh rule's
+        # node count, every doubled node is a kept first-rule node times a
+        # fresh offset, and none drifts from the fresh rule.
         rng = np.random.default_rng(6)
         A6 = rng.normal(size=(6, 6))
         A6 -= (float(np.max(np.linalg.eigvals(A6).real)) + 0.5) * np.eye(6)
@@ -721,6 +752,33 @@ class TestGains:
                                                                      rel=1e-14)
         # The oscillator, checked last, stopped two doublings in or later.
         assert n >= 4 * 2 * math.ceil(T / (2.0 * step))
+
+    def test_a_resolved_first_rule_is_not_doubled(self, monkeypatch,
+                                                   double_integrator):
+        # The double integrator's gain windows at delta 0.05 and 0.005 (the
+        # README's and design_fine's) have first rules of 120 and 1200
+        # intervals that agree with their embedded rules at twice the
+        # spacing: only their n + 1 nodes are normed. The fast oscillator's
+        # 450 intervals are no multiple of 4, so it doubles, twice: its
+        # first rule and two rounds of odd nodes make 4 * 450 + 1 nodes.
+        normed = []
+        norms = linalg.spectral_norms
+
+        def counted(E):
+            normed.append(E[..., 0, 0].size)
+            return norms(E)
+
+        monkeypatch.setattr(linalg, "spectral_norms", counted)
+        fx = double_integrator
+        for delta, n in ((0.05, 120), (0.005, 1200)):
+            trig = design.choose_trigger(fx.tau_star, delta, 1.5)
+            normed.clear()
+            design.eiss_gains(fx.sys, fx.cert, trig)
+            assert sum(normed) == n + 1, delta
+        normed.clear()
+        design._norm_integral(np.array([[0.0, 1.0], [-900.0, 0.0]]), 0.5,
+                              1.0 / 900.0)
+        assert sum(normed) == 4 * 450 + 1
 
     def test_doublings_give_the_same_value_in_small_chunks(self, monkeypatch):
         # A budget of 32 2x2 products splits the 16,352 doubled nodes into

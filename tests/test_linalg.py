@@ -46,11 +46,13 @@ def random_matrix(rng, n, scale=2.0):
 
 
 def one_block_chunks(M, step, indices):
-    """The grid exponentials as ``linalg.expm_chunks`` made them one block
-    per chunk: ``expm_grid`` for the first ``per`` points, then one
-    ``expm`` per later block times the first."""
+    """The grid exponentials as ``linalg.expm_chunks`` would make them one
+    block per chunk: ``expm_grid`` for the first ``per`` points, then one
+    ``expm`` per later block times the first; ``per`` is ``ceil(sqrt(n))``
+    for ``n`` points, at most the budget of ``_GRID_CHUNK_ENTRIES``."""
     A = np.asarray(M, dtype=float)
-    per = max(1, linalg._GRID_CHUNK_ENTRIES // A.size)
+    budget = max(1, linalg._GRID_CHUNK_ENTRIES // A.size)
+    per = min(budget, math.isqrt(len(indices) - 1) + 1)
     for lo in range(0, len(indices), per):
         part = indices[lo:lo + per]
         idx = np.arange(part.start, part.stop, part.step)
@@ -147,43 +149,83 @@ class TestExpmGrid:
         with pytest.raises(NumericError):
             linalg.expm_grid(np.eye(2), [0.1, math.nan])
 
+    # (budget, blocks per later chunk, indices, chunk widths): 35 points,
+    # more than the budget squared, take blocks of the budget; 70 points
+    # take blocks of ceil(sqrt(70)) = 9, two to a later chunk.
+    CHUNK_CASES = [(3, 4, range(1, 70, 2), [3, 12, 12, 8]),
+                   (12, 2, range(1, 140, 2), [9, 18, 18, 18, 7])]
+
     def test_chunks_cover_the_index_range_within_the_budget(self, monkeypatch):
-        # The first chunk is expm_grid's. A later chunk is a run of the
-        # cap's number of blocks as wide as the first chunk, the last chunk
-        # cut short; each block is a fresh exponential over its offset from
-        # the range's first index times the first chunk, bit for bit, and
-        # every point stays within 1e-13 of its own exponential.
+        # Blocks are ceil(sqrt(n)) points wide for n points, at most the
+        # budget. The first chunk is one block, expm_grid's. A later chunk
+        # is as many blocks as its budget of blocks * budget points holds,
+        # the last chunk cut short; each block is a fresh exponential over
+        # its offset from the range's first index times the first chunk,
+        # bit for bit, and every point stays within 1e-13 of its own
+        # exponential.
         A = np.array([[0.0, 1.0], [-2.0, -0.5]])
-        monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 3 * A.size)
-        monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 4)
         step = 0.05
-        indices = range(1, 70, 2)
-        chunks = list(linalg.expm_chunks(A, step, indices))
-        # The last chunk holds two full blocks and a tail of two points.
-        assert [len(idx) for idx, _E in chunks] == [3, 12, 12, 8]
-        assert ([j for idx, _E in chunks for j in idx.tolist()]
-                == list(indices))
-        first = chunks[0][1]
-        assert np.array_equal(first, linalg.expm_grid(A, step * chunks[0][0]))
-        for idx, E in chunks[1:]:
-            assert E.size <= linalg._GRID_CHUNK_BLOCKS * 3 * A.size
-            for lo in range(0, len(idx), 3):
-                block = E[lo:lo + 3]
-                base = linalg.expm(A, step * (idx[lo] - 1))
-                assert np.array_equal(block, base @ first[:len(block)])
-        for idx, E in chunks:
-            exact = linalg.expm_grid(A, step * idx)
-            assert np.abs(E - exact).max() <= 1e-13 * np.abs(exact).max()
+        for budget, blocks, indices, widths in self.CHUNK_CASES:
+            monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", budget * A.size)
+            monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", blocks)
+            chunks = list(linalg.expm_chunks(A, step, indices))
+            assert [len(idx) for idx, _E in chunks] == widths
+            assert ([j for idx, _E in chunks for j in idx.tolist()]
+                    == list(indices))
+            first = chunks[0][1]
+            per = len(first)
+            assert np.array_equal(first,
+                                  linalg.expm_grid(A, step * chunks[0][0]))
+            for idx, E in chunks[1:]:
+                assert E.size <= blocks * budget * A.size
+                for lo in range(0, len(idx), per):
+                    block = E[lo:lo + per]
+                    base = linalg.expm(A, step * (idx[lo] - 1))
+                    assert np.array_equal(block, base @ first[:len(block)])
+            for idx, E in chunks:
+                exact = linalg.expm_grid(A, step * idx)
+                assert np.abs(E - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("size", [2, 6, 12])
+    def test_a_range_costs_about_twice_its_square_root_in_exponentials(
+            self, monkeypatch, size):
+        # Up to the budget squared, a range of n points costs at most
+        # 2 ceil(sqrt(n)) + 1 fresh exponentials: one block and one per
+        # later block. Sizes 2 and 6 are the gain quadrature's of the double
+        # integrator and an m=6 plant, 12 the m=6 plant's Van Loan block.
+        A = random_matrix(np.random.default_rng(60 + size), size, scale=0.5)
+        budget = linalg._GRID_CHUNK_ENTRIES // A.size
+        computed = []
+        grid = linalg.expm_grid
+
+        def counted(M, taus):
+            E = grid(M, taus)
+            computed.append(len(E))
+            return E
+
+        monkeypatch.setattr(linalg, "expm_grid", counted)
+        for n in sorted({1, 2, 3, 10, 301, 1201, budget * budget - 1,
+                         budget * budget}):
+            if n > budget * budget:
+                continue
+            computed.clear()
+            points = sum(len(idx) for idx, _E in
+                         linalg.expm_chunks(A, 1e-3, range(n)))
+            assert points == n
+            assert sum(computed) <= 2 * (math.isqrt(n - 1) + 1) + 1, n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
     def test_batched_chunks_equal_the_one_block_generator(self, n):
-        # Concatenated, the chunks are the old generator's, which made every
-        # later chunk of one block with its own expm call, bit for bit.
+        # Concatenated, the chunks are the one-block generator's, which
+        # makes every later chunk of one block with its own expm call, bit
+        # for bit: over 40 budgets (for 12x12 more than the budget squared,
+        # so blocks of the budget; blocks of ceil(sqrt(n)) below), nine
+        # budgets in steps of two and half a budget.
         rng = np.random.default_rng(20 + n)
         A = random_matrix(rng, n, scale=0.5)
-        per = linalg._GRID_CHUNK_ENTRIES // A.size
-        for indices in (range(0, 40 * per + per // 3),
-                        range(1, 9 * per, 2), range(5, 5 + per // 2)):
+        budget = linalg._GRID_CHUNK_ENTRIES // A.size
+        for indices in (range(0, 40 * budget + budget // 3),
+                        range(1, 9 * budget, 2), range(5, 5 + budget // 2)):
             step = 0.7 / len(indices)
             got = list(linalg.expm_chunks(A, step, indices))
             want = list(one_block_chunks(A, step, indices))
