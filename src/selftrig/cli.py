@@ -16,7 +16,6 @@ import copy
 import dataclasses
 import functools
 import json
-import math
 import sys as _sys
 from pathlib import Path
 
@@ -42,12 +41,9 @@ _CHECKED_BLOCKS = (*_DECISIONS, "gains", "feasibility", "tables")
 
 def _dwell_grid_step(system, delta):
     """Step of the dwell-time scan: ``delta / 100``, but at most
-    ``(pi / omega) / 20``, where ``omega`` is the largest ``|Im lambda(A)|``,
-    so that the scan cannot step over the first root of a plant that
-    oscillates faster than the trigger grid."""
-    step = delta / _DWELL_GRID_DIVISOR
-    omega = float(np.max(np.abs(np.linalg.eigvals(system.A).imag)))
-    return min(step, math.pi / omega / 20.0) if omega > 0.0 else step
+    ``design.resolving_step(A)``, so that the scan cannot step over the
+    first root of a plant that oscillates faster than the trigger grid."""
+    return min(delta / _DWELL_GRID_DIVISOR, design.resolving_step(system.A))
 
 
 def _design_bundle(cfg, raw, tau_star=None, scans=None):

@@ -479,6 +479,14 @@ def energy_rate_form(sys, cert):
     return 0.5 * (G + G.T)
 
 
+def resolving_step(A):
+    """Largest grid step that resolves the fastest oscillation of
+    ``exp(A r)``: ``(pi / omega) / 20``, where ``omega`` is the largest
+    ``|Im lambda(A)|``, or infinity when every eigenvalue is real."""
+    omega = float(np.max(np.abs(np.linalg.eigvals(A).imag)))
+    return math.pi / omega / 20.0 if omega > 0.0 else math.inf
+
+
 # An exponential past the float range makes a rule's sum non-finite, which
 # the quadrature returns; numpy's overflow warnings would only precede it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -491,15 +499,17 @@ def _norm_integral(A, T, max_step):
     come from one ``linalg.expm_chunks`` pass and are kept; its end, odd
     and even sums are read by index parity. When ``n`` is a multiple of 4,
     the first rule is compared with the rule embedded in it at spacing
-    ``2 h``, on every other node, whose norms are at hand; if the two agree
-    to ``_QUAD_RTOL`` relative, the first rule, the finer of the two, is
-    the value and nothing is doubled. A doubled rule keeps the old
-    nodes and adds the odd ones: at doubling ``k`` these are
-    ``exp(A (q 2^k + r) h_k) = E0[q] exp(A r h_k)`` for ``q < n`` and odd
-    ``r < 2^k``, with ``E0`` the kept first rule and ``h_k = h / 2^k``.
-    One ``linalg.expm_grid`` gives the offsets ``exp(A r h_k)`` and
-    broadcast products the nodes, chunked over ``q`` so that no product
-    stack exceeds the budget of a later ``expm_chunks`` chunk. Every node
+    ``2 h``, on every other node, whose norms are at hand. If the two agree
+    to 1e-8 relative and ``2 h`` is at most :func:`resolving_step`, the
+    first rule, the finer of the two, is the value and nothing is doubled;
+    it is then within about 1e-9 relative of the first doubled rule. A
+    doubled rule keeps the old nodes and adds the odd ones: at doubling
+    ``k`` these are ``exp(A (q 2^k + r) h_k) = E0[q] exp(A r h_k)`` for
+    ``q < n`` and odd ``r < 2^k``, with ``E0`` the kept first rule and
+    ``h_k = h / 2^k``. One ``linalg.expm_grid`` gives the offsets
+    ``exp(A r h_k)`` and broadcast products the nodes, chunked over ``q``
+    so that no product stack exceeds the budget of a later ``expm_chunks``
+    chunk. Every node
     is one first-rule node times one fresh offset, so its error does not
     grow with ``k``, and no doubled rule is held whole. The norms are
     ``linalg.spectral_norms``.
@@ -521,9 +531,16 @@ def _norm_integral(A, T, max_step):
     if not math.isfinite(value):
         return value
     if n % 4 == 0:
+        # Simpson's error falls as h^4, so a doubling would move the value
+        # by about (value - coarse) / 16: agreement to 1e-8 keeps the first
+        # rule within about 1e-9 of the doubled one. The embedded rule's
+        # nodes, 2 h apart, must also resolve the fastest oscillation of
+        # exp(A r), or both rules could sample it at the same phase and
+        # agree on a wrong value.
         coarse = (ends + 4.0 * float(norms[2:n:4].sum())
                   + 2.0 * float(norms[4:n:4].sum())) * 2.0 * h / 3.0
-        if abs(value - coarse) <= _QUAD_RTOL * max(abs(value), 1e-30):
+        if (abs(value - coarse) <= 1e-8 * abs(value)
+                and 2.0 * h <= resolving_step(A)):
             return value
     starts = first[:n]
     width = max(1, linalg._GRID_CHUNK_ENTRIES * linalg._GRID_CHUNK_BLOCKS
@@ -556,8 +573,9 @@ def disturbance_gain_coeff(P_like, A, T):
     Computes ``(lambda_max(P) / sqrt(lambda_min(P))) * integral_0^T
     norm(exp(A r)) dr`` by composite Simpson quadrature, from a first rule
     of 64 intervals. That rule stands if it agrees with its embedded rule
-    of 32 intervals to 1e-6 relative; otherwise the node count is doubled
-    until two rules agree to 1e-6 relative.
+    of 32 intervals to 1e-8 relative and those 32 intervals resolve the
+    fastest oscillation of ``exp(A r)`` (see ``_norm_integral``); otherwise
+    the node count is doubled until two rules agree to 1e-6 relative.
     """
     A = linalg.as_square(A, "A")
     P_like = linalg.as_square(P_like, "P")

@@ -13,7 +13,8 @@ symmetry checks this package relies on:
 ``expm_chunks``     an index range of ``n`` points in bounded chunks of
                     blocks about ``sqrt(n)`` wide: ``expm_grid`` for the
                     first block, then runs of blocks, each block one offset
-                    exponential times the first; with factors,
+                    exponential times the first, with no more ``expm_grid``
+                    calls than later chunks; with factors,
                     ``left exp(M t) right``
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
@@ -148,12 +149,14 @@ def expm_chunks(M, step, indices, left=None, right=None):
     fresh ``exp(M * (idx[k] - j0) * step)`` times the first chunk, ``j0``
     being the range's first index, since ``exp(M (a + b)) = exp(M a)
     exp(M b)``. One stacked :func:`expm_grid` gives a chunk's block offsets
-    and one broadcast product its points. Every point is thus a single
-    product of two fresh exponentials, and its error does not grow along the
-    grid. While ``n`` is at most the square of the budget's points, a range
-    thus costs at most ``2 ceil(sqrt(n)) - 1`` fresh exponentials, one
-    block and one per later block; a longer range has blocks of the budget,
-    about ``n / budget`` of them. Every later chunk holds as many blocks as
+    and one broadcast product its points; the first later chunk's offsets
+    share their call with the first block, as every exponential of a stack
+    is computed alone. Every point is thus a single product of two fresh
+    exponentials, and its error does not grow along the grid. While ``n``
+    is at most the square of the budget's points, a range thus costs at
+    most ``2 ceil(sqrt(n)) - 1`` fresh exponentials, one block and one per
+    later block; a longer range has blocks of the budget, about
+    ``n / budget`` of them. Every later chunk holds as many blocks as
     ``_GRID_CHUNK_BLOCKS`` block budgets do; only the last may hold fewer.
     No whole grid is ever materialized: the first chunk holds at most
     ``_GRID_CHUNK_ENTRIES`` entries and a later one at most
@@ -175,7 +178,12 @@ def expm_chunks(M, step, indices, left=None, right=None):
     blocks = _GRID_CHUNK_BLOCKS * budget // per
     part = indices[:per]
     idx = np.arange(part.start, part.stop, part.step)
-    first = expm_grid(A, step * idx)
+    # The first block and the first later chunk's block offsets, in one
+    # call: a short range then takes one call, not two.
+    part = indices[per:per + blocks * per]
+    offsets = np.arange(part.start, part.stop, part.step)[::per] - indices[0]
+    first = expm_grid(A, step * np.concatenate((idx, offsets)))
+    first, bases = first[:len(idx)], first[len(idx):]
     if right is None:
         yield idx, first
     else:
@@ -188,7 +196,8 @@ def expm_chunks(M, step, indices, left=None, right=None):
     while lo < len(indices):
         part = indices[lo:lo + blocks * per]
         idx = np.arange(part.start, part.stop, part.step)
-        bases = expm_grid(A, step * (idx[::per] - indices[0]))
+        if lo > per:
+            bases = expm_grid(A, step * (idx[::per] - indices[0]))
         if right is None:
             E = np.empty((len(idx),) + A.shape)
             full = len(idx) // per

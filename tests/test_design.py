@@ -36,13 +36,15 @@ def lapack_det(M):
     return float(d) if np.ndim(d) == 0 else d
 
 
-def fresh_simpson(A, T, max_step):
+def fresh_simpson(A, T, max_step, embedded=True):
     """``integral_0^T norm(exp(A r)) dr`` as the quadrature defines it, with
     every rule built from scratch: one ``linalg.expm`` and one SVD norm per
-    node. The first rule stands if its node count is a multiple of 4 and it
-    agrees with the rule of half as many nodes to 1e-6 relative; otherwise
-    the node count is doubled until two rules agree to 1e-6 relative.
-    Returns the value and the last rule's node count."""
+    node. The first rule stands if its node count is a multiple of 4, it
+    agrees with the rule of half as many nodes to 1e-8 relative and that
+    rule's spacing is at most ``(pi / omega) / 20``, with ``omega`` the
+    largest ``|Im lambda(A)|``; otherwise, and always if ``embedded`` is
+    false, the node count is doubled until two rules agree to 1e-6
+    relative. Returns the value and the last rule's node count."""
     def simpson(n):
         h = T / n
         f = [np.linalg.norm(linalg.expm(A, i * h), 2) for i in range(n)]
@@ -51,7 +53,10 @@ def fresh_simpson(A, T, max_step):
 
     n = max(2, 2 * math.ceil(T / (2.0 * max_step)))
     value = simpson(n)
-    if n % 4 == 0 and abs(value - simpson(n // 2)) <= 1e-6 * abs(value):
+    omega = float(np.abs(np.linalg.eigvals(A).imag).max())
+    if (embedded and n % 4 == 0
+            and abs(value - simpson(n // 2)) <= 1e-8 * abs(value)
+            and 2.0 * T / n * omega <= math.pi / 20.0):
         return value, n
     while True:
         n *= 2
@@ -779,6 +784,44 @@ class TestGains:
         design._norm_integral(np.array([[0.0, 1.0], [-900.0, 0.0]]), 0.5,
                               1.0 / 900.0)
         assert sum(normed) == 4 * 450 + 1
+
+    def test_corpus_gains_stay_within_1e9_of_the_doubled_rule(self, corpus):
+        # Before the embedded check every rule was doubled at least once.
+        # A first rule that stands must be within 1e-9 relative of that
+        # rule's value, so that a design.json written before the check
+        # still passes the reuse check. The corpus's coarse windows (92
+        # intervals) agree with their embedded rules to between 7e-11 and
+        # 1e-2, so two stand and the rest double. gamma_P and gamma_total
+        # are the integral times factors that do not depend on it.
+        for fx in corpus:
+            gains = design.eiss_gains(fx.sys, fx.cert, fx.trig,
+                                      tau_star=fx.tau_star)
+            T = fx.trig.n_max * fx.trig.delta
+            doubled, _n = fresh_simpson(fx.sys.A, T, fx.trig.delta / 4.0,
+                                        embedded=False)
+            assert gains.gamma_I_coeff == pytest.approx(doubled, rel=1e-9), \
+                fx.name
+
+    def test_an_aliased_embedded_rule_is_not_trusted(self):
+        # exp(A k pi / 2) = (-1)^k I for this oscillator (omega = 2), so over
+        # 32 pi the 64-interval rule and its embedded 32-interval rule see
+        # only identities and both give T exactly. The norm reaches 2 at
+        # odd multiples of pi / 4, and the integral is 64 times that over
+        # one period pi / 2. The embedded rule's spacing pi is not below
+        # (pi / omega) / 20, so the quadrature doubles, and it matches the
+        # integral (a fine closed-form Simpson rule over one period) to the
+        # quadrature's 1e-6.
+        A, T = np.array([[0.0, 1.0], [-4.0, 0.0]]), 32.0 * math.pi
+        got = design.disturbance_gain_coeff(np.eye(2), A, T)
+        t = np.linspace(0.0, math.pi / 2.0, 20_001)
+        E = np.empty((t.size, 2, 2))
+        E[:, 0, 0] = E[:, 1, 1] = np.cos(2.0 * t)
+        E[:, 0, 1], E[:, 1, 0] = np.sin(2.0 * t) / 2.0, -2.0 * np.sin(2.0 * t)
+        f = np.linalg.norm(E, 2, axis=(1, 2))
+        period = (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
+                  + 2.0 * f[2:-1:2].sum()) * (t[1] - t[0]) / 3.0
+        assert got > 1.5 * T
+        assert got == pytest.approx(64.0 * period, rel=1e-6)
 
     def test_doublings_give_the_same_value_in_small_chunks(self, monkeypatch):
         # A budget of 32 2x2 products splits the 16,352 doubled nodes into

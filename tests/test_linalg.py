@@ -190,9 +190,12 @@ class TestExpmGrid:
     def test_a_range_costs_about_twice_its_square_root_in_exponentials(
             self, monkeypatch, size):
         # Up to the budget squared, a range of n points costs at most
-        # 2 ceil(sqrt(n)) + 1 fresh exponentials: one block and one per
-        # later block. Sizes 2 and 6 are the gain quadrature's of the double
-        # integrator and an m=6 plant, 12 the m=6 plant's Van Loan block.
+        # 2 ceil(sqrt(n)) - 1 fresh exponentials: one block and one per
+        # later block. The first block and the first later chunk's offsets
+        # share one expm_grid call, so a range takes one call fewer than it
+        # has chunks, and at least one. Sizes 2 and 6 are the gain
+        # quadrature's of the double integrator and an m=6 plant, 12 the
+        # m=6 plant's Van Loan block.
         A = random_matrix(np.random.default_rng(60 + size), size, scale=0.5)
         budget = linalg._GRID_CHUNK_ENTRIES // A.size
         computed = []
@@ -209,10 +212,10 @@ class TestExpmGrid:
             if n > budget * budget:
                 continue
             computed.clear()
-            points = sum(len(idx) for idx, _E in
-                         linalg.expm_chunks(A, 1e-3, range(n)))
-            assert points == n
-            assert sum(computed) <= 2 * (math.isqrt(n - 1) + 1) + 1, n
+            chunks = list(linalg.expm_chunks(A, 1e-3, range(n)))
+            assert sum(len(idx) for idx, _E in chunks) == n
+            assert sum(computed) <= 2 * (math.isqrt(n - 1) + 1) - 1, n
+            assert len(computed) == max(1, len(chunks) - 1), n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
     def test_batched_chunks_equal_the_one_block_generator(self, n):
