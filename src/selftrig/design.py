@@ -495,34 +495,26 @@ def _norm_integral(A, T, max_step):
 
     Starts from the smallest even node count ``n`` with spacing ``h`` at
     most ``max_step`` and doubles it until the value is stable to
-    ``_QUAD_RTOL`` relative. The first rule's ``n + 1`` node exponentials
-    come from one ``linalg.expm_chunks`` pass and are kept; its end, odd
-    and even sums are read by index parity. When ``n`` is a multiple of 4,
-    the first rule is compared with the rule embedded in it at spacing
-    ``2 h``, on every other node, whose norms are at hand. If the two agree
-    to 1e-8 relative and ``2 h`` is at most :func:`resolving_step`, the
-    first rule, the finer of the two, is the value and nothing is doubled;
-    it is then within about 1e-9 relative of the first doubled rule. A
-    doubled rule keeps the old nodes and adds the odd ones: at doubling
-    ``k`` these are ``exp(A (q 2^k + r) h_k) = E0[q] exp(A r h_k)`` for
-    ``q < n`` and odd ``r < 2^k``, with ``E0`` the kept first rule and
-    ``h_k = h / 2^k``. One ``linalg.expm_grid`` gives the offsets
-    ``exp(A r h_k)`` and broadcast products the nodes, chunked over ``q``
-    so that no product stack exceeds the budget of a later ``expm_chunks``
-    chunk. Every node
-    is one first-rule node times one fresh offset, so its error does not
-    grow with ``k``, and no doubled rule is held whole. The norms are
-    ``linalg.spectral_norms``.
+    ``_QUAD_RTOL`` relative. Every rule takes its node exponentials from
+    ``linalg.expm_chunks`` and keeps only their norms, from
+    ``linalg.spectral_norms``, so no rule is held whole. The first rule's
+    ``n + 1`` norms are kept; its end, odd and even sums are read by index
+    parity. When ``n`` is a multiple of 4, the first rule is compared with
+    the rule embedded in it at spacing ``2 h``, on every other node. If the
+    two agree to 1e-8 relative and ``2 h`` is at most
+    :func:`resolving_step`, the first rule, the finer of the two, is the
+    value and nothing is doubled; it is then within about 1e-9 relative of
+    the first doubled rule. Doubling ``k`` keeps the old sums and adds the
+    new odd nodes, ``exp(A j h_k)`` for odd ``j < n 2^k`` with ``h_k = h /
+    2^k``, as one ``expm_chunks`` pass summed chunk by chunk.
 
     A rule whose sum is not finite, where ``exp(A r)`` leaves the float
     range, is returned at once: no later doubling could converge.
     """
     n = max(2, 2 * int(math.ceil(T / (2.0 * max_step))))
     h = T / n
-    first = np.empty((n + 1,) + A.shape)
     norms = np.empty(n + 1)
     for idx, E in linalg.expm_chunks(A, h, range(n + 1)):
-        first[idx] = E
         norms[idx] = linalg.spectral_norms(E)
     ends = float(norms[0] + norms[n])
     odd = float(norms[1:n:2].sum())
@@ -542,20 +534,12 @@ def _norm_integral(A, T, max_step):
         if (abs(value - coarse) <= 1e-8 * abs(value)
                 and 2.0 * h <= resolving_step(A)):
             return value
-    starts = first[:n]
-    width = max(1, linalg._GRID_CHUNK_ENTRIES * linalg._GRID_CHUNK_BLOCKS
-                // A.size)
     for k in range(1, _QUAD_MAX_DOUBLINGS + 1):
         h_k = h / 2 ** k
         even += odd
         odd = 0.0
-        offsets = np.arange(1, 2 ** k, 2)
-        for lo in range(0, len(offsets), width):
-            O = linalg.expm_grid(A, h_k * offsets[lo:lo + width])
-            per = max(1, width // len(O))
-            for q in range(0, n, per):
-                E = starts[q:q + per, None] @ O
-                odd += float(linalg.spectral_norms(E).sum())
+        for _idx, E in linalg.expm_chunks(A, h_k, range(1, n * 2 ** k, 2)):
+            odd += float(linalg.spectral_norms(E).sum())
         refined = (ends + 4.0 * odd + 2.0 * even) * h_k / 3.0
         if not math.isfinite(refined):
             return refined
@@ -571,11 +555,8 @@ def disturbance_gain_coeff(P_like, A, T):
     a window of length ``T`` is at most ``c * sup|d|``.
 
     Computes ``(lambda_max(P) / sqrt(lambda_min(P))) * integral_0^T
-    norm(exp(A r)) dr`` by composite Simpson quadrature, from a first rule
-    of 64 intervals. That rule stands if it agrees with its embedded rule
-    of 32 intervals to 1e-8 relative and those 32 intervals resolve the
-    fastest oscillation of ``exp(A r)`` (see ``_norm_integral``); otherwise
-    the node count is doubled until two rules agree to 1e-6 relative.
+    norm(exp(A r)) dr``, the integral by ``_norm_integral`` from a first
+    rule of 64 intervals.
     """
     A = linalg.as_square(A, "A")
     P_like = linalg.as_square(P_like, "P")
@@ -602,12 +583,18 @@ def hold_growth_factor(delta, n_max, rho, mu, lam, rho_P):
     a = mu * delta / (mu - rho)
     try:
         e1 = math.exp((rho + 2.0 * lam) * a)
-        e2 = math.exp(2.0 * lam * (n_max - 1) * delta)
         e3 = math.exp(2.0 * lam * a)
     except OverflowError:
         raise DesignError(
             f"hold growth factor overflows: energy-rate bound rho={rho:.6g} "
             f"is too large for delta={delta:.6g}") from None
+    try:
+        e2 = math.exp(2.0 * lam * (n_max - 1) * delta)
+    except OverflowError:
+        raise DesignError(
+            f"hold growth factor overflows: the longest hold "
+            f"n_max*delta={n_max * delta:.6g} is too long for "
+            f"lambda={lam:.6g}") from None
     inner = e1 + e2 * (e1 - e3)
     if inner < 0.0:
         raise NumericError("growth factor radicand is negative")

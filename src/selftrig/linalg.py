@@ -10,12 +10,11 @@ symmetry checks this package relies on:
 ==================  =========================================================
 ``expm``            scaling and squaring with a diagonal Pade approximant
 ``expm_grid``       the same kernel over a stack of times, one scaling each
-``expm_chunks``     an index range of ``n`` points in bounded chunks of
-                    blocks about ``sqrt(n)`` wide: ``expm_grid`` for the
-                    first block, then runs of blocks, each block one offset
-                    exponential times the first, with no more ``expm_grid``
-                    calls than later chunks; with factors,
-                    ``left exp(M t) right``
+``expm_chunks``     every uniform time grid of the package: an index range
+                    of ``n`` points in blocks about ``sqrt(n)`` wide, each
+                    later block one offset exponential times the first,
+                    yielded in chunks under one memory budget; with
+                    factors, ``left exp(M t) right``
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
@@ -141,25 +140,24 @@ def expm_chunks(M, step, indices, left=None, right=None):
     """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
 
     Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
-    ``E[i] = exp(M * idx[i] * step)``. A block of an ``n``-point range is
-    ``ceil(sqrt(n))`` points wide, or as many as ``_GRID_CHUNK_ENTRIES``
-    entries hold if that is fewer (at least one). The first chunk is one
-    block, from :func:`expm_grid`. A later chunk is a run of blocks as wide
-    (its last block may be shorter); a block starting at ``idx[k]`` is one
-    fresh ``exp(M * (idx[k] - j0) * step)`` times the first chunk, ``j0``
-    being the range's first index, since ``exp(M (a + b)) = exp(M a)
-    exp(M b)``. One stacked :func:`expm_grid` gives a chunk's block offsets
-    and one broadcast product its points; the first later chunk's offsets
-    share their call with the first block, as every exponential of a stack
-    is computed alone. Every point is thus a single product of two fresh
+    ``E[i] = exp(M * idx[i] * step)``. An ``n``-point range is cut into
+    blocks of ``ceil(sqrt(n))`` points, or of as many as
+    ``_GRID_CHUNK_ENTRIES`` entries hold if that is fewer (at least one).
+    The first chunk is the first block, from :func:`expm_grid`. Every later
+    chunk is a run of blocks, as many as ``_GRID_CHUNK_BLOCKS`` block
+    budgets hold (only the last run, and its last block, may be shorter). A
+    block starting at ``idx[k]`` is one fresh offset ``exp(M (idx[k] - j0)
+    step)`` times the first block, ``j0`` being the range's first index,
+    since ``exp(M (a + b)) = exp(M a) exp(M b)``: one stacked
+    :func:`expm_grid` gives a chunk's offsets, and one broadcast product,
+    cut to the chunk's length, its points. As every exponential of a stack
+    is computed alone, the first later chunk's offsets share their call
+    with the first block. Every point is thus one product of two fresh
     exponentials, and its error does not grow along the grid. While ``n``
-    is at most the square of the budget's points, a range thus costs at
-    most ``2 ceil(sqrt(n)) - 1`` fresh exponentials, one block and one per
-    later block; a longer range has blocks of the budget, about
-    ``n / budget`` of them. Every later chunk holds as many blocks as
-    ``_GRID_CHUNK_BLOCKS`` block budgets do; only the last may hold fewer.
-    No whole grid is ever materialized: the first chunk holds at most
-    ``_GRID_CHUNK_ENTRIES`` entries and a later one at most
+    is at most the square of the budget's points, a range costs at most
+    ``2 ceil(sqrt(n)) - 1`` fresh exponentials; a longer one about ``n /
+    budget``. No whole grid is ever materialized: the first chunk holds at
+    most ``_GRID_CHUNK_ENTRIES`` entries and a later one at most
     ``_GRID_CHUNK_BLOCKS`` times that.
 
     Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
@@ -199,13 +197,9 @@ def expm_chunks(M, step, indices, left=None, right=None):
         if lo > per:
             bases = expm_grid(A, step * (idx[::per] - indices[0]))
         if right is None:
-            E = np.empty((len(idx),) + A.shape)
-            full = len(idx) // per
-            np.matmul(bases[:full, None], first,
-                      out=E[:full * per].reshape((full, per) + A.shape))
-            if full < len(bases):
-                np.matmul(bases[full], first[:len(idx) - full * per],
-                          out=E[full * per:])
+            # (blocks, 1) offsets times (per,) first points; a short last
+            # block is cut off the end.
+            E = (bases[:, None] @ first).reshape((-1,) + A.shape)[:len(idx)]
         else:
             # (p, 1, blocks, k) rows times (q, k, n) kept entries gives
             # (p, q, blocks, n); a short last block is cut off the end.

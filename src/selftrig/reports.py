@@ -31,6 +31,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
+from .sim import DISTURBANCE_KINDS
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 # Rows of the trajectory CSV formatted per chunk.
@@ -137,10 +138,9 @@ def _validate_disturbance(section):
     _check_keys(section, path, required=("kind",),
                 optional=("amplitude", "frequency", "seed"))
     kind = section["kind"]
-    if kind not in ("zero", "constant", "sinusoid", "bounded_noise"):
-        raise ConfigError(
-            f"{path}.kind must be one of zero, constant, sinusoid, "
-            f"bounded_noise, got {kind!r}")
+    if kind not in DISTURBANCE_KINDS:
+        raise ConfigError(f"{path}.kind must be one of "
+                          f"{', '.join(DISTURBANCE_KINDS)}, got {kind!r}")
     return {
         "kind": kind,
         "amplitude": _number(section.get("amplitude", 0.0), f"{path}.amplitude"),

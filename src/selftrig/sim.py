@@ -48,7 +48,7 @@ _NOISE_BLOCK = 1024
 # never exceeds the amplitude.
 _NOISE_SHRINK = 1.0 - 8.0 * np.finfo(float).eps
 
-_DISTURBANCE_KINDS = ("zero", "constant", "sinusoid", "bounded_noise")
+DISTURBANCE_KINDS = ("zero", "constant", "sinusoid", "bounded_noise")
 
 
 class DisturbanceSpec:
@@ -70,9 +70,9 @@ class DisturbanceSpec:
     """
 
     def __init__(self, kind, dimension, amplitude=0.0, frequency=0.0, seed=0):
-        if kind not in _DISTURBANCE_KINDS:
+        if kind not in DISTURBANCE_KINDS:
             raise ConfigError(
-                f"unknown disturbance kind {kind!r}, expected one of {_DISTURBANCE_KINDS}")
+                f"unknown disturbance kind {kind!r}, expected one of {DISTURBANCE_KINDS}")
         if not (isinstance(dimension, (int, np.integer)) and dimension >= 1):
             raise ConfigError(f"dimension must be a positive integer, got {dimension}")
         if not math.isfinite(amplitude):

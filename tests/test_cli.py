@@ -364,6 +364,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
 
+    def test_overlong_hold_is_named_in_the_growth_overflow(self, tmp_path,
+                                                           capsys):
+        # With tau_max = 1e300 the term of the hold growth factor that
+        # overflows is exp(2 lambda (n_max - 1) delta), the longest hold;
+        # the error used to blame the energy-rate bound rho and delta.
+        cfg = copy.deepcopy(README_CONFIG)
+        cfg["trigger"]["tau_max"] = 1e300
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            "error: hold growth factor overflows: the longest hold "
+            "n_max*delta=1e+300 is too long for lambda=0.234315\n")
+
     def test_overflowing_gain_integral_is_one_line_design_error(self, tmp_path,
                                                                 capsys):
         # norm(exp(10 r)) leaves the float range within the longest hold of
@@ -834,6 +847,7 @@ class TestDesignArtifact:
 
         reused = tmp_path / "reused"
         final = {"design": cfg(tau_max=1.0), "simulate": cfg(t_end=5.0),
+                 "compare": cfg(t_end=5.0),
                  "sweep": cfg(deltas=(0.1,), tau_maxes=(1.0, 1.5))}
         for command, last in final.items():
             assert run(tmp_path, cfg(), command, "--out", str(reused)) == 0

@@ -741,8 +741,8 @@ class TestGains:
         # Corpus plants of order 1 and 3 and a seeded order-6 plant, over
         # their gain windows, and a fast oscillator (norm(A) * max_step = 1)
         # that needs two doublings: the quadrature stops at the fresh rule's
-        # node count, every doubled node is a kept first-rule node times a
-        # fresh offset, and none drifts from the fresh rule.
+        # node count, each doubling's new odd nodes come from one
+        # linalg.expm_chunks pass, and none drifts from the fresh rule.
         rng = np.random.default_rng(6)
         A6 = rng.normal(size=(6, 6))
         A6 -= (float(np.max(np.linalg.eigvals(A6).real)) + 0.5) * np.eye(6)
@@ -824,9 +824,8 @@ class TestGains:
         assert got == pytest.approx(64.0 * period, rel=1e-6)
 
     def test_doublings_give_the_same_value_in_small_chunks(self, monkeypatch):
-        # A budget of 32 2x2 products splits the 16,352 doubled nodes into
-        # 511 product chunks, and a doubling's offsets too from the seventh
-        # doubling on.
+        # Blocks of at most 16 2x2 exponentials, two to a later chunk, split
+        # the 16,352 doubled nodes into at least 511 chunks.
         A, T, step = stiff_shear(), 1.0, 1.0 / 32.0
         whole = design._norm_integral(A, T, step)
         sizes = []
@@ -846,22 +845,27 @@ class TestGains:
 
     def test_quadrature_memory_is_the_first_rule_plus_one_chunk(self,
                                                                 monkeypatch):
-        # Nine doublings of a 33-node first rule: the last one alone adds
-        # 8192 nodes (256 kB of 2x2 exponentials). What the quadrature holds
-        # is the first rule and its norms, plus stacks of at most one chunk's
-        # budget: the offsets with their Pade working set (about ten such
-        # stacks), the products and their scaled copy.
+        # A first rule of 2049 nodes (64 kB of 2x2 exponentials) that still
+        # doubles. What the quadrature holds is the first rule's norms, plus
+        # stacks of at most one chunk's budget: the exponentials with their
+        # Pade working set (about ten such stacks) and their scaled copy.
         monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES", 64)
         monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 2)
-        A, T, step = stiff_shear(), 1.0, 1.0 / 32.0
+        A, T, step = stiff_shear(), 1.0, 1.0 / 2048.0
+        normed = []
+        norms = linalg.spectral_norms
+        monkeypatch.setattr(linalg, "spectral_norms",
+                            lambda E: normed.append(len(E)) or norms(E))
         design._norm_integral(A, T, step)   # warm numpy's caches
+        assert sum(normed) > 2049
+        monkeypatch.setattr(linalg, "spectral_norms", norms)
         tracemalloc.start()
         try:
             design._norm_integral(A, T, step)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = 33 * (A.size + 1) * 8
+        kept = 2049 * 8
         budget = 64 * 2 * 8
         assert peak <= kept + 16 * budget + 16_000
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from selftrig import design, linalg, scheduler, sim
+from selftrig import design, linalg, reports, scheduler, sim
 from selftrig.errors import (ConfigError, DimensionError, SimulationError)
 
 DRIFTY = design.LinearSystem(1.0, 1.0, -2.0)
@@ -131,8 +131,21 @@ def all_kinds(m):
 
 class TestDisturbance:
     def test_kind_validation(self):
-        with pytest.raises(ConfigError):
+        # The spec and the config check read one tuple of kinds.
+        with pytest.raises(ConfigError) as spec:
             sim.DisturbanceSpec("ramp", 1)
+        assert str(spec.value) == (
+            "unknown disturbance kind 'ramp', expected one of "
+            "('zero', 'constant', 'sinusoid', 'bounded_noise')")
+        cfg = {"system": {"A": 0.0, "B": 1.0, "K": -1.0},
+               "trigger": {"delta": 0.1, "tau_max": 1.0},
+               "simulation": {"x0": 1.0, "t_end": 1.0,
+                              "disturbance": {"kind": "ramp"}}}
+        with pytest.raises(ConfigError) as config:
+            reports.validate_config(cfg)
+        assert str(config.value) == (
+            "simulation.disturbance.kind must be one of zero, constant, "
+            "sinusoid, bounded_noise, got 'ramp'")
         with pytest.raises(ConfigError):
             sim.DisturbanceSpec("zero", 0)
         with pytest.raises(ConfigError):
