@@ -496,9 +496,10 @@ _HANDLERS = {
 }
 
 
-# Exit code of each error that a command reports in one line.
+# Exit code of each error that a command reports in one line. A design
+# whose grid is too fine to allocate is a design failure.
 _EXIT_CODES = {ConfigError: 2, OSError: 2, DesignError: 3, NumericError: 3,
-               DimensionError: 3, SimulationError: 4}
+               DimensionError: 3, MemoryError: 3, SimulationError: 4}
 
 
 def main(argv=None):

@@ -24,10 +24,10 @@ chunk from ``linalg.expm_chunks``: a later point is one ``m x (m+l)`` by
 ``(m+l) x m`` product, ``L(a + b) = [E11(a) E12(a)] [L(b); K]``, of a fresh
 block exponential and a first-chunk flow. :func:`decay_form` turns one flow
 or a stack into the decay-test form, working entries first. The minimum
-dwell time comes from a determinant root: the decay condition fails first
-at the smallest positive root of
+dwell time comes from the sign of
 ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form of the
-decay of ``V``.
+decay of ``V``: it is the last time the determinant test passed before its
+sign first changes or it touches zero.
 """
 
 import math
@@ -40,7 +40,9 @@ from .errors import ConfigError, DesignError, DimensionError, NumericError
 
 # Grid-count fallback for the dwell-time scan when the caller gives no step.
 _SCAN_POINTS_DEFAULT = 2000
-# Width to which the dwell-time bisection and dip refinement narrow a root.
+# Width, relative to the bracket's upper end, to which the dwell-time
+# bisection and dip refinement narrow a root; each returns the lower end,
+# the last time the determinant test passed.
 _SCAN_TOL = 1e-9
 # Bisection steps whose 2**_BISECT_LEVELS - 1 candidate midpoints one
 # stacked evaluation judges.
@@ -169,7 +171,9 @@ def make_certificate(sys, Q=None, lambda_ratio=0.8):
         try:
             P = linalg.lyap_solve(sys.a_cl, Q)
         except NumericError as exc:
-            raise DesignError("closed loop not Hurwitz") from exc
+            # The loop is Hurwitz (LinearSystem solved for Q = I), so the
+            # fault is this Q's.
+            raise DesignError(f"no certificate for the given Q: {exc}") from exc
     P_half = linalg.sqrtm_spd(P)
     # P^{-1/2} Q P^{-1/2} through two triangular-free solves.
     X = np.linalg.solve(P_half, Q)
@@ -247,9 +251,12 @@ def trigger_form(sys, cert, tau):
 class DwellTimeResult:
     """Outcome of the minimum dwell-time root search.
 
-    ``tau`` is the smallest positive root of ``det M(tau)`` when
-    ``root_found``; otherwise the scan cap, meaning no violation was
-    detected below it and the cap is a safe (conservative) dwell time.
+    When ``root_found``, ``tau`` is the last time the determinant test of
+    ``M(tau)`` passed before its first sign change or accepted dip,
+    narrowed to ``1e-9`` of the bracket's upper end; the test starts from
+    the sign ``(-1)^m`` that ``det M`` takes just after ``tau = 0``.
+    Otherwise ``tau`` is the scan cap, meaning no violation was detected
+    below it and the cap is a safe (conservative) dwell time.
     """
 
     tau: float
@@ -260,12 +267,19 @@ class DwellTimeResult:
 def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     """Smallest positive time at which the sampled decay test can fail.
 
-    Scans ``det M(tau)`` over a uniform grid and bisects the first sign
-    change down to ``1e-9``. Tangential roots (the determinant touching zero
-    without a sign change, as happens for systems with repeated critical
-    directions) are caught by refining grid-local minima of ``|det M|``
-    that dip below ``sqrt(1e-9)``. The cap defaults to ``10 / lambda``,
-    ten time constants of the enforced decay.
+    Scans the sign of ``det M(tau)`` over a uniform grid. ``tau*`` is, by
+    one rule, the last time the test passed before the first sign change
+    or accepted dip: a bracket is narrowed until it is ``_SCAN_TOL`` of its
+    upper end wide, and its lower end is returned. Tangential roots (the
+    determinant touching zero without a sign change, as happens for
+    systems with repeated critical directions) are caught by refining
+    grid-local minima of ``|det M|`` that dip below ``sqrt(1e-9)``. The
+    test starts at ``tau = 0`` with the sign of ``det M`` just after it,
+    ``(-1)^m``: ``M(tau) = tau (2 lambda P - Q) + O(tau^2)``, and ``2
+    lambda P - Q`` is negative definite for ``lambda < lambda_o``. So the
+    first grid point is judged like any other, and a root inside the
+    first step is found. The cap defaults to ``10 / lambda``, ten time
+    constants of the enforced decay.
 
     The grid is evaluated chunk by chunk from :func:`held_flow_chunks`,
     :func:`decay_form` and stacked determinants, point ``j`` at time
@@ -300,7 +314,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
         return linalg.det(trigger_form(sys, cert, tau))
 
     def bisect(lo, hi, flo):
-        while hi - lo > _SCAN_TOL:
+        while hi - lo > _SCAN_TOL * hi:
             # The midpoints of the next _BISECT_LEVELS steps in heap order:
             # node i's bracket halves into those of nodes 2i+1 (lower) and
             # 2i+2 (upper), each midpoint formed as a single step forms it.
@@ -311,7 +325,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
                 brackets += [(a, mids[-1]), (mids[-1], b)]
             fmids = det_at(np.array(mids))
             node = 0
-            while node < len(mids) and hi - lo > _SCAN_TOL:
+            while node < len(mids) and hi - lo > _SCAN_TOL * hi:
                 mid, fmid = mids[node], float(fmids[node])
                 if fmid == 0.0:
                     return mid
@@ -319,16 +333,15 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
                     lo, flo, node = mid, fmid, 2 * node + 2
                 else:
                     hi, node = mid, 2 * node + 1
-        return 0.5 * (lo + hi)
+        return lo
 
-    def golden_min(lo, hi):
-        # Golden-section minimum of |det M|: its point and signed det M.
+    def golden_min(a, b):
+        # Golden-section minimum of |det M|: the lower end of the last
+        # bracket and signed det M there.
         inv = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - inv * (b - a)
-        d = a + inv * (b - a)
+        c, d = b - inv * (b - a), a + inv * (b - a)
         fc, fd = np.abs(det_at(np.array([c, d]))).tolist()
-        while b - a > _SCAN_TOL:
+        while b - a > _SCAN_TOL * b:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - inv * (b - a)
@@ -337,16 +350,18 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
                 a, c, fc = c, d, fd
                 d = a + inv * (b - a)
                 fd = abs(det_at(d))
-        mid = 0.5 * (a + b)
-        return mid, det_at(mid)
+        return a, det_at(a)
 
     dip_threshold = math.sqrt(_SCAN_TOL)
     accept_threshold = dip_threshold * _TANGENT_ACCEPT_FACTOR
 
     n_grid = int(math.ceil(tau_cap / grid_step))
-    # det M at the two grid points before the current chunk: at tau = 0,
-    # where it is 0 exactly, and a placeholder before it that no test reads.
-    tail = np.array([math.nan, 0.0])
+    # det M at the two grid points before the current chunk: a placeholder
+    # that no test reads, and at tau = 0 the sign (-1)^m that det M takes
+    # just after it. Its magnitude, the smallest a float has, stands in for
+    # the exact 0 there: no nonzero grid value is below it, so the first
+    # grid point never reads as a local minimum of |det M|.
+    tail = np.array([math.nan, (-1.0) ** sys.m * 5e-324])
     # A grid point past the float range gives a non-finite form, which
     # linalg.det refuses with one error; numpy's overflow warnings would
     # only print ahead of it.
@@ -356,20 +371,17 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
                                          grid_step * idx))
             all_dets = np.concatenate((tail, dets))
             prev, prev2 = all_dets[1:-1], all_dets[:-2]
-            # Point j = 1 only follows the exact zero at tau = 0, so neither
-            # test applies to it.
-            crossing = (idx > 1) & ((dets == 0.0) | ((prev < 0.0) != (dets < 0.0)))
-            dip = ((idx > 1) & (np.abs(prev) < dip_threshold)
-                   & (np.abs(prev) <= np.abs(prev2)) & (np.abs(prev) <= np.abs(dets)))
+            crossing = (dets == 0.0) | ((prev < 0.0) != (dets < 0.0))
+            dip = ((np.abs(prev) < dip_threshold) & (np.abs(prev) <= np.abs(prev2))
+                   & (np.abs(prev) <= np.abs(dets)))
             for i in np.flatnonzero(crossing | dip):
                 j = int(idx[i])
                 tau_j = grid_step * j
                 if crossing[i]:
                     if dets[i] == 0.0:
                         return DwellTimeResult(tau_j, True, tau_cap)
-                    if prev[i] != 0.0:
-                        root = bisect(grid_step * (j - 1), tau_j, float(prev[i]))
-                        return DwellTimeResult(root, True, tau_cap)
+                    root = bisect(grid_step * (j - 1), tau_j, float(prev[i]))
+                    return DwellTimeResult(root, True, tau_cap)
                 if dip[i]:
                     lo = grid_step * (j - 2)
                     t_min, f_min = golden_min(lo, tau_j)
@@ -513,7 +525,11 @@ def _norm_integral(A, T, max_step):
     """
     n = max(2, 2 * int(math.ceil(T / (2.0 * max_step))))
     h = T / n
-    norms = np.empty(n + 1)
+    try:
+        norms = np.empty(n + 1)
+    except MemoryError:
+        raise MemoryError(f"EISS gain quadrature needs {n + 1:.3g} nodes of "
+                          f"step {h:.3g}, more than memory holds") from None
     for idx, E in linalg.expm_chunks(A, h, range(n + 1)):
         norms[idx] = linalg.spectral_norms(E)
     ends = float(norms[0] + norms[n])

@@ -348,21 +348,55 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: closed loop not Hurwitz\n"
 
     @pytest.mark.parametrize("value", [-1e100, -1e200])
-    @pytest.mark.parametrize("entry, message", [
-        ((0, 0), "error: hold growth factor overflows"),
-        ((1, 0), "error: dwell-time scan needs"),
-        ((1, 1), "error: dwell-time scan needs")])
+    @pytest.mark.parametrize("entry, message, code", [
+        ((0, 0), "error: delta=0.05 exceeds the minimum inter-execution time ", 2),
+        ((1, 0), "error: dwell-time scan needs", 3),
+        ((1, 1), "error: dwell-time scan needs", 3)])
     def test_fast_stable_plant_is_one_line_design_error(self, tmp_path, capsys,
-                                                        entry, message, value):
+                                                        entry, message, code,
+                                                        value):
         # These plants used to end in an OverflowError traceback: from
         # math.exp in the hold growth factor, or from indexing a tau* scan
-        # grid of more than 1e100 points.
+        # grid of more than 1e100 points. The first has its dwell-time root
+        # inside the first grid step, far below delta; the scan used to miss
+        # it, and the late tau* overflowed the hold growth factor.
         cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
         cfg["system"]["A"][entry[0]][entry[1]] = value
         capsys.readouterr()
-        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
+
+    def test_failed_solve_for_a_given_q_is_named(self, tmp_path, capsys):
+        # A + BK has eigenvalues -1, -1, and the solve for this Q overflows;
+        # the error used to say the closed loop was not Hurwitz.
+        cfg = copy.deepcopy(README_CONFIG)
+        cfg["lyapunov"]["Q"] = [[1e300, 0.0], [0.0, 1.0]]
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no certificate for the given Q: Lyapunov "
+                              "solve failed: overflow") and err.count("\n") == 1, err
+
+    def test_design_too_fine_to_allocate_is_one_line_design_error(self, tmp_path,
+                                                                 capsys):
+        # At delta = 1e-12 the EISS gain quadrature over the longest hold
+        # needs 6e12 nodes. A design file of that delta made feasibility and
+        # simulate --design end in numpy's allocation traceback and exit 1,
+        # the exit of an infeasible platform.
+        cfg = copy.deepcopy(README_CONFIG)
+        assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 0
+        data = json.loads((tmp_path / "out" / "design.json").read_text())
+        data["trigger"]["delta"] = cfg["trigger"]["delta"] = 1e-12
+        fine = write_config(tmp_path / "fine.json", data)
+        message = ("error: EISS gain quadrature needs 6e+12 nodes of step "
+                   "2.5e-13, more than memory holds\n")
+        capsys.readouterr()
+        assert cli.main(["feasibility", "--design", fine, "--tau-c", "1e-9"]) == 3
+        assert capsys.readouterr().err == message
+        assert run(tmp_path, cfg, "simulate", "--design", fine,
+                   "--out", str(tmp_path / "sim")) == 3
+        assert capsys.readouterr().err == message
 
     def test_overlong_hold_is_named_in_the_growth_overflow(self, tmp_path,
                                                            capsys):

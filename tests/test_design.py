@@ -11,6 +11,7 @@ with its rational certificate.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,62 @@ def scalar_dwell_oracle(lam):
     return 0.5 * (lo + hi)
 
 
+def _exact(X):
+    return [[Fraction(v) for v in row] for row in np.asarray(X, dtype=float).tolist()]
+
+
+def _exact_mul(X, Y):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def exact_decay_holds(sys_, cert, tau):
+    """Whether the decay test holds at ``tau``, in exact rational arithmetic
+    on the float data of the plant and certificate.
+
+    ``L(tau) = I + S(tau) (A + BK)`` with ``S(tau) = integral_0^tau exp(A s)
+    ds``, and ``S`` and ``exp(-2 lambda tau)`` are Taylor series cut where a
+    norm bound of the next term, relative to the first, is below 1e-60; no
+    rounding enters, so the form does not cancel. The test holds when
+    ``-M = exp(-2 lambda tau) P - L' P L`` is positive definite: every
+    leading principal minor, here every pivot of its elimination, is
+    positive.
+    """
+    A, P = _exact(sys_.A), _exact(cert.P)
+    BK = _exact_mul(_exact(sys_.B), _exact(sys_.K))
+    m, t = len(A), Fraction(tau)
+
+    def cut(k, size):
+        # Taylor terms size^k / k! of a norm bound: past the peak and small.
+        return k > 2.0 * size and size ** k / math.factorial(k) < 1e-60
+
+    size = float(np.abs(sys_.A).sum(axis=1).max()) * tau
+    term = [[t * (i == j) for j in range(m)] for i in range(m)]
+    S, k = term, 1
+    while not cut(k, size):
+        term = [[v * t / (k + 1) for v in row] for row in _exact_mul(term, A)]
+        S = [[a + b for a, b in zip(r, q)] for r, q in zip(S, term)]
+        k += 1
+    a_cl = [[a + b for a, b in zip(r, q)] for r, q in zip(A, BK)]
+    L = [[(i == j) + v for j, v in enumerate(row)]
+         for i, row in enumerate(_exact_mul(S, a_cl))]
+    x = 2 * Fraction(cert.lam) * t
+    decay, term, k = Fraction(1), Fraction(1), 1
+    while not cut(k, float(x)):
+        term = -term * x / k
+        decay += term
+        k += 1
+    LPL = _exact_mul(_exact_mul([list(c) for c in zip(*L)], P), L)
+    neg = [[decay * p - v for p, v in zip(rp, rv)] for rp, rv in zip(P, LPL)]
+    for i in range(m):
+        if neg[i][i] <= 0:
+            return False
+        for r in range(i + 1, m):
+            ratio = neg[r][i] / neg[i][i]
+            neg[r] = [a - ratio * b for a, b in zip(neg[r], neg[i])]
+    return True
+
+
 class TestCertificate:
     def test_scalar_worked_example(self, scalar):
         assert scalar.cert.P[0, 0] == pytest.approx(0.5, rel=1e-14)
@@ -146,9 +203,9 @@ def fast_oscillator():
     """README ``B`` and ``K`` with ``A = [[0, 1], [-1e10, 0]]``, its
     certificate, and its dwell-time scan at (pi / omega) / 20, omega = 1e5.
 
-    Which root a fine grid finds still depends on its step: the det-sign
-    scan's double-crossing miss, so the decay test already fails a little
-    below this one.
+    The first root, 1.789e-10, lies inside the first grid step. Below it
+    the decay form cancels to rounding noise, so the scan's tau* lies
+    somewhere under the root.
     """
     sys_ = design.LinearSystem([[0.0, 1.0], [-1e10, 0.0]], [[0.0], [1.0]],
                                [[-1.0, -2.0]])
@@ -161,7 +218,10 @@ def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
     """The dwell-time scan as it was before its bisection judged several
     levels of midpoints at once: the same grid, signs and dips, but every
     bisection and dip-refinement point one ``trigger_form`` and one
-    ``linalg.det`` of its own. Returns ``(tau, root_found)``."""
+    ``linalg.det`` of its own. The sign test starts at tau = 0 from the
+    sign ``(-1)^m`` of det M just after it, at the smallest float
+    magnitude, and each refinement narrows to ``_SCAN_TOL`` of its upper
+    end and returns its lower end. Returns ``(tau, root_found)``."""
     tol = design._SCAN_TOL
     tau_cap = 10.0 / cert.lam if tau_cap is None else tau_cap
     if grid_step is None:
@@ -171,7 +231,7 @@ def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
         return linalg.det(design.trigger_form(sys_, cert, tau))
 
     def bisect(lo, hi, flo):
-        while hi - lo > tol:
+        while hi - lo > tol * hi:
             mid = 0.5 * (lo + hi)
             fmid = det_at(mid)
             if fmid == 0.0:
@@ -180,13 +240,13 @@ def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
                 lo, flo = mid, fmid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+        return lo
 
     def golden_min(a, b):
         inv = (math.sqrt(5.0) - 1.0) / 2.0
         c, d = b - inv * (b - a), a + inv * (b - a)
         fc, fd = abs(det_at(c)), abs(det_at(d))
-        while b - a > tol:
+        while b - a > tol * b:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - inv * (b - a)
@@ -195,13 +255,12 @@ def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
                 a, c, fc = c, d, fd
                 d = a + inv * (b - a)
                 fd = abs(det_at(d))
-        mid = 0.5 * (a + b)
-        return mid, abs(det_at(mid))
+        return a, abs(det_at(a))
 
     dip = math.sqrt(tol)
     accept = dip * design._TANGENT_ACCEPT_FACTOR
     rate = 2.0 * cert.lam
-    taus, dets = [math.nan, 0.0], [math.nan, 0.0]
+    taus, dets = [math.nan, 0.0], [math.nan, (-1.0) ** sys_.m * 5e-324]
     n_grid = int(math.ceil(tau_cap / grid_step))
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, L in design.held_flow_chunks(sys_, grid_step,
@@ -209,13 +268,11 @@ def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
             chunk = linalg.det(design.decay_form(L, cert.P, rate, grid_step * idx))
             for j, f in zip(idx.tolist(), chunk.tolist()):
                 tau, prev, prev2 = grid_step * j, dets[-1], dets[-2]
-                if j > 1 and (f == 0.0 or (prev < 0.0) != (f < 0.0)):
-                    if f == 0.0:
-                        return tau, True
-                    if prev != 0.0:
-                        return bisect(taus[-1], tau, prev), True
-                if (j > 1 and abs(prev) < dip and abs(prev) <= abs(prev2)
-                        and abs(prev) <= abs(f)):
+                if f == 0.0:
+                    return tau, True
+                if (prev < 0.0) != (f < 0.0):
+                    return bisect(taus[-1], tau, prev), True
+                if abs(prev) < dip and abs(prev) <= abs(prev2) and abs(prev) <= abs(f):
                     lo = taus[-2]
                     t_min, f_min = golden_min(lo, tau)
                     if f_min <= accept:
@@ -402,17 +459,53 @@ class TestDwellTime:
             assert (mine.tau, mine.root_found) == (oracle.tau, oracle.root_found)
 
     def test_fine_grid_finds_a_fast_oscillators_early_root(self):
-        # The decay test of the fast oscillator fails just past the root a
-        # grid of (pi / omega) / 20 finds, 190 times below the CLI grid's.
+        # The exact decay test of the fast oscillator first fails between
+        # 1.7e-10 and 2.2e-10, inside the first step of a grid of
+        # (pi / omega) / 20; the scan used to report 6.237e-5. Below the
+        # root the form is rounding noise, so only the bound is asserted.
         sys_, cert, fine = fast_oscillator()
-        assert fine.root_found and 6e-5 < fine.tau < 6.5e-5
-        form = design.trigger_form(sys_, cert, 1.01 * fine.tau)
-        assert float(np.linalg.eigvalsh(form).max()) > 0.0
+        assert fine.root_found and 0.0 < fine.tau < 2.2e-10
+        assert exact_decay_holds(sys_, cert, 1.7e-10)
+        assert not exact_decay_holds(sys_, cert, 2.2e-10)
+
+    def test_root_inside_the_first_grid_step_is_found(self, scalar):
+        # At a step of 2 the scalar root lies before the first grid point;
+        # the scan used to judge that point against nothing and report no
+        # root below the cap of 20. tau* is the lower end of the last
+        # bracket, within 1e-9 relative under the root.
+        result = design.min_inter_execution_time(scalar.sys, scalar.cert,
+                                                 grid_step=2.0)
+        assert result.root_found
+        assert result.tau == pytest.approx(1.4776700614, abs=1e-10)
+        assert SCALAR_TAU_STAR * (1.0 - 2e-9) <= result.tau <= SCALAR_TAU_STAR
+
+    def test_corpus_roots_inside_the_first_grid_step_are_found(self, corpus):
+        # A step of 1.01 tau* puts every corpus root inside the first step,
+        # for m = 1, 2 and 3; the scan used to miss each of them.
+        assert {fx.sys.m for fx in corpus} == {1, 2, 3}
+        for fx in corpus:
+            got = design.min_inter_execution_time(fx.sys, fx.cert,
+                                                  grid_step=1.01 * fx.tau_star)
+            assert got.root_found, fx.name
+            assert got.tau == pytest.approx(fx.tau_star, rel=3e-9), fx.name
+
+    def test_default_grid_finds_a_root_inside_its_first_step(self):
+        # The default step of this plant is 0.232 and its root 0.1024; the
+        # scan used to report 0.615, where the decay test had long failed.
+        A = [[-1.0226409409508492, 3.8687164740369355],
+             [-7.267217456260566, 9.858591348892343]]
+        sys_ = design.LinearSystem(A, np.eye(2), -6.03038615359015 * np.eye(2))
+        cert = design.make_certificate(sys_)
+        result = design.min_inter_execution_time(sys_, cert)
+        assert result.root_found
+        assert result.tau == pytest.approx(0.1024340337, abs=1e-10)
+        assert exact_decay_holds(sys_, cert, (1.0 - 1e-7) * result.tau)
+        assert not exact_decay_holds(sys_, cert, (1.0 + 1e-7) * result.tau)
 
     def test_cli_grid_finds_the_first_root_of_a_fast_oscillator(self):
         # The CLI's step follows the plant's fastest mode: at delta 0.05 a
         # step of delta/100 reported tau* = 0.0119 and stepped over the
-        # root near 6.24e-5.
+        # roots that a finer grid finds.
         sys_, cert, fine = fast_oscillator()
         coarse = design.min_inter_execution_time(
             sys_, cert, grid_step=cli._dwell_grid_step(sys_, 0.05))
