@@ -27,7 +27,11 @@ or a stack into the decay-test form, working entries first. The minimum
 dwell time comes from the sign of
 ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form of the
 decay of ``V``: it is the last time the determinant test passed before its
-sign first changes or it touches zero.
+sign first changes or it touches zero. Before the scan computes a block of
+its grid, :func:`root_free_cells` tries to prove the decay test on the
+block's whole cell from the two base exponentials at its ends, and a proven
+block is skipped; ``tau*`` stays the full grid's, at a cost that follows
+the blocks the bound cannot prove.
 """
 
 import math
@@ -51,6 +55,9 @@ _BISECT_LEVELS = 4
 # candidate tangential root; after refinement it counts as a root below this
 # fraction of sqrt(_SCAN_TOL).
 _TANGENT_ACCEPT_FACTOR = 1e-2
+
+# Machine epsilon, twice the unit roundoff.
+_EPS = float(np.finfo(float).eps)
 
 _QUAD_RTOL = 1e-6
 _QUAD_MAX_DOUBLINGS = 12
@@ -256,12 +263,153 @@ class DwellTimeResult:
     narrowed to ``1e-9`` of the bracket's upper end; the test starts from
     the sign ``(-1)^m`` that ``det M`` takes just after ``tau = 0``.
     Otherwise ``tau`` is the scan cap, meaning no violation was detected
-    below it and the cap is a safe (conservative) dwell time.
+    below it and the cap is a safe (conservative) dwell time. The scan
+    skips the grid's blocks on which a bound proves the decay test, and
+    ``tau`` is the one the full grid gives (see
+    :func:`min_inter_execution_time`).
     """
 
     tau: float
     root_found: bool
     tau_cap: float
+
+
+# Data past the float range make a bound inf or nan, which proves nothing.
+@np.errstate(over="ignore", invalid="ignore")
+def root_free_cells(sys, cert):
+    """Prover of root-free cells of the dwell-time scan, from their bases.
+
+    Returns ``prove(a, E, strides=(1,))``. ``a`` holds ascending times and
+    ``E`` their computed ``exp(N a)``, ``N`` the Van Loan block; only a
+    cell that reaches ``a[-1]`` may be narrower than the first. For each
+    stride ``s`` it gives whether the cells ``[a_i, a_(i+s)]`` are proven,
+    as a boolean array of ``len(a) - s``. On a proven cell the decay test
+    holds at every time, and every form the scan's grid computes in it
+    has, in the metric of ``P``, its largest eigenvalue below zero.
+
+    In P-weighted coordinates, ``Lt = H L H^-1`` with ``H = P^{1/2}``, the
+    form is ``Mt(t) = Lt^T Lt - exp(-2 lam t) I``, congruent to ``M(t)``, so
+    ``lambda_max(Mt) < 0`` exactly when the decay test holds. The first
+    ``m`` rows ``[Phi(a) Gamma(a)]`` of ``exp(N a)`` give ``Lt(a)``,
+    ``D1(a) = H Phi(a) (A+BK) H^-1`` and ``D2(a) = H Phi(a) A (A+BK)
+    H^-1``, the first two derivatives of ``Lt``, in one product. As
+    ``D1(a+s) = exp(At s) D1(a)`` with ``At = H A H^-1``, and ``|exp(At s)|
+    <= exp(mu s)`` for ``mu`` the positive part of the logarithmic norm
+    ``lambda_max((At + At^T)/2)``, on a cell ``[a, a + w]`` (Frobenius
+    norms, which bound the spectral norm)::
+
+        S1 = exp(mu w) |D1(a)|     bounds |D1|
+        S2 = exp(mu w) |D2(a)|     bounds |D2|
+        S0 = |Lt(a)| + w S1        bounds |Lt|
+
+    On the cell, ``Mt`` is its chord ``(1 - r) Mt(a) + r Mt(a + w)`` minus
+    ``int G(t, s) Mt''(s) ds``, with ``G >= 0`` the Green's function of
+    ``-d^2/dt^2``, whose integral is at most ``w^2 / 8``. ``lambda_max`` is
+    convex, so on the chord it is largest at an end, and subadditive
+    (Weyl); and ``-Mt'' = -(D2^T Lt + Lt^T D2) - 2 D1^T D1 + 4 lam^2
+    exp(-2 lam t) I`` has ``lambda_max <= 2 S0 S2 + 4 lam^2 exp(-2 lam
+    a)``, the Gram term being positive semidefinite. So the two ends of
+    the cell decide it::
+
+        B = max(lambda_max(Mt(a)), lambda_max(Mt(a + w)))
+            + (w^2 / 8) (2 S0 S2 + 4 lam^2 exp(-2 lam a)) (1 + theta) + margin
+
+    bounds ``lambda_max(Mt)`` on the cell: a second-order exclusion bound
+    of the Piyavskii-Shubert kind (Shubert 1972). Next to the bound through
+    the tangent ``Mt(a) + w Mt'(a)``, whose remainder is ``(w^2 / 2) (2 S0
+    S2 + 2 S1^2 + 4 lam^2 exp(-2 lam a))``, its remainder is under a
+    quarter as wide, and adjacent cells share an end: a base costs one
+    ``lambda_max(Mt(a)) = |Lt(a)|_2^2 - exp(-2 lam a)``, from
+    ``linalg.spectral_norms``. All cells of a stride take ``w``, the
+    norms, ``|exp(N a)|``, ``a`` and ``exp(-2 lam a)`` at their largest, so
+    one constant serves them.
+
+    The margin covers rounding, with ``u`` the unit roundoff, ``gamma_k =
+    k u / (1 - k u)`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002), ``n = m + l`` and ``kappa = |H| |H^-1|``:
+
+    * ``exp(N t)`` is computed to ``eta = linalg.EXPM_RTOL max(1, |N|_1 (a
+      + w) / linalg.EXPM_NORM)`` relative, the accuracy ``linalg`` states.
+      A grid point is ``[Phi(a) Gamma(a)] exp(N b) [I; K]`` with ``0 < b <=
+      w``, and ``|exp(N b)| <= sqrt(n) exp(|N| w)``. So each computed
+      ``Lt``, ``D1`` and ``D2``, at a base or on the grid, is off by at
+      most ``eps_L = kappa (2 eta + 2 gamma_n) |exp(N a)| sqrt(n) exp(|N|
+      w) F``, with ``F`` the largest norm of ``[I; K]``, ``[A+BK; 0]`` and
+      ``N [A+BK; 0]``; the norms above take it on, and ``Lt^T Lt`` moves by
+      ``2 S0 eps_L + eps_L^2``.
+    * The rest is relative: a few products, sums and ``exp``s, the
+      backward error of the spectral norms and of the grid's determinant (LU
+      with partial pivoting, growth at most ``2^(m-1)``), and ``H`` and
+      ``H^-1`` being computed: ``theta = rho + 2^m gamma_4n`` with ``rho =
+      |H H^-1 - I| + |H^-1|^2 |H H - P|`` measured. It acts on forms of
+      norm at most ``Sigma = (S0 + 1)^2 + 2 lam (a + w)``, the last term
+      for grid times rounded by half an ulp; grid forms are made in plain
+      coordinates, where a weighted error grows by at most ``cond(P) <=
+      kappa^2`` and ``|L|^2 <= kappa^2 |Lt|^2``.
+
+    So ``margin = 2 eps_L (S0 + eps_L) + theta kappa^4 Sigma``, to first
+    order in the rounding: an expression of the data, not a tuned
+    constant. A wider margin costs little; it moves the first unproven
+    cell by about ``margin / |d lambda_max / dt|``.
+    """
+    m, l = sys.m, sys.l
+    n = m + l
+    N = sys.van_loan
+    H = cert.P_half
+    H_inv = np.linalg.inv(H)
+    # [[I; K], [A+BK; 0], N [A+BK; 0]] H^-1 side by side: Lt, D1 and D2 of
+    # a base are then one product with its rows [Phi Gamma].
+    F = np.zeros((3, n, m))
+    F[0, :m], F[0, m:], F[1, :m] = np.eye(m), sys.K, sys.a_cl
+    F[2] = N @ F[1]
+    G = (F @ H_inv).transpose(1, 0, 2).reshape(n, 3 * m)
+    norm_H_inv = _frobenius(H_inv)
+    kappa = _frobenius(H) * norm_H_inv
+    theta = (_frobenius(H @ H_inv - np.eye(m))
+             + norm_H_inv ** 2 * _frobenius(H @ H - cert.P) + 2 ** m * _gamma(4 * n))
+    At = H @ sys.A @ H_inv
+    At += At.T
+    mu = (0.5 * float(np.linalg.eigvalsh(At)[-1]) if np.isfinite(At).all()
+          else math.nan) + theta * kappa ** 2 * _frobenius(sys.A)
+    # A nan rate stays nan, and makes every bound inf.
+    mu = 0.0 if mu <= 0.0 else mu
+    # |N| bounds N's logarithmic norm, and sqrt(n) |N| its 1-norm.
+    nu = _frobenius(N)
+    flow_scale = kappa * math.sqrt(n * float((F * F).sum(axis=(1, 2)).max()))
+    lam = cert.lam
+
+    def excess(w, a, n0, n1, n2, n_E, decay):
+        # B - max(lambda_max(Mt(a)), lambda_max(Mt(a + w))): the
+        # remainder, with its rounding, and the margin.
+        eta = linalg.EXPM_RTOL * max(1.0, math.sqrt(n) * nu * (a + w) / linalg.EXPM_NORM)
+        eps_L = (2.0 * eta + 2.0 * _gamma(n)) * flow_scale * _exp(nu * w) * n_E
+        growth = _exp(mu * w)
+        S2 = growth * (n2 + eps_L)
+        S0 = n0 + eps_L + w * growth * (n1 + eps_L)
+        return (0.125 * w * w * (2.0 * S0 * S2 + 4.0 * lam * lam * decay) * (1.0 + theta)
+                + 2.0 * eps_L * (S0 + eps_L)
+                + theta * kappa ** 4 * ((S0 + 1.0) * (S0 + 1.0) + 2.0 * lam * (a + w)))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def prove(a, E, strides=(1,)):
+        a = np.asarray(a, dtype=float)
+        X = (H @ E[:, :m]) @ G
+        decay = np.exp(-2.0 * lam * a)
+        top = linalg.spectral_norms(X[..., :m]) ** 2 - decay
+        # |Lt|, |D1|, |D2| and |exp(N a)|, the largest over a; a cell that
+        # reaches a[-1] may be cut short, so the first is the widest.
+        norms = np.sqrt((X * X).sum(axis=1).reshape(-1, 3, m).sum(axis=2)
+                        .max(axis=0)).tolist()
+        n_E = math.sqrt(float((E * E).sum(axis=(1, 2)).max()))
+        a0, end = float(a[0]), float(a[-1])
+        batch = (end, *norms, n_E, float(decay[0]))
+        # Widths widened by 4 ulps of the latest time: a grid time rounds by
+        # half an ulp, and so does a difference.
+        return [np.maximum(top[:-s], top[s:])
+                + excess(float(a[s]) - a0 + 4.0 * _EPS * end, *batch) < 0.0
+                for s in strides]
+
+    return prove
 
 
 def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
@@ -281,20 +429,45 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     first step is found. The cap defaults to ``10 / lambda``, ten time
     constants of the enforced decay.
 
-    The grid is evaluated chunk by chunk from :func:`held_flow_chunks`,
-    :func:`decay_form` and stacked determinants, point ``j`` at time
-    ``grid_step * j``; the two determinants before each chunk carry over,
-    so a bracket or dip that straddles a chunk boundary is found as if the
-    grid were one piece. Only the grid's signs and dips are read; the
-    points inside a bracket decide ``tau*``. One evaluator, ``det_at``,
-    judges every point off the grid, at one time or a stack: the dip
-    checks, the golden section's first pair at once, and the
-    ``2**_BISECT_LEVELS - 1`` midpoints of the bisection's next
-    ``_BISECT_LEVELS`` steps at once, each formed from its parent's bracket
-    as a single step would form it. A stacked form is bitwise that of one
-    point, so the path and ``tau*`` are those of one point at a time. Every
-    determinant is ``linalg.det``'s, so both ends of a bracket are judged
-    by one formula: the closed form for ``m = 2``, LU otherwise.
+    The grid lies in the blocks of ``linalg.expm_chunks``, as
+    ``linalg.grid_blocks`` lays them out, point ``j`` at time ``grid_step *
+    j``: a block's points are its fresh base ``exp(N a)`` times the kept
+    first block (``linalg.keep_block`` and ``linalg.block_points``). The
+    first block is judged whole, as the full grid judges it; at ``tau = 0``
+    the form is 0, and no bound proves a cell there. After it, cells are
+    bounded before any of their points is computed. A batch takes as many
+    new bases as a chunk holds blocks from one stacked ``linalg.expm_grid``
+    call, and :func:`root_free_cells` bounds
+    ``lambda_max`` of the decay form on the cell between each two adjacent
+    bases, from those two alone; a proven cell's blocks are skipped. A
+    batch's cells are twice as wide as the last batch's where its bases
+    also prove every cell twice as wide, and the batch after an unproven
+    wide cell tiles that cell; so the fresh exponentials follow the length
+    the bound cannot prove, not ``1 / grid_step``.
+
+    Each block the bound cannot prove is judged as the full grid judges
+    it: its points, bitwise the full grid's, then ``decay_form``, stacked
+    determinants and the sign and dip tests, with the two determinants
+    before a judged run carried over. A run after a skipped block starts
+    one block early, so those two are the full grid's too; that block is
+    proven, and its own tests start from the sign ``(-1)^m``. On a proven
+    block every form the grid computes is negative definite, so no sign
+    changes there, and a dip there cannot pass the sign test. Hence
+    ``tau*`` is the one the full determinant grid gives, save that a dip
+    the full grid would accept as a tangential root inside a proven cell,
+    where the decay test provably holds, is never looked at. The cost
+    follows the blocks the bound cannot prove.
+
+    Only the grid's signs and dips are read; the points inside a bracket
+    decide ``tau*``. One evaluator, ``det_at``, judges every point off the
+    grid, at one time or a stack: the dip checks, the golden section's
+    first pair at once, and the ``2**_BISECT_LEVELS - 1`` midpoints of the
+    bisection's next ``_BISECT_LEVELS`` steps at once, each formed from its
+    parent's bracket as a single step would form it. A stacked form is
+    bitwise that of one point, so the path and ``tau*`` are those of one
+    point at a time. Every determinant is ``linalg.det``'s, so both ends of
+    a bracket are judged by one formula: the closed form for ``m = 2``, LU
+    otherwise.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
@@ -355,44 +528,131 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     dip_threshold = math.sqrt(_SCAN_TOL)
     accept_threshold = dip_threshold * _TANGENT_ACCEPT_FACTOR
 
+    def judge(idx, L, tail):
+        # The sign and dip tests on consecutive grid points, after the two
+        # determinants in tail: a result, or None and the new tail.
+        dets = linalg.det(decay_form(L, cert.P, 2.0 * cert.lam, grid_step * idx))
+        all_dets = np.concatenate((tail, dets))
+        prev, prev2 = all_dets[1:-1], all_dets[:-2]
+        crossing = (dets == 0.0) | ((prev < 0.0) != (dets < 0.0))
+        dip = ((np.abs(prev) < dip_threshold) & (np.abs(prev) <= np.abs(prev2))
+               & (np.abs(prev) <= np.abs(dets)))
+        for i in np.flatnonzero(crossing | dip):
+            j = int(idx[i])
+            tau_j = grid_step * j
+            if crossing[i]:
+                if dets[i] == 0.0:
+                    return DwellTimeResult(tau_j, True, tau_cap), None
+                root = bisect(grid_step * (j - 1), tau_j, float(prev[i]))
+                return DwellTimeResult(root, True, tau_cap), None
+            if dip[i]:
+                lo = grid_step * (j - 2)
+                t_min, f_min = golden_min(lo, tau_j)
+                if abs(f_min) <= accept_threshold:
+                    return DwellTimeResult(t_min, True, tau_cap), None
+                f_lo = det_at(lo)
+                if (f_lo < 0.0) != (f_min < 0.0):
+                    return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap), None
+        return None, all_dets[-2:]
+
     n_grid = int(math.ceil(tau_cap / grid_step))
-    # det M at the two grid points before the current chunk: a placeholder
+    N = sys.van_loan
+    per, batch = linalg.grid_blocks(N, n_grid)
+    n_blocks = -(-n_grid // per)
+    left, right = np.eye(sys.m, N.shape[0]), np.vstack((np.eye(sys.m), sys.K))
+
+    def base_times(blocks):
+        # Block k's base time, formed as expm_chunks forms its offset; past
+        # the last block, the grid's last time.
+        return grid_step * np.minimum(per * np.asarray(blocks), n_grid)
+
+    def run_points(blocks, bases):
+        # The points of consecutive blocks, bitwise those expm_chunks
+        # gives: a block it puts alone in a chunk is taken alone, any other
+        # among at least two base rows (repeated if need be).
+        lone = [min(batch, n_blocks - 1 - (j - 1) // batch * batch) == 1
+                for j in blocks]
+        together = 0 if all(lone) else len(blocks) - lone[-1]
+        rows = bases[:together]
+        points = [linalg.block_points(left, rows if together > 1 else
+                                      np.concatenate((rows, rows)), kept)
+                  [:per * together]] if together else []
+        points += [linalg.block_points(left, base[None], kept)
+                   for base in bases[together:]]
+        idx = np.arange(blocks[0] * per + 1, min((blocks[-1] + 1) * per, n_grid) + 1)
+        return idx, np.concatenate(points)[:len(idx)]
+
+    # det M at the two grid points before the judged points: a placeholder
     # that no test reads, and at tau = 0 the sign (-1)^m that det M takes
     # just after it. Its magnitude, the smallest a float has, stands in for
     # the exact 0 there: no nonzero grid value is below it, so the first
-    # grid point never reads as a local minimum of |det M|.
-    tail = np.array([math.nan, (-1.0) ** sys.m * 5e-324])
+    # grid point never reads as a local minimum of |det M|. A run that
+    # starts on a proven block starts from the same pair.
+    seed = np.array([math.nan, (-1.0) ** sys.m * 5e-324])
     # A grid point past the float range gives a non-finite form, which
     # linalg.det refuses with one error; numpy's overflow warnings would
     # only print ahead of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, L in held_flow_chunks(sys, grid_step, range(1, n_grid + 1)):
-            dets = linalg.det(decay_form(L, cert.P, 2.0 * cert.lam,
-                                         grid_step * idx))
-            all_dets = np.concatenate((tail, dets))
-            prev, prev2 = all_dets[1:-1], all_dets[:-2]
-            crossing = (dets == 0.0) | ((prev < 0.0) != (dets < 0.0))
-            dip = ((np.abs(prev) < dip_threshold) & (np.abs(prev) <= np.abs(prev2))
-                   & (np.abs(prev) <= np.abs(dets)))
-            for i in np.flatnonzero(crossing | dip):
-                j = int(idx[i])
-                tau_j = grid_step * j
-                if crossing[i]:
-                    if dets[i] == 0.0:
-                        return DwellTimeResult(tau_j, True, tau_cap)
-                    root = bisect(grid_step * (j - 1), tau_j, float(prev[i]))
-                    return DwellTimeResult(root, True, tau_cap)
-                if dip[i]:
-                    lo = grid_step * (j - 2)
-                    t_min, f_min = golden_min(lo, tau_j)
-                    if abs(f_min) <= accept_threshold:
-                        return DwellTimeResult(t_min, True, tau_cap)
-                    f_lo = det_at(lo)
-                    if (f_lo < 0.0) != (f_min < 0.0):
-                        return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap)
-            tail = all_dets[-2:]
-
+        # The first block, which is judged whole, and block 1's base.
+        E = linalg.expm_grid(N, np.append(grid_step * np.arange(1, per + 1),
+                                          base_times(1)))
+        kept, L = linalg.keep_block(E[:per], left, right)
+        result, tail = judge(np.arange(1, per + 1), L, seed)
+        judged, k, w, base, size, prove = 0, 1, 1, E[per:], 1, None
+        while result is None and k < n_blocks:
+            # A batch of cells [starts[i], starts[i + 1]] from block k, w
+            # blocks wide (the grid's end may cut the last one), with the
+            # block before k if a judged run may have to start there.
+            count = min(batch, -(-(n_blocks - k) // w))
+            new = np.minimum(k + w * np.arange(1, count + 1), n_blocks)
+            early = int(w == 1 and judged < k - 1)
+            E = linalg.expm_grid(N, base_times(np.append([k - 1] * early, new)))
+            before, starts = E[:early], np.append(k, new)
+            bases = np.concatenate((base, E[early:]))
+            prove = prove or root_free_cells(sys, cert)
+            proofs = prove(base_times(starts), bases, (1, 2)[:count])
+            unproven = np.flatnonzero(~proofs[0])
+            if w > 1 and len(unproven):
+                # The next batch tiles the first unproven cell.
+                nxt, w = int(unproven[0]), max(1, w // batch)
+            else:
+                # Judge the blocks from the first unproven one to the last,
+                # one block early if the one before was skipped, in runs
+                # of 1, 2, 4, ... blocks: the first is most often where the
+                # root lies, and an unproven stretch goes on doubling.
+                lo, end = (int(unproven[0]), int(unproven[-1]) + 1) if len(unproven) else (0, 0)
+                while result is None and lo < end:
+                    if judged < starts[lo] - 1:
+                        size = 1
+                    hi = min(lo + size, end)
+                    blocks, run = starts[lo:hi], bases[lo:hi]
+                    if judged < blocks[0] - 1:
+                        blocks = np.concatenate(([blocks[0] - 1], blocks))
+                        run = np.concatenate((bases[lo - 1:lo] if lo else before, run))
+                        tail = seed
+                    result, tail = judge(*run_points(blocks, run), tail)
+                    judged, lo, size = int(blocks[-1]), hi, 2 * size
+                # The same bases bound cells twice as wide; where all of
+                # those are proven, the next batch's cells are.
+                nxt, w = count, w * (1 + (count > 1 and proofs[1].all()))
+            k, base = int(starts[nxt]), bases[nxt:nxt + 1]
+    if result is not None:
+        return result
     return DwellTimeResult(tau_cap, False, tau_cap)
+
+
+def _frobenius(X):
+    return math.sqrt(float(np.vdot(X, X)))
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u), u = _EPS / 2 the unit roundoff.
+    return k * _EPS / (2.0 - k * _EPS)
+
+
+def _exp(x):
+    # math.exp, but inf past the float range.
+    return math.exp(x) if x < 709.0 else math.inf
 
 
 @dataclass

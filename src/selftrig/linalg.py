@@ -15,6 +15,11 @@ symmetry checks this package relies on:
                     later block one offset exponential times the first,
                     yielded in chunks under one memory budget; with
                     factors, ``left exp(M t) right``
+``grid_blocks``     the block width and blocks per chunk of ``expm_chunks``
+``keep_block``      a first block's kept ``exp(M b) right`` and its points
+``block_points``    the points of blocks from their fresh ``exp(M a)``
+                    and the kept first block: ``expm_chunks``' later
+                    chunks, and the blocks the dwell-time scan judges
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
 ``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
 ``sqrtm_spd``       principal square root through the eigendecomposition
@@ -41,6 +46,10 @@ from .errors import DimensionError, NumericError
 # Pade order 6 is exact to machine precision once the argument is scaled
 # below this bound.
 _PADE_SCALE_LIMIT = 0.5
+# The accuracy _expm_stack states: relative error, normwise, at most
+# EXPM_RTOL for arguments of 1-norm up to EXPM_NORM.
+EXPM_RTOL = 1e-10
+EXPM_NORM = 100.0
 # Coefficients of the diagonal (6,6) Pade approximant to exp(x).
 _PADE6 = (
     1.0,
@@ -105,8 +114,8 @@ def _expm_stack(X):
     Each matrix is scaled by its own power of two until its 1-norm is at
     most ``_PADE_SCALE_LIMIT``, goes through the diagonal Pade(6,6)
     approximant, and is squared back as often as it was halved. Accurate to
-    better than 1e-10 relative error for norms up to around 100, which
-    covers every use in this package.
+    better than ``EXPM_RTOL`` (1e-10) relative error for norms up to
+    ``EXPM_NORM`` (100), which covers every use in this package.
     """
     ident = np.eye(X.shape[-1])
     norm1 = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -136,19 +145,64 @@ def _expm_stack(X):
     return R
 
 
+def grid_blocks(M, count):
+    """Block layout of :func:`expm_chunks` over a ``count``-point range.
+
+    Returns ``(per, batch)``: blocks of ``per = ceil(sqrt(count))`` points,
+    or of as many as ``_GRID_CHUNK_ENTRIES`` entries of ``M``'s size hold if
+    that is fewer (at least one), and ``batch`` blocks, as many as
+    ``_GRID_CHUNK_BLOCKS`` block budgets hold, to a later chunk.
+    """
+    budget = max(1, _GRID_CHUNK_ENTRIES // max(1, np.size(M)))
+    per = min(budget, math.isqrt(count - 1) + 1)
+    return per, _GRID_CHUNK_BLOCKS * budget // per
+
+
+def keep_block(first, left, right):
+    """A first block's kept entries and its points, from its exponentials.
+
+    ``first`` stacks ``exp(M b)`` over the block's times. Returns ``(kept,
+    E)``: ``exp(M b) right`` entries first, as a ``(k, q, n)`` array, and
+    the block's points ``E[i] = left exp(M b_i) right`` as the ``(n, p,
+    q)`` transposed view of a ``(p, q, n)`` array.
+    """
+    n, k = first.shape[:2]
+    kept = first.reshape(-1, k) @ right
+    kept = np.ascontiguousarray(kept.reshape(n, k, -1).transpose(1, 2, 0))
+    E = (left @ kept.reshape(k, -1)).reshape(len(left), -1, n)
+    return kept, E.transpose(2, 0, 1)
+
+
+def block_points(left, bases, kept, count=None):
+    """Points ``left exp(M a) exp(M b) right`` of the blocks with ``bases``.
+
+    ``bases`` stacks the blocks' fresh ``exp(M a)`` and ``kept`` is the
+    first block's from :func:`keep_block`. The rows ``left exp(M a)`` of
+    every block, as ``(p, 1, blocks, k)``, times the ``(q, k, n)`` kept
+    entries give ``(p, q, blocks, n)``: for each of the ``p q`` entries,
+    one product of the blocks' rows with the kept ``k x n`` matrix. The
+    points run block after block, the first ``count`` of them (all when
+    None), as an ``(count, p, q)`` transposed view. numpy takes a product
+    with one row by another routine than one with several, so one base
+    gives points that may differ in the last bit from those it gets among
+    others; any two or more give every point the same bits.
+    """
+    rows = (left @ bases).transpose(1, 0, 2)[:, None]
+    E = np.matmul(rows, kept.transpose(1, 0, 2))
+    return E.reshape(E.shape[:2] + (-1,))[:, :, :count].transpose(2, 0, 1)
+
+
 def expm_chunks(M, step, indices, left=None, right=None):
     """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
 
     Yields ``(idx, E)`` per chunk, with ``idx`` the chunk's grid indices and
     ``E[i] = exp(M * idx[i] * step)``. An ``n``-point range is cut into
-    blocks of ``ceil(sqrt(n))`` points, or of as many as
-    ``_GRID_CHUNK_ENTRIES`` entries hold if that is fewer (at least one).
-    The first chunk is the first block, from :func:`expm_grid`. Every later
-    chunk is a run of blocks, as many as ``_GRID_CHUNK_BLOCKS`` block
-    budgets hold (only the last run, and its last block, may be shorter). A
-    block starting at ``idx[k]`` is one fresh offset ``exp(M (idx[k] - j0)
-    step)`` times the first block, ``j0`` being the range's first index,
-    since ``exp(M (a + b)) = exp(M a) exp(M b)``: one stacked
+    blocks as :func:`grid_blocks` lays them out. The first chunk is the
+    first block, from :func:`expm_grid`. Every later chunk is a run of
+    ``batch`` blocks (only the last run, and its last block, may be
+    shorter). A block starting at ``idx[k]`` is one fresh offset ``exp(M
+    (idx[k] - j0) step)`` times the first block, ``j0`` being the range's
+    first index, since ``exp(M (a + b)) = exp(M a) exp(M b)``: one stacked
     :func:`expm_grid` gives a chunk's offsets, and one broadcast product,
     cut to the chunk's length, its points. As every exponential of a stack
     is computed alone, the first later chunk's offsets share their call
@@ -162,18 +216,14 @@ def expm_chunks(M, step, indices, left=None, right=None):
 
     Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
     ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks,
-    as the ``(n, p, q)`` transposed view of a ``(p, q, n)`` array. The first
-    chunk's ``exp(M b) right`` is kept entries first, as a ``(k, q, n)``
-    array, and a later block's points are its fresh ``left exp(M a)`` times
-    the kept entries: for each of the ``p q`` entries of a chunk, one
-    product of the blocks' rows with the kept ``k x n`` matrix.
+    as the ``(n, p, q)`` transposed view of a ``(p, q, n)`` array: the
+    first chunk's from :func:`keep_block`, which keeps its ``exp(M b)
+    right``, and a later chunk's from :func:`block_points`.
     """
     A = as_square(M, "expm argument")
     if not len(indices):
         return
-    budget = max(1, _GRID_CHUNK_ENTRIES // max(1, A.size))
-    per = min(budget, math.isqrt(len(indices) - 1) + 1)
-    blocks = _GRID_CHUNK_BLOCKS * budget // per
+    per, blocks = grid_blocks(A, len(indices))
     part = indices[:per]
     idx = np.arange(part.start, part.stop, part.step)
     # The first block and the first later chunk's block offsets, in one
@@ -185,11 +235,8 @@ def expm_chunks(M, step, indices, left=None, right=None):
     if right is None:
         yield idx, first
     else:
-        first = first.reshape(-1, len(A)) @ right
-        first = np.ascontiguousarray(
-            first.reshape(len(idx), len(A), -1).transpose(1, 2, 0))
-        E = (left @ first.reshape(len(A), -1)).reshape(len(left), -1, len(idx))
-        yield idx, E.transpose(2, 0, 1)
+        first, E = keep_block(first, left, right)
+        yield idx, E
     lo = len(idx)
     while lo < len(indices):
         part = indices[lo:lo + blocks * per]
@@ -201,12 +248,7 @@ def expm_chunks(M, step, indices, left=None, right=None):
             # block is cut off the end.
             E = (bases[:, None] @ first).reshape((-1,) + A.shape)[:len(idx)]
         else:
-            # (p, 1, blocks, k) rows times (q, k, n) kept entries gives
-            # (p, q, blocks, n); a short last block is cut off the end.
-            rows = (left @ bases).transpose(1, 0, 2)[:, None]
-            E = np.matmul(rows, first.transpose(1, 0, 2))
-            E = E.reshape(E.shape[:2] + (-1,))[:, :, :len(idx)]
-            E = E.transpose(2, 0, 1)
+            E = block_points(left, bases, first, len(idx))
         yield idx, E
         lo += len(idx)
 

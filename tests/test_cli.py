@@ -2,7 +2,8 @@
 
 Everything drives ``selftrig.cli.main`` with an argv list, so the tests
 exercise the same entry point as the installed console script without
-spawning subprocesses. Artifacts must be byte-identical across reruns and
+spawning subprocesses; one design that used to run without end runs in a
+subprocess, under a timeout. Artifacts must be byte-identical across reruns and
 across the in-process versus ``--design`` paths; the run logs must satisfy
 the advertised accumulation identity on their printed decimal values.
 """
@@ -12,7 +13,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +401,26 @@ class TestExitCodes:
         assert run(tmp_path, cfg, "simulate", "--design", fine,
                    "--out", str(tmp_path / "sim")) == 3
         assert capsys.readouterr().err == message
+
+    def test_design_at_delta_1e12_ends_with_one_line(self, tmp_path):
+        # delta = 1e-12 scans for tau* with step 1e-14, about 9e13 grid
+        # points below it; the design used to compute them all and never
+        # ended. Proven cells now skip them, and the design stops at the
+        # gain quadrature, which does not fit in memory. A subprocess with
+        # a timeout fails the test where a scan does not end.
+        cfg = copy.deepcopy(README_CONFIG)
+        cfg["trigger"]["delta"] = 1e-12
+        conf = write_config(tmp_path / "config.json", cfg)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "selftrig", "design", "--config", conf,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 3
+        assert done.stderr == ("error: EISS gain quadrature needs 6e+12 nodes "
+                               "of step 2.5e-13, more than memory holds\n")
 
     def test_overlong_hold_is_named_in_the_growth_overflow(self, tmp_path,
                                                            capsys):

@@ -458,6 +458,90 @@ class TestDwellTime:
             oracle = design.min_inter_execution_time(s, c, **kw)
             assert (mine.tau, mine.root_found) == (oracle.tau, oracle.root_found)
 
+    def test_proven_cells_hold_the_exact_decay_test(self, scalar,
+                                                    double_integrator, corpus):
+        # root_free_cells on the scan's cells of one block, and of two,
+        # next to the one that holds tau*: where it proves a cell, the
+        # exact decay test holds at the cell's start, middle and end, and it
+        # never proves a cell that holds tau*, where the exact test fails
+        # by the cell's end (checked where the oracle is quick, m = 1 and
+        # the double integrator's m = 2). The grids are the CLI's: the README
+        # (delta 0.05) and design_fine (delta 0.005) double integrators,
+        # the scalar plant, the tangential plant, whose two eigenvalues of M
+        # reach zero together, and the corpus (m = 1, 2, 3) but for the two
+        # plants whose |A| tau* (71 and 41) the oracle's Taylor series does
+        # not reach.
+        grid = cli._dwell_grid_step
+        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
+        t_cert = design.make_certificate(tangential, lambda_ratio=0.5)
+        di = double_integrator
+        cases = [(di.sys, di.cert, grid(di.sys, delta), di.tau_star)
+                 for delta in (0.05, 0.005)]
+        cases += [(scalar.sys, scalar.cert, grid(scalar.sys, 0.1), scalar.tau_star),
+                  (tangential, t_cert, grid(tangential, 0.1),
+                   design.min_inter_execution_time(tangential, t_cert).tau)]
+        cases += [(fx.sys, fx.cert, grid(fx.sys, fx.trig.delta), fx.tau_star)
+                  for fx in corpus
+                  if np.abs(fx.sys.A).sum(axis=1).max() * fx.tau_star < 10.0]
+        assert len(cases) == 22 and {sys_.m for sys_, *_ in cases} == {1, 2, 3}
+        checked = 0
+        for sys_, cert, step, tau in cases:
+            per, _batch = linalg.grid_blocks(
+                sys_.van_loan, math.ceil(10.0 / cert.lam / step))
+            root = int(tau // (per * step))
+            blocks = np.arange(max(1, root - 1), root + 2)
+            a = step * (per * blocks)
+            proofs = design.root_free_cells(sys_, cert)(
+                a, linalg.expm_grid(sys_.van_loan, a), (1, 2))
+            holds = {}
+            for stride, proven in zip((1, 2), proofs):
+                for i, ok in enumerate(proven):
+                    lo, hi = a[i], a[i + stride]
+                    if blocks[i] <= root < blocks[i + stride]:
+                        assert not ok, (sys_, stride, i)
+                    elif ok:
+                        for t in (lo, 0.5 * (lo + hi), hi):
+                            if t not in holds:
+                                holds[t] = exact_decay_holds(sys_, cert, t)
+                            assert holds[t], (sys_, stride, t)
+                        checked += 1
+            if sys_.m == 1 or sys_ is di.sys:
+                assert not exact_decay_holds(sys_, cert, a[-1])
+        assert checked >= 15
+
+    def test_a_scan_of_step_1e14_ends_at_the_coarse_tau_star(self,
+                                                             double_integrator):
+        # At delta = 1e-12 the CLI scans with step 1e-14: about 9e13 grid
+        # points below tau*, which the scan used to evaluate one by one
+        # without end. Proven cells skip all but the stretch next to tau*.
+        di = double_integrator
+        coarse = design.min_inter_execution_time(
+            di.sys, di.cert, grid_step=cli._dwell_grid_step(di.sys, 0.005))
+        fine = design.min_inter_execution_time(di.sys, di.cert, grid_step=1e-14)
+        assert fine.root_found
+        assert fine.tau == pytest.approx(coarse.tau, rel=1e-9)
+
+    def test_design_fine_scans_judge_few_determinants(self, monkeypatch,
+                                                      double_integrator):
+        # design_fine's two scans on their CLI grids: the double integrator
+        # at delta 0.005 and the m=6 plant at delta tau*/20. The full grid
+        # judged 18,715 and 2,119 determinants; proven blocks are skipped.
+        # The bisection still takes 4 and 5 stacked evaluations of 15
+        # midpoints, so its path, and tau*, did not move.
+        m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
+        di = double_integrator
+        seen = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det", lambda M: (
+            seen.append(len(M) if np.ndim(M) == 3 else 1), det(M))[1])
+        for sys_, cert, delta, most, stacks in ((di.sys, di.cert, 0.005, 4000, 4),
+                                                (m6, m6_cert, m6_tau / 20.0, 700, 5)):
+            seen.clear()
+            design.min_inter_execution_time(
+                sys_, cert, grid_step=cli._dwell_grid_step(sys_, delta))
+            assert sum(seen) <= most
+            assert seen.count(2 ** design._BISECT_LEVELS - 1) == stacks
+
     def test_fine_grid_finds_a_fast_oscillators_early_root(self):
         # The exact decay test of the fast oscillator first fails between
         # 1.7e-10 and 2.2e-10, inside the first step of a grid of
