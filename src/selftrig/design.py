@@ -23,15 +23,14 @@ takes one time or a few and :func:`held_flow_chunks` a uniform grid, chunk by
 chunk from ``linalg.expm_chunks``: a later point is one ``m x (m+l)`` by
 ``(m+l) x m`` product, ``L(a + b) = [E11(a) E12(a)] [L(b); K]``, of a fresh
 block exponential and a first-chunk flow. :func:`decay_form` turns one flow
-or a stack into the decay-test form, working entries first. The minimum
-dwell time comes from the sign of
-``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form of the
-decay of ``V``: it is the last time the determinant test passed before its
-sign first changes or it touches zero. Before the scan computes a block of
-its grid, :func:`root_free_cells` tries to prove the decay test on the
-block's whole cell from the two base exponentials at its ends, and a proven
-block is skipped; ``tau*`` stays the full grid's, at a cost that follows
-the blocks the bound cannot prove.
+or a stack into the decay-test form. The minimum dwell time comes from the
+sign of ``det(L(tau)' P L(tau) - exp(-2 lambda tau) P)``, the squared form
+of the decay of ``V``: it is the last time the determinant test passed
+before its sign first changes or it touches zero. Before the scan computes
+a block of its grid, :func:`root_free_cells` tries to prove the decay test
+on the block's whole cell from the two base exponentials at its ends, and a
+proven block is skipped; ``tau*`` stays the full grid's, at a cost that
+follows the blocks the bound cannot prove.
 """
 
 import math
@@ -215,9 +214,8 @@ def held_flow_chunks(sys, step, indices):
     [L(b); K]``, one ``m x (m+l)`` row block of the fresh ``exp(N a)``
     times a kept first-chunk flow. Blocks are about ``sqrt(n)`` points wide
     for ``n`` points, up to the chunk budget, so a table of ``n`` forms
-    takes about ``2 sqrt(n)`` fresh exponentials of ``N``. ``L`` is the
-    ``(n, m, m)`` transposed view of an ``(m, m, n)`` array, which
-    :func:`decay_form` reads in place.
+    takes about ``2 sqrt(n)`` fresh exponentials of ``N``. ``L`` is an
+    ``(n, m, m)`` stack.
     """
     m = sys.m
     left, right = np.eye(m, m + sys.l), np.vstack((np.eye(m), sys.K))
@@ -228,20 +226,13 @@ def decay_form(L, P, rate, tau):
     """Symmetrized ``L' P L - exp(-rate tau) P``.
 
     ``L`` is one flow with a scalar ``tau``, or a stack of flows with one
-    time each. Either is worked entries first, as an ``(m, m, n)`` array:
-    one product gives ``P L`` for every flow and one ``einsum`` the forms
-    ``(P L)' L``; a stack that is a transposed view of such an array, as
-    :func:`held_flow_chunks` yields, is read without a copy. The result has
-    the shape of ``L``.
+    time each; the result has the shape of ``L``.
     """
-    F = np.ascontiguousarray(L.reshape((-1,) + L.shape[-2:]).transpose(1, 2, 0))
-    PL = (P @ F.reshape(len(P), -1)).reshape(F.shape)
-    M = np.einsum("kin,kjn->ijn", PL, F)
-    decay = np.exp(-rate * np.asarray(tau, dtype=float)).reshape(-1)
-    M -= np.multiply.outer(P, decay)
-    M += M.transpose(1, 0, 2)
+    M = (P @ L).swapaxes(-1, -2) @ L
+    M -= np.exp(-rate * np.asarray(tau, dtype=float))[..., None, None] * P
+    M += M.swapaxes(-1, -2)
     M *= 0.5
-    return M.transpose(2, 0, 1).reshape(L.shape)
+    return M
 
 
 def trigger_form(sys, cert, tau):
@@ -432,18 +423,18 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     The grid lies in the blocks of ``linalg.expm_chunks``, as
     ``linalg.grid_blocks`` lays them out, point ``j`` at time ``grid_step *
     j``: a block's points are its fresh base ``exp(N a)`` times the kept
-    first block (``linalg.keep_block`` and ``linalg.block_points``). The
-    first block is judged whole, as the full grid judges it; at ``tau = 0``
-    the form is 0, and no bound proves a cell there. After it, cells are
-    bounded before any of their points is computed. A batch takes as many
-    new bases as a chunk holds blocks from one stacked ``linalg.expm_grid``
-    call, and :func:`root_free_cells` bounds
-    ``lambda_max`` of the decay form on the cell between each two adjacent
-    bases, from those two alone; a proven cell's blocks are skipped. A
-    batch's cells are twice as wide as the last batch's where its bases
-    also prove every cell twice as wide, and the batch after an unproven
-    wide cell tiles that cell; so the fresh exponentials follow the length
-    the bound cannot prove, not ``1 / grid_step``.
+    first block (``linalg.block_points``). The first block is judged whole,
+    as the full grid judges it; at ``tau = 0`` the form is 0, and no bound
+    proves a cell there. After it, cells are bounded before any of their
+    points is computed. A batch takes as many new bases as a chunk holds
+    blocks from one stacked ``linalg.expm_grid`` call, and
+    :func:`root_free_cells` bounds ``lambda_max`` of the decay form on the
+    cell between each two adjacent bases, from those two alone; a proven
+    cell's blocks are skipped. A batch's cells are twice as wide as the last
+    batch's where its bases also prove every cell twice as wide, and the
+    batch after an unproven wide cell tiles that cell; so the fresh
+    exponentials follow the length the bound cannot prove, not ``1 /
+    grid_step``.
 
     Each block the bound cannot prove is judged as the full grid judges
     it: its points, bitwise the full grid's, then ``decay_form``, stacked
@@ -467,7 +458,10 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     bitwise that of one point, so the path and ``tau*`` are those of one
     point at a time. Every determinant is ``linalg.det``'s, so both ends of
     a bracket are judged by one formula: the closed form for ``m = 2``, LU
-    otherwise.
+    otherwise. Its form is taken with ``P`` scaled by the exact power of
+    two that brings its largest entry into ``[0.5, 1)``: the signs are the
+    same, and neither an underflow to 0 nor the dip thresholds depend on
+    the scale of ``Q``.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
@@ -483,8 +477,12 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
             f"(tau_cap={tau_cap:.6g}, grid step {grid_step:.6g}), more than "
             f"can be indexed")
 
+    # P with its largest |entry| in [0.5, 1), exactly.
+    P = np.ldexp(cert.P, -np.frexp(np.abs(cert.P).max())[1])
+    rate = 2.0 * cert.lam
+
     def det_at(tau):
-        return linalg.det(trigger_form(sys, cert, tau))
+        return linalg.det(decay_form(held_transition(sys, tau), P, rate, tau))
 
     def bisect(lo, hi, flo):
         while hi - lo > _SCAN_TOL * hi:
@@ -531,7 +529,7 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     def judge(idx, L, tail):
         # The sign and dip tests on consecutive grid points, after the two
         # determinants in tail: a result, or None and the new tail.
-        dets = linalg.det(decay_form(L, cert.P, 2.0 * cert.lam, grid_step * idx))
+        dets = linalg.det(decay_form(L, P, rate, grid_step * idx))
         all_dets = np.concatenate((tail, dets))
         prev, prev2 = all_dets[1:-1], all_dets[:-2]
         crossing = (dets == 0.0) | ((prev < 0.0) != (dets < 0.0))
@@ -567,20 +565,9 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
         return grid_step * np.minimum(per * np.asarray(blocks), n_grid)
 
     def run_points(blocks, bases):
-        # The points of consecutive blocks, bitwise those expm_chunks
-        # gives: a block it puts alone in a chunk is taken alone, any other
-        # among at least two base rows (repeated if need be).
-        lone = [min(batch, n_blocks - 1 - (j - 1) // batch * batch) == 1
-                for j in blocks]
-        together = 0 if all(lone) else len(blocks) - lone[-1]
-        rows = bases[:together]
-        points = [linalg.block_points(left, rows if together > 1 else
-                                      np.concatenate((rows, rows)), kept)
-                  [:per * together]] if together else []
-        points += [linalg.block_points(left, base[None], kept)
-                   for base in bases[together:]]
+        # The points of consecutive blocks, bitwise those expm_chunks gives.
         idx = np.arange(blocks[0] * per + 1, min((blocks[-1] + 1) * per, n_grid) + 1)
-        return idx, np.concatenate(points)[:len(idx)]
+        return idx, linalg.block_points(left, bases, kept, len(idx))
 
     # det M at the two grid points before the judged points: a placeholder
     # that no test reads, and at tau = 0 the sign (-1)^m that det M takes
@@ -596,8 +583,8 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
         # The first block, which is judged whole, and block 1's base.
         E = linalg.expm_grid(N, np.append(grid_step * np.arange(1, per + 1),
                                           base_times(1)))
-        kept, L = linalg.keep_block(E[:per], left, right)
-        result, tail = judge(np.arange(1, per + 1), L, seed)
+        kept = E[:per] @ right
+        result, tail = judge(np.arange(1, per + 1), left @ kept, seed)
         judged, k, w, base, size, prove = 0, 1, 1, E[per:], 1, None
         while result is None and k < n_blocks:
             # A batch of cells [starts[i], starts[i + 1]] from block k, w

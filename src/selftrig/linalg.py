@@ -16,7 +16,6 @@ symmetry checks this package relies on:
                     yielded in chunks under one memory budget; with
                     factors, ``left exp(M t) right``
 ``grid_blocks``     the block width and blocks per chunk of ``expm_chunks``
-``keep_block``      a first block's kept ``exp(M b) right`` and its points
 ``block_points``    the points of blocks from their fresh ``exp(M a)``
                     and the kept first block: ``expm_chunks``' later
                     chunks, and the blocks the dwell-time scan judges
@@ -158,38 +157,20 @@ def grid_blocks(M, count):
     return per, _GRID_CHUNK_BLOCKS * budget // per
 
 
-def keep_block(first, left, right):
-    """A first block's kept entries and its points, from its exponentials.
-
-    ``first`` stacks ``exp(M b)`` over the block's times. Returns ``(kept,
-    E)``: ``exp(M b) right`` entries first, as a ``(k, q, n)`` array, and
-    the block's points ``E[i] = left exp(M b_i) right`` as the ``(n, p,
-    q)`` transposed view of a ``(p, q, n)`` array.
-    """
-    n, k = first.shape[:2]
-    kept = first.reshape(-1, k) @ right
-    kept = np.ascontiguousarray(kept.reshape(n, k, -1).transpose(1, 2, 0))
-    E = (left @ kept.reshape(k, -1)).reshape(len(left), -1, n)
-    return kept, E.transpose(2, 0, 1)
-
-
-def block_points(left, bases, kept, count=None):
+def block_points(left, bases, first, count=None):
     """Points ``left exp(M a) exp(M b) right`` of the blocks with ``bases``.
 
-    ``bases`` stacks the blocks' fresh ``exp(M a)`` and ``kept`` is the
-    first block's from :func:`keep_block`. The rows ``left exp(M a)`` of
-    every block, as ``(p, 1, blocks, k)``, times the ``(q, k, n)`` kept
-    entries give ``(p, q, blocks, n)``: for each of the ``p q`` entries,
-    one product of the blocks' rows with the kept ``k x n`` matrix. The
-    points run block after block, the first ``count`` of them (all when
-    None), as an ``(count, p, q)`` transposed view. numpy takes a product
-    with one row by another routine than one with several, so one base
-    gives points that may differ in the last bit from those it gets among
-    others; any two or more give every point the same bits.
+    ``bases`` stacks the blocks' fresh ``exp(M a)`` and ``first`` the first
+    block's kept ``exp(M b) right``. The rows ``left exp(M a)`` of each
+    block (the whole ``exp(M a)`` when ``left`` is None) times each kept
+    matrix give an ``(count, p, q)`` stack, block after block, the first
+    ``count`` points (all when None). Each point is one ``p x k`` by ``k x
+    q`` product, so its bits do not depend on how many blocks share the
+    call.
     """
-    rows = (left @ bases).transpose(1, 0, 2)[:, None]
-    E = np.matmul(rows, kept.transpose(1, 0, 2))
-    return E.reshape(E.shape[:2] + (-1,))[:, :, :count].transpose(2, 0, 1)
+    rows = bases if left is None else left @ bases
+    E = rows[:, None] @ first
+    return E.reshape((-1,) + E.shape[-2:])[:count]
 
 
 def expm_chunks(M, step, indices, left=None, right=None):
@@ -215,10 +196,9 @@ def expm_chunks(M, step, indices, left=None, right=None):
     ``_GRID_CHUNK_BLOCKS`` times that.
 
     Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
-    ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks,
-    as the ``(n, p, q)`` transposed view of a ``(p, q, n)`` array: the
-    first chunk's from :func:`keep_block`, which keeps its ``exp(M b)
-    right``, and a later chunk's from :func:`block_points`.
+    ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks:
+    the first block keeps ``exp(M b) right``, and :func:`block_points`
+    takes every later chunk's points from it.
     """
     A = as_square(M, "expm argument")
     if not len(indices):
@@ -232,24 +212,16 @@ def expm_chunks(M, step, indices, left=None, right=None):
     offsets = np.arange(part.start, part.stop, part.step)[::per] - indices[0]
     first = expm_grid(A, step * np.concatenate((idx, offsets)))
     first, bases = first[:len(idx)], first[len(idx):]
-    if right is None:
-        yield idx, first
-    else:
-        first, E = keep_block(first, left, right)
-        yield idx, E
+    if right is not None:
+        first = first @ right
+    yield idx, first if left is None else left @ first
     lo = len(idx)
     while lo < len(indices):
         part = indices[lo:lo + blocks * per]
         idx = np.arange(part.start, part.stop, part.step)
         if lo > per:
             bases = expm_grid(A, step * (idx[::per] - indices[0]))
-        if right is None:
-            # (blocks, 1) offsets times (per,) first points; a short last
-            # block is cut off the end.
-            E = (bases[:, None] @ first).reshape((-1,) + A.shape)[:len(idx)]
-        else:
-            E = block_points(left, bases, first, len(idx))
-        yield idx, E
+        yield idx, block_points(left, bases, first, len(idx))
         lo += len(idx)
 
 

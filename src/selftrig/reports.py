@@ -26,6 +26,7 @@ bytes, so reformatting a config does not change its identity.
 import contextlib
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -197,6 +198,15 @@ def validate_config(raw):
                             {"kind": "zero", "amplitude": 0.0,
                              "frequency": 0.0, "seed": 0}),
         }
+        dist = simulation["disturbance"]
+        # The sinusoid's phase, formed as the simulation forms it, at the
+        # run's last time.
+        if (dist["kind"] == "sinusoid" and not math.isfinite(
+                2.0 * math.pi * dist["frequency"] * simulation["t_end"])):
+            raise ConfigError(
+                "simulation.disturbance.frequency is too large: the phase "
+                "2 pi frequency t of the sinusoid leaves the float range "
+                "before simulation.t_end")
     norm["simulation"] = simulation
 
     outputs = raw.get("outputs", {})

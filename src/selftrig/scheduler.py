@@ -69,7 +69,7 @@ def build_tables(sys, cert, trig):
     is a first-chunk flow, or one product of a fresh block exponential's
     rows with a first-chunk flow; no recurrence is involved, so the table
     entries carry no accumulated error. The forms come from
-    ``design.decay_form`` on each chunk's entries-first flows.
+    ``design.decay_form`` on each chunk's flows.
     """
     forms = np.empty((trig.n_max + 1, sys.m, sys.m))
     rate = 2.0 * cert.lam

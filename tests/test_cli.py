@@ -327,6 +327,21 @@ class TestExitCodes:
             with pytest.raises(ConfigError, match=f"system.{key} must be"):
                 reports.validate_config(cfg)
 
+    def test_sinusoid_phase_past_the_float_range_is_a_config_error(
+            self, tmp_path, capsys):
+        # At frequency 1e308, 2 pi frequency t is inf for every t > 0: the
+        # run used to warn twice and exit 4 with a diverged state.
+        cfg = copy.deepcopy(DOUBLE_INTEGRATOR_CONFIG)
+        cfg["simulation"]["t_end"] = 5.0
+        cfg["simulation"]["disturbance"] = {"kind": "sinusoid",
+                                            "amplitude": 0.1,
+                                            "frequency": 1e308}
+        capsys.readouterr()
+        assert run(tmp_path, cfg, "simulate", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulation.disturbance.frequency ")
+        assert err.count("\n") == 1
+
     def test_unstable_loop_is_design_error(self, tmp_path):
         cfg = scalar_cfg(system={"A": 0.0, "B": 1.0, "K": 1.0})
         assert run(tmp_path, cfg, "design",

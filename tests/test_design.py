@@ -385,14 +385,19 @@ class TestDwellTime:
             taus.append(design.min_inter_execution_time(sys_, cert).tau)
         assert taus[0] > taus[1] > taus[2]
 
-    def test_invariant_under_certificate_scaling(self, scalar):
-        # Scaling Q scales P and leaves both the rate and the root alone.
-        cert2 = design.make_certificate(scalar.sys, Q=[[2.0]],
-                                        lambda_ratio=0.5)
-        assert cert2.P[0, 0] == pytest.approx(1.0, rel=1e-12)
-        assert cert2.lambda_o == pytest.approx(scalar.cert.lambda_o, rel=1e-12)
-        tau2 = design.min_inter_execution_time(scalar.sys, cert2).tau
-        assert abs(tau2 - scalar.tau_star) <= 1e-8
+    def test_invariant_under_certificate_scaling(self, scalar,
+                                                 double_integrator):
+        # Scaling Q scales P and leaves both the rate and the root alone,
+        # also at 1e-300, where det M of the double integrator's forms
+        # would underflow to 0 at every grid point.
+        for fx, scale, ratio in [(scalar, 2.0, 0.5),
+                                 (double_integrator, 1e-300, 0.8)]:
+            cert2 = design.make_certificate(fx.sys, Q=scale * np.eye(fx.sys.m),
+                                            lambda_ratio=ratio)
+            assert cert2.P == pytest.approx(scale * fx.cert.P, rel=1e-12, abs=0.0)
+            assert cert2.lambda_o == pytest.approx(fx.cert.lambda_o, rel=1e-12)
+            tau2 = design.min_inter_execution_time(fx.sys, cert2).tau
+            assert abs(tau2 - fx.tau_star) <= 1e-8
 
     def test_tangential_root_is_found(self):
         # Two decoupled copies of the scalar example square the determinant,
@@ -661,19 +666,24 @@ class TestDwellTime:
                         assert (float(np.abs(flow - exact).max())
                                 <= 1e-13 * scale), (indices, j)
 
-    @pytest.mark.parametrize("points", [1, 2, 3])
+    @pytest.mark.parametrize("points", [1, 2, 3, "one_block_per_chunk"])
     def test_chunk_boundaries_do_not_move_the_root(self, monkeypatch, points,
                                                    scalar, double_integrator,
                                                    corpus):
         # Chunks of 1-3 grid points put every bracket and every dip of the
-        # scan across a chunk boundary; the result must not notice.
+        # scan across a chunk boundary; the result must not notice. Nor
+        # must one block per later chunk, which puts every later block
+        # alone in its chunk.
         tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
         cases = [(tangential, design.make_certificate(tangential, lambda_ratio=0.5))]
         cases += [(fx.sys, fx.cert) for fx in [scalar, double_integrator, *corpus]]
         expected = [design.min_inter_execution_time(s, c) for s, c in cases]
         for (sys_, cert), want in zip(cases, expected):
-            monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES",
-                                points * (2 * sys_.m) ** 2)
+            if points == "one_block_per_chunk":
+                monkeypatch.setattr(linalg, "_GRID_CHUNK_BLOCKS", 1)
+            else:
+                monkeypatch.setattr(linalg, "_GRID_CHUNK_ENTRIES",
+                                    points * (2 * sys_.m) ** 2)
             got = design.min_inter_execution_time(sys_, cert)
             monkeypatch.undo()
             assert (got.tau, got.root_found) == (want.tau, want.root_found)
