@@ -29,8 +29,9 @@ of the decay of ``V``: it is the last time the determinant test passed
 before its sign first changes or it touches zero. Before the scan computes
 a block of its grid, :func:`root_free_cells` tries to prove the decay test
 on the block's whole cell from the two base exponentials at its ends, and a
-proven block is skipped; ``tau*`` stays the full grid's, at a cost that
-follows the blocks the bound cannot prove.
+proven block is skipped; a stretch it cannot prove comes from
+:func:`held_flow_chunks`, as the tables do. ``tau*`` stays the full grid's,
+at a cost that follows the blocks the bound cannot prove.
 """
 
 import math
@@ -354,14 +355,17 @@ def root_free_cells(sys, cert):
     F[0, :m], F[0, m:], F[1, :m] = np.eye(m), sys.K, sys.a_cl
     F[2] = N @ F[1]
     G = (F @ H_inv).transpose(1, 0, 2).reshape(n, 3 * m)
+    # Products, not powers: a float power past the range raises, while a
+    # product is inf, which proves nothing.
     norm_H_inv = _frobenius(H_inv)
     kappa = _frobenius(H) * norm_H_inv
+    kappa2 = kappa * kappa
     theta = (_frobenius(H @ H_inv - np.eye(m))
-             + norm_H_inv ** 2 * _frobenius(H @ H - cert.P) + 2 ** m * _gamma(4 * n))
+             + norm_H_inv * norm_H_inv * _frobenius(H @ H - cert.P) + 2 ** m * _gamma(4 * n))
     At = H @ sys.A @ H_inv
     At += At.T
     mu = (0.5 * float(np.linalg.eigvalsh(At)[-1]) if np.isfinite(At).all()
-          else math.nan) + theta * kappa ** 2 * _frobenius(sys.A)
+          else math.nan) + theta * kappa2 * _frobenius(sys.A)
     # A nan rate stays nan, and makes every bound inf.
     mu = 0.0 if mu <= 0.0 else mu
     # |N| bounds N's logarithmic norm, and sqrt(n) |N| its 1-norm.
@@ -379,7 +383,7 @@ def root_free_cells(sys, cert):
         S0 = n0 + eps_L + w * growth * (n1 + eps_L)
         return (0.125 * w * w * (2.0 * S0 * S2 + 4.0 * lam * lam * decay) * (1.0 + theta)
                 + 2.0 * eps_L * (S0 + eps_L)
-                + theta * kappa ** 4 * ((S0 + 1.0) * (S0 + 1.0) + 2.0 * lam * (a + w)))
+                + theta * kappa2 * kappa2 * ((S0 + 1.0) * (S0 + 1.0) + 2.0 * lam * (a + w)))
 
     @np.errstate(over="ignore", invalid="ignore")
     def prove(a, E, strides=(1,)):
@@ -420,28 +424,28 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     first step is found. The cap defaults to ``10 / lambda``, ten time
     constants of the enforced decay.
 
-    The grid lies in the blocks of ``linalg.expm_chunks``, as
-    ``linalg.grid_blocks`` lays them out, point ``j`` at time ``grid_step *
-    j``: a block's points are its fresh base ``exp(N a)`` times the kept
-    first block (``linalg.block_points``). The first block is judged whole,
-    as the full grid judges it; at ``tau = 0`` the form is 0, and no bound
+    The grid's blocks are those ``linalg.grid_blocks`` lays out for
+    ``linalg.expm_chunks``, point ``j`` at time ``grid_step * j``. The
+    first block is judged whole; at ``tau = 0`` the form is 0, and no bound
     proves a cell there. After it, cells are bounded before any of their
-    points is computed. A batch takes as many new bases as a chunk holds
-    blocks from one stacked ``linalg.expm_grid`` call, and
-    :func:`root_free_cells` bounds ``lambda_max`` of the decay form on the
-    cell between each two adjacent bases, from those two alone; a proven
-    cell's blocks are skipped. A batch's cells are twice as wide as the last
-    batch's where its bases also prove every cell twice as wide, and the
-    batch after an unproven wide cell tiles that cell; so the fresh
-    exponentials follow the length the bound cannot prove, not ``1 /
-    grid_step``.
+    points is computed. A batch takes as many new bases ``exp(N a)``, one
+    at each block's start, as a chunk holds blocks from one stacked
+    ``linalg.expm_grid`` call, and :func:`root_free_cells` bounds
+    ``lambda_max`` of the decay form on the cell between each two adjacent
+    bases, from those two alone; a proven cell's blocks are skipped. A
+    batch's cells are twice as wide as the last batch's where its bases
+    also prove every cell twice as wide, and the batch after an unproven
+    wide cell tiles that cell; so the fresh exponentials follow the length
+    the bound cannot prove, not ``1 / grid_step``.
 
-    Each block the bound cannot prove is judged as the full grid judges
-    it: its points, bitwise the full grid's, then ``decay_form``, stacked
-    determinants and the sign and dip tests, with the two determinants
-    before a judged run carried over. A run after a skipped block starts
-    one block early, so those two are the full grid's too; that block is
-    proven, and its own tests start from the sign ``(-1)^m``. On a proven
+    The first block, and each run of 1, 2, 4, ... blocks the bound cannot
+    prove, is a stretch of the grid that :func:`held_flow_chunks` gives
+    chunk by chunk, as it gives the tables' flows; each chunk's forms
+    (``decay_form``) and stacked determinants go through the sign and dip
+    tests, up to the first result, with the two determinants before a
+    judged run carried over. A run after a skipped block starts two grid
+    points early, from the sign ``(-1)^m``, so its first point is judged
+    against the two before it, as the full grid judges it. On a proven
     block every form the grid computes is negative definite, so no sign
     changes there, and a dip there cannot pass the sign test. Hence
     ``tau*`` is the one the full determinant grid gives, save that a dip
@@ -557,68 +561,57 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     N = sys.van_loan
     per, batch = linalg.grid_blocks(N, n_grid)
     n_blocks = -(-n_grid // per)
-    left, right = np.eye(sys.m, N.shape[0]), np.vstack((np.eye(sys.m), sys.K))
 
-    def base_times(blocks):
-        # Block k's base time, formed as expm_chunks forms its offset; past
-        # the last block, the grid's last time.
-        return grid_step * np.minimum(per * np.asarray(blocks), n_grid)
-
-    def run_points(blocks, bases):
-        # The points of consecutive blocks, bitwise those expm_chunks gives.
-        idx = np.arange(blocks[0] * per + 1, min((blocks[-1] + 1) * per, n_grid) + 1)
-        return idx, linalg.block_points(left, bases, kept, len(idx))
+    def judge_span(first, last, tail):
+        # Grid points first..last, chunk by chunk as the tables take them,
+        # up to the first result.
+        for idx, L in held_flow_chunks(sys, grid_step, range(first, last + 1)):
+            result, tail = judge(idx, L, tail)
+            if result is not None:
+                break
+        return result, tail
 
     # det M at the two grid points before the judged points: a placeholder
     # that no test reads, and at tau = 0 the sign (-1)^m that det M takes
     # just after it. Its magnitude, the smallest a float has, stands in for
     # the exact 0 there: no nonzero grid value is below it, so the first
-    # grid point never reads as a local minimum of |det M|. A run that
-    # starts on a proven block starts from the same pair.
+    # grid point never reads as a local minimum of |det M|. A run after a
+    # skipped block starts from the same pair, two grid points early.
     seed = np.array([math.nan, (-1.0) ** sys.m * 5e-324])
     # A grid point past the float range gives a non-finite form, which
     # linalg.det refuses with one error; numpy's overflow warnings would
     # only print ahead of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The first block, which is judged whole, and block 1's base.
-        E = linalg.expm_grid(N, np.append(grid_step * np.arange(1, per + 1),
-                                          base_times(1)))
-        kept = E[:per] @ right
-        result, tail = judge(np.arange(1, per + 1), left @ kept, seed)
-        judged, k, w, base, size, prove = 0, 1, 1, E[per:], 1, None
+        result, tail = judge_span(1, per, seed)
+        judged, k, w, base, size, prove = 0, 1, 1, np.empty((0,) + N.shape), 1, None
         while result is None and k < n_blocks:
-            # A batch of cells [starts[i], starts[i + 1]] from block k, w
-            # blocks wide (the grid's end may cut the last one), with the
-            # block before k if a judged run may have to start there.
+            # A batch of cells between the bases of blocks starts[i] and
+            # starts[i + 1], from block k, w blocks wide; ends holds each
+            # base's grid index, the grid's last past the last block.
             count = min(batch, -(-(n_blocks - k) // w))
-            new = np.minimum(k + w * np.arange(1, count + 1), n_blocks)
-            early = int(w == 1 and judged < k - 1)
-            E = linalg.expm_grid(N, base_times(np.append([k - 1] * early, new)))
-            before, starts = E[:early], np.append(k, new)
-            bases = np.concatenate((base, E[early:]))
+            starts = np.minimum(k + w * np.arange(count + 1), n_blocks)
+            ends = np.minimum(per * starts, n_grid)
+            bases = np.concatenate(
+                (base, linalg.expm_grid(N, grid_step * ends[len(base):])))
             prove = prove or root_free_cells(sys, cert)
-            proofs = prove(base_times(starts), bases, (1, 2)[:count])
+            proofs = prove(grid_step * ends, bases, (1, 2)[:count])
             unproven = np.flatnonzero(~proofs[0])
             if w > 1 and len(unproven):
                 # The next batch tiles the first unproven cell.
                 nxt, w = int(unproven[0]), max(1, w // batch)
             else:
-                # Judge the blocks from the first unproven one to the last,
-                # one block early if the one before was skipped, in runs
-                # of 1, 2, 4, ... blocks: the first is most often where the
-                # root lies, and an unproven stretch goes on doubling.
+                # Judge the blocks from the first unproven one to the last
+                # in runs of 1, 2, 4, ... blocks: the first is most often
+                # where the root lies, and an unproven stretch goes on
+                # doubling.
                 lo, end = (int(unproven[0]), int(unproven[-1]) + 1) if len(unproven) else (0, 0)
                 while result is None and lo < end:
+                    first = int(ends[lo]) + 1
                     if judged < starts[lo] - 1:
-                        size = 1
+                        size, first, tail = 1, first - 2, seed
                     hi = min(lo + size, end)
-                    blocks, run = starts[lo:hi], bases[lo:hi]
-                    if judged < blocks[0] - 1:
-                        blocks = np.concatenate(([blocks[0] - 1], blocks))
-                        run = np.concatenate((bases[lo - 1:lo] if lo else before, run))
-                        tail = seed
-                    result, tail = judge(*run_points(blocks, run), tail)
-                    judged, lo, size = int(blocks[-1]), hi, 2 * size
+                    result, tail = judge_span(first, int(ends[hi]), tail)
+                    judged, lo, size = int(starts[hi - 1]), hi, 2 * size
                 # The same bases bound cells twice as wide; where all of
                 # those are proven, the next batch's cells are.
                 nxt, w = count, w * (1 + (count > 1 and proofs[1].all()))

@@ -15,12 +15,11 @@ symmetry checks this package relies on:
                     later block one offset exponential times the first,
                     yielded in chunks under one memory budget; with
                     factors, ``left exp(M t) right``
-``grid_blocks``     the block width and blocks per chunk of ``expm_chunks``
-``block_points``    the points of blocks from their fresh ``exp(M a)``
-                    and the kept first block: ``expm_chunks``' later
-                    chunks, and the blocks the dwell-time scan judges
+``grid_blocks``     the block width and blocks per chunk of ``expm_chunks``,
+                    which the dwell-time scan's cells follow too
 ``sym_eig``         ``numpy.linalg.eigh`` behind a symmetry check
-``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization
+``lyap_solve``      continuous Lyapunov equation via Kronecker vectorization,
+                    solved for ``Q`` scaled by an exact power of two
 ``sqrtm_spd``       principal square root through the eigendecomposition
 ``induced_norm2``   spectral norm (``numpy.linalg.norm(M, 2)``)
 ``spectral_norms``  spectral norm of each matrix in a stack, from the largest
@@ -157,22 +156,6 @@ def grid_blocks(M, count):
     return per, _GRID_CHUNK_BLOCKS * budget // per
 
 
-def block_points(left, bases, first, count=None):
-    """Points ``left exp(M a) exp(M b) right`` of the blocks with ``bases``.
-
-    ``bases`` stacks the blocks' fresh ``exp(M a)`` and ``first`` the first
-    block's kept ``exp(M b) right``. The rows ``left exp(M a)`` of each
-    block (the whole ``exp(M a)`` when ``left`` is None) times each kept
-    matrix give an ``(count, p, q)`` stack, block after block, the first
-    ``count`` points (all when None). Each point is one ``p x k`` by ``k x
-    q`` product, so its bits do not depend on how many blocks share the
-    call.
-    """
-    rows = bases if left is None else left @ bases
-    E = rows[:, None] @ first
-    return E.reshape((-1,) + E.shape[-2:])[:count]
-
-
 def expm_chunks(M, step, indices, left=None, right=None):
     """Grid exponentials ``exp(M * j * step)`` for ``j`` in a ``range``.
 
@@ -197,8 +180,8 @@ def expm_chunks(M, step, indices, left=None, right=None):
 
     Given both factors, ``left`` (p x k) and ``right`` (k x q), it yields
     ``E[i] = left exp(M t_i) right`` instead, on the same chunks and blocks:
-    the first block keeps ``exp(M b) right``, and :func:`block_points`
-    takes every later chunk's points from it.
+    the first block keeps ``exp(M b) right``, and a later block's points
+    are its rows ``left exp(M a)`` times each kept matrix.
     """
     A = as_square(M, "expm argument")
     if not len(indices):
@@ -221,7 +204,8 @@ def expm_chunks(M, step, indices, left=None, right=None):
         idx = np.arange(part.start, part.stop, part.step)
         if lo > per:
             bases = expm_grid(A, step * (idx[::per] - indices[0]))
-        yield idx, block_points(left, bases, first, len(idx))
+        E = (bases if left is None else left @ bases)[:, None] @ first
+        yield idx, E.reshape((-1,) + E.shape[-2:])[:len(idx)]
         lo += len(idx)
 
 
@@ -253,7 +237,9 @@ def sym_eig(S, name="sym_eig argument"):
     """
     A = as_square(S, name)
     _check_symmetric(A, name)
-    values, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    # Halves first: their sum cannot overflow, and for entries above the
+    # subnormal range it is (A + A') / 2 to the bit.
+    values, vectors = np.linalg.eigh(0.5 * A + 0.5 * A.T)
     return values, vectors
 
 
@@ -264,8 +250,12 @@ def lyap_solve(A, Q):
     linear system by LU factorization. ``Q`` must be symmetric positive
     definite; the returned ``P`` is symmetrized and checked both for the
     residual (relative to ``norm(Q)``) and for positive definiteness, so a
-    successful return certifies that ``A`` is Hurwitz. An overflow on the
-    way, from entries near the float range, fails the solve as well.
+    successful return certifies that ``A`` is Hurwitz. The solve and its
+    checks run on ``Q`` scaled by the exact power of two that brings its
+    largest |entry| into ``[0.5, 1)``, and ``P`` is scaled back by the same
+    power: its bits are those of the unscaled solve, and the scale of ``Q``
+    alone makes no step overflow. An overflow on the way, a ``P`` past the
+    float range among them, fails the solve.
     """
     A = as_square(A, "Lyapunov A")
     Q = as_square(Q, "Lyapunov Q")
@@ -274,6 +264,8 @@ def lyap_solve(A, Q):
         raise DimensionError(f"Q has shape {Q.shape}, expected {(m, m)}")
     _check_symmetric(Q, "Q")
 
+    shift = int(np.frexp(np.abs(Q).max())[1])
+    Q = np.ldexp(Q, -shift)
     ident = np.eye(m)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -281,16 +273,17 @@ def lyap_solve(A, Q):
             # vec(X A) = kron(I, A') vec(X).
             L = np.kron(A.T, ident) + np.kron(ident, A.T)
             p = np.linalg.solve(L, -Q.reshape(-1))
-            P = p.reshape(m, m)
-            P = 0.5 * (P + P.T)
-            residual = A.T @ P + P @ A + Q
+            S = p.reshape(m, m)
+            S = 0.5 * (S + S.T)
+            residual = A.T @ S + S @ A + Q
             q_norm = float(np.sqrt((Q * Q).sum()))
             r_norm = float(np.sqrt((residual * residual).sum()))
+            P = np.ldexp(S, shift)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NumericError(f"Lyapunov solve failed: {exc}") from exc
     if not r_norm <= _LYAP_RESIDUAL_RTOL * max(q_norm, 1e-30):
         raise NumericError("Lyapunov residual out of tolerance")
-    values, _ = sym_eig(P)
+    values, _ = sym_eig(S)
     if values[0] <= 0.0:
         raise NumericError("Lyapunov solution is not positive definite")
     return P

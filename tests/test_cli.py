@@ -387,15 +387,33 @@ class TestExitCodes:
         assert err.startswith(message) and err.count("\n") == 1, err
 
     def test_failed_solve_for_a_given_q_is_named(self, tmp_path, capsys):
-        # A + BK has eigenvalues -1, -1, and the solve for this Q overflows;
-        # the error used to say the closed loop was not Hurwitz.
+        # A + BK has eigenvalues -1, -1, and this Q's P, 1.5 Q at its
+        # largest entry, lies past the float range; the error used to say
+        # the closed loop was not Hurwitz.
         cfg = copy.deepcopy(README_CONFIG)
-        cfg["lyapunov"]["Q"] = [[1e300, 0.0], [0.0, 1.0]]
+        cfg["lyapunov"]["Q"] = [[1.5e308, 0.0], [0.0, 1.5e308]]
         capsys.readouterr()
         assert run(tmp_path, cfg, "design", "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: no certificate for the given Q: Lyapunov "
                               "solve failed: overflow") and err.count("\n") == 1, err
+
+    def test_a_bound_past_the_float_range_proves_nothing(self, tmp_path):
+        # |P^(1/2)| |P^(-1/2)| is 1e80 for this plant, whose two modes
+        # decouple, and the dwell-time prover's float power of it used to
+        # raise OverflowError: a traceback and exit 1. An infinite bound
+        # proves no cell, and tau* is the scalar mode's on the same grid.
+        cfg = {"system": {"A": [[-1e160, 0.0], [0.0, 0.0]],
+                          "B": [[0.0], [1.0]], "K": [[0.0, -1.0]]},
+               "trigger": {"delta": 0.05, "tau_max": 1.5}}
+        out = tmp_path / "out"
+        assert run(tmp_path, cfg, "design", "--out", str(out)) == 0
+        dwell = json.loads((out / "design.json").read_text())["dwell_time"]
+        scalar = design.LinearSystem(0.0, 1.0, -1.0)
+        want = design.min_inter_execution_time(
+            scalar, design.make_certificate(scalar),
+            grid_step=0.05 / cli._DWELL_GRID_DIVISOR)
+        assert dwell["root_found"] and dwell["tau_star"] == want.tau
 
     def test_design_too_fine_to_allocate_is_one_line_design_error(self, tmp_path,
                                                                  capsys):

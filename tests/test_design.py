@@ -389,9 +389,11 @@ class TestDwellTime:
                                                  double_integrator):
         # Scaling Q scales P and leaves both the rate and the root alone,
         # also at 1e-300, where det M of the double integrator's forms
-        # would underflow to 0 at every grid point.
+        # would underflow to 0 at every grid point, and at 1e300, where the
+        # norm of Q in the solve's residual check used to overflow.
         for fx, scale, ratio in [(scalar, 2.0, 0.5),
-                                 (double_integrator, 1e-300, 0.8)]:
+                                 (double_integrator, 1e-300, 0.8),
+                                 (double_integrator, 1e300, 0.8)]:
             cert2 = design.make_certificate(fx.sys, Q=scale * np.eye(fx.sys.m),
                                             lambda_ratio=ratio)
             assert cert2.P == pytest.approx(scale * fx.cert.P, rel=1e-12, abs=0.0)
@@ -530,8 +532,10 @@ class TestDwellTime:
                                                       double_integrator):
         # design_fine's two scans on their CLI grids: the double integrator
         # at delta 0.005 and the m=6 plant at delta tau*/20. The full grid
-        # judged 18,715 and 2,119 determinants; proven blocks are skipped.
-        # The bisection still takes 4 and 5 stacked evaluations of 15
+        # judged 18,715 and 2,119 determinants; proven blocks are skipped,
+        # and a run after a skipped block starts two grid points early, not
+        # one block early as it did when it judged 1,425 and 159. The
+        # bisection still takes 4 and 5 stacked evaluations of 15
         # midpoints, so its path, and tau*, did not move.
         m6, m6_cert, m6_tau = spectrum_shift_plant(0, 6)
         di = double_integrator
@@ -539,12 +543,12 @@ class TestDwellTime:
         det = linalg.det
         monkeypatch.setattr(linalg, "det", lambda M: (
             seen.append(len(M) if np.ndim(M) == 3 else 1), det(M))[1])
-        for sys_, cert, delta, most, stacks in ((di.sys, di.cert, 0.005, 4000, 4),
-                                                (m6, m6_cert, m6_tau / 20.0, 700, 5)):
+        for sys_, cert, delta, most, stacks in ((di.sys, di.cert, 0.005, 1425, 4),
+                                                (m6, m6_cert, m6_tau / 20.0, 159, 5)):
             seen.clear()
             design.min_inter_execution_time(
                 sys_, cert, grid_step=cli._dwell_grid_step(sys_, delta))
-            assert sum(seen) <= most
+            assert sum(seen) < most
             assert seen.count(2 ** design._BISECT_LEVELS - 1) == stacks
 
     def test_fine_grid_finds_a_fast_oscillators_early_root(self):

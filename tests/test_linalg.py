@@ -257,23 +257,6 @@ class TestExpmGrid:
             want = left @ E @ right
             assert np.abs(F - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 6])
-    def test_one_base_gives_the_points_it_gets_among_several(self, m):
-        # The points of a base taken alone are bitwise its slice of a call
-        # with four bases, on a held-flow shaped Van Loan block (k = 2 m,
-        # B = I): rows [I 0] exp(M a) times the kept exp(M b) [I; K].
-        rng = np.random.default_rng(70 + m)
-        k, per = 2 * m, 7
-        M = random_matrix(rng, k, scale=0.5)
-        left, right = np.eye(m, k), rng.normal(size=(k, m))
-        first = linalg.expm_grid(M, 0.01 * np.arange(per)) @ right
-        bases = linalg.expm_grid(M, 0.07 * np.arange(1, 5))
-        together = linalg.block_points(left, bases, first)
-        assert together.shape == (4 * per, m, m)
-        for i in range(len(bases)):
-            alone = linalg.block_points(left, bases[i:i + 1], first)
-            assert np.array_equal(alone, together[i * per:(i + 1) * per]), i
-
     @settings(max_examples=60, deadline=None)
     @given(
         M=st.integers(1, 5).flatmap(lambda n: arrays(
