@@ -279,8 +279,7 @@ def _downsample(*arrays):
 def _write_plots(out, traj, vrep, gains):
     plots = out / "plots"
     plots.mkdir(exist_ok=True)
-    t, norm, bound = _downsample(traj.times,
-                                 np.linalg.norm(traj.states, axis=1),
+    t, norm, bound = _downsample(traj.times, sim.state_norms(traj.states),
                                  vrep.bound_curve)
     reports.svg_plot(plots / "state_norm.svg", "State norm against ISS envelope",
                      "t", "|x|", [("|x(t)|", t, norm), ("envelope", t, bound)])

@@ -271,11 +271,11 @@ class DwellTimeResult:
 def root_free_cells(sys, cert):
     """Prover of root-free cells of the dwell-time scan, from their bases.
 
-    Returns ``prove(a, E, strides=(1,))``. ``a`` holds ascending times and
-    ``E`` their computed ``exp(N a)``, ``N`` the Van Loan block; only a
-    cell that reaches ``a[-1]`` may be narrower than the first. For each
-    stride ``s`` it gives whether the cells ``[a_i, a_(i+s)]`` are proven,
-    as a boolean array of ``len(a) - s``. On a proven cell the decay test
+    Returns ``prove(a, E)``. ``a`` holds two or more ascending times and
+    ``E`` their computed ``exp(N a)``, ``N`` the Van Loan block; only the
+    cell that reaches ``a[-1]`` may be narrower than the first. It gives
+    whether the cells ``[a_i, a_(i+1)]`` are proven, as a boolean array of
+    ``len(a) - 1``. On a proven cell the decay test
     holds at every time, and every form the scan's grid computes in it
     has, in the metric of ``P``, its largest eigenvalue below zero.
 
@@ -312,9 +312,9 @@ def root_free_cells(sys, cert):
     S2 + 2 S1^2 + 4 lam^2 exp(-2 lam a))``, its remainder is under a
     quarter as wide, and adjacent cells share an end: a base costs one
     ``lambda_max(Mt(a)) = |Lt(a)|_2^2 - exp(-2 lam a)``, from
-    ``linalg.spectral_norms``. All cells of a stride take ``w``, the
-    norms, ``|exp(N a)|``, ``a`` and ``exp(-2 lam a)`` at their largest, so
-    one constant serves them.
+    ``linalg.spectral_norms``. All cells take ``w``, the norms, ``|exp(N
+    a)|``, ``a`` and ``exp(-2 lam a)`` at their largest, so one constant
+    serves them.
 
     The margin covers rounding, with ``u`` the unit roundoff, ``gamma_k =
     k u / (1 - k u)`` (Higham, *Accuracy and Stability of Numerical
@@ -386,7 +386,7 @@ def root_free_cells(sys, cert):
                 + theta * kappa2 * kappa2 * ((S0 + 1.0) * (S0 + 1.0) + 2.0 * lam * (a + w)))
 
     @np.errstate(over="ignore", invalid="ignore")
-    def prove(a, E, strides=(1,)):
+    def prove(a, E):
         a = np.asarray(a, dtype=float)
         X = (H @ E[:, :m]) @ G
         decay = np.exp(-2.0 * lam * a)
@@ -396,13 +396,12 @@ def root_free_cells(sys, cert):
         norms = np.sqrt((X * X).sum(axis=1).reshape(-1, 3, m).sum(axis=2)
                         .max(axis=0)).tolist()
         n_E = math.sqrt(float((E * E).sum(axis=(1, 2)).max()))
-        a0, end = float(a[0]), float(a[-1])
-        batch = (end, *norms, n_E, float(decay[0]))
-        # Widths widened by 4 ulps of the latest time: a grid time rounds by
-        # half an ulp, and so does a difference.
-        return [np.maximum(top[:-s], top[s:])
-                + excess(float(a[s]) - a0 + 4.0 * _EPS * end, *batch) < 0.0
-                for s in strides]
+        end = float(a[-1])
+        # The width widened by 4 ulps of the latest time: a grid time rounds
+        # by half an ulp, and so does a difference.
+        w = float(a[1]) - float(a[0]) + 4.0 * _EPS * end
+        return (np.maximum(top[:-1], top[1:])
+                + excess(w, end, *norms, n_E, float(decay[0])) < 0.0)
 
     return prove
 
@@ -428,30 +427,32 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     ``linalg.expm_chunks``, point ``j`` at time ``grid_step * j``. The
     first block is judged whole; at ``tau = 0`` the form is 0, and no bound
     proves a cell there. After it, cells are bounded before any of their
-    points is computed. A batch takes as many new bases ``exp(N a)``, one
-    at each block's start, as a chunk holds blocks from one stacked
+    points is computed. A batch takes the bases ``exp(N a)`` at its cells'
+    ends, as many cells as a chunk holds blocks, from one stacked
     ``linalg.expm_grid`` call, and :func:`root_free_cells` bounds
-    ``lambda_max`` of the decay form on the cell between each two adjacent
-    bases, from those two alone; a proven cell's blocks are skipped. A
-    batch's cells are twice as wide as the last batch's where its bases
-    also prove every cell twice as wide, and the batch after an unproven
-    wide cell tiles that cell; so the fresh exponentials follow the length
-    the bound cannot prove, not ``1 / grid_step``.
+    ``lambda_max`` of the decay form on each cell from the two bases at its
+    ends; a proven cell's blocks are skipped. After a batch whose cells
+    are all proven, the cells are twice as wide, and the batch after an
+    unproven wide cell tiles that cell; so the fresh exponentials follow
+    the length the bound cannot prove, not ``1 / grid_step``.
 
-    The first block, and each run of 1, 2, 4, ... blocks the bound cannot
-    prove, is a stretch of the grid that :func:`held_flow_chunks` gives
-    chunk by chunk, as it gives the tables' flows; each chunk's forms
-    (``decay_form``) and stacked determinants go through the sign and dip
-    tests, up to the first result, with the two determinants before a
-    judged run carried over. A run after a skipped block starts two grid
-    points early, from the sign ``(-1)^m``, so its first point is judged
-    against the two before it, as the full grid judges it. On a proven
-    block every form the grid computes is negative definite, so no sign
-    changes there, and a dip there cannot pass the sign test. Hence
-    ``tau*`` is the one the full determinant grid gives, save that a dip
-    the full grid would accept as a tangential root inside a proven cell,
-    where the decay test provably holds, is never looked at. The cost
-    follows the blocks the bound cannot prove.
+    The first block is one run; the blocks of a batch from its first
+    unproven cell to its last are judged in runs of 1, 2, 4, ... blocks,
+    doubling over the whole scan. A run is a stretch of the grid that
+    :func:`held_flow_chunks` gives chunk by chunk, as it gives the tables'
+    flows; each chunk's forms (``decay_form``) and stacked determinants go
+    through the sign and dip tests, up to the first result. A run starts
+    from the sign ``(-1)^m``, every run after the first block two grid
+    points early but not before point 1, so its first new point is judged
+    against the two before it, as on the full grid. No determinant passes
+    between runs: every grid point before a run has the sign ``(-1)^m``,
+    as it passed the sign test or lies in a proven cell, where every form
+    the grid computes is negative definite. So no sign changes on a proven
+    block, and a dip there cannot pass the sign test. Hence ``tau*`` is the
+    one the full determinant grid gives, save that a dip the full grid
+    would accept as a tangential root inside a proven cell, where the decay
+    test provably holds, is never looked at. The cost follows the blocks
+    the bound cannot prove.
 
     Only the grid's signs and dips are read; the points inside a bracket
     decide ``tau*``. One evaluator, ``det_at``, judges every point off the
@@ -530,95 +531,77 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     dip_threshold = math.sqrt(_SCAN_TOL)
     accept_threshold = dip_threshold * _TANGENT_ACCEPT_FACTOR
 
-    def judge(idx, L, tail):
-        # The sign and dip tests on consecutive grid points, after the two
-        # determinants in tail: a result, or None and the new tail.
-        dets = linalg.det(decay_form(L, P, rate, grid_step * idx))
-        all_dets = np.concatenate((tail, dets))
-        prev, prev2 = all_dets[1:-1], all_dets[:-2]
-        crossing = (dets == 0.0) | ((prev < 0.0) != (dets < 0.0))
-        dip = ((np.abs(prev) < dip_threshold) & (np.abs(prev) <= np.abs(prev2))
-               & (np.abs(prev) <= np.abs(dets)))
-        for i in np.flatnonzero(crossing | dip):
-            j = int(idx[i])
-            tau_j = grid_step * j
-            if crossing[i]:
+    def judge_run(first, last):
+        # Grid points first..last, chunk by chunk as the tables take them,
+        # through the sign and dip tests from the seed: the root, or None.
+        tail = seed
+        for idx, L in held_flow_chunks(sys, grid_step, range(first, last + 1)):
+            dets = linalg.det(decay_form(L, P, rate, grid_step * idx))
+            all_dets = np.concatenate((tail, dets))
+            prev, prev2 = all_dets[1:-1], all_dets[:-2]
+            crossing = (dets == 0.0) | ((prev < 0.0) != (dets < 0.0))
+            dip = ((np.abs(prev) < dip_threshold) & (np.abs(prev) <= np.abs(prev2))
+                   & (np.abs(prev) <= np.abs(dets)))
+            for i in np.flatnonzero(crossing | dip):
+                j = int(idx[i])
+                tau_j = grid_step * j
                 if dets[i] == 0.0:
-                    return DwellTimeResult(tau_j, True, tau_cap), None
-                root = bisect(grid_step * (j - 1), tau_j, float(prev[i]))
-                return DwellTimeResult(root, True, tau_cap), None
-            if dip[i]:
+                    return tau_j
+                if crossing[i]:
+                    return bisect(grid_step * (j - 1), tau_j, float(prev[i]))
                 lo = grid_step * (j - 2)
                 t_min, f_min = golden_min(lo, tau_j)
                 if abs(f_min) <= accept_threshold:
-                    return DwellTimeResult(t_min, True, tau_cap), None
+                    return t_min
                 f_lo = det_at(lo)
                 if (f_lo < 0.0) != (f_min < 0.0):
-                    return DwellTimeResult(bisect(lo, t_min, f_lo), True, tau_cap), None
-        return None, all_dets[-2:]
+                    return bisect(lo, t_min, f_lo)
+            tail = all_dets[-2:]
+        return None
 
     n_grid = int(math.ceil(tau_cap / grid_step))
     N = sys.van_loan
     per, batch = linalg.grid_blocks(N, n_grid)
     n_blocks = -(-n_grid // per)
-
-    def judge_span(first, last, tail):
-        # Grid points first..last, chunk by chunk as the tables take them,
-        # up to the first result.
-        for idx, L in held_flow_chunks(sys, grid_step, range(first, last + 1)):
-            result, tail = judge(idx, L, tail)
-            if result is not None:
-                break
-        return result, tail
-
-    # det M at the two grid points before the judged points: a placeholder
-    # that no test reads, and at tau = 0 the sign (-1)^m that det M takes
-    # just after it. Its magnitude, the smallest a float has, stands in for
-    # the exact 0 there: no nonzero grid value is below it, so the first
-    # grid point never reads as a local minimum of |det M|. A run after a
-    # skipped block starts from the same pair, two grid points early.
+    # det M at the two grid points before a run: a placeholder that no test
+    # reads, and the sign (-1)^m that det M takes just after tau = 0. Its
+    # magnitude, the smallest a float has, stands in for the exact 0 there:
+    # no nonzero grid value is below it, so a run's first point never reads
+    # as a local minimum of |det M|. Every grid point before a run has that
+    # sign too, as it passed the sign test or lies in a proven cell.
     seed = np.array([math.nan, (-1.0) ** sys.m * 5e-324])
     # A grid point past the float range gives a non-finite form, which
     # linalg.det refuses with one error; numpy's overflow warnings would
     # only print ahead of it.
     with np.errstate(over="ignore", invalid="ignore"):
-        result, tail = judge_span(1, per, seed)
-        judged, k, w, base, size, prove = 0, 1, 1, np.empty((0,) + N.shape), 1, None
-        while result is None and k < n_blocks:
+        root = judge_run(1, per)
+        k, w, prove, size = 1, 1, None, 1
+        while root is None and k < n_blocks:
             # A batch of cells between the bases of blocks starts[i] and
             # starts[i + 1], from block k, w blocks wide; ends holds each
             # base's grid index, the grid's last past the last block.
             count = min(batch, -(-(n_blocks - k) // w))
             starts = np.minimum(k + w * np.arange(count + 1), n_blocks)
             ends = np.minimum(per * starts, n_grid)
-            bases = np.concatenate(
-                (base, linalg.expm_grid(N, grid_step * ends[len(base):])))
             prove = prove or root_free_cells(sys, cert)
-            proofs = prove(grid_step * ends, bases, (1, 2)[:count])
-            unproven = np.flatnonzero(~proofs[0])
+            unproven = np.flatnonzero(
+                ~prove(grid_step * ends, linalg.expm_grid(N, grid_step * ends)))
             if w > 1 and len(unproven):
                 # The next batch tiles the first unproven cell.
-                nxt, w = int(unproven[0]), max(1, w // batch)
-            else:
-                # Judge the blocks from the first unproven one to the last
-                # in runs of 1, 2, 4, ... blocks: the first is most often
-                # where the root lies, and an unproven stretch goes on
-                # doubling.
-                lo, end = (int(unproven[0]), int(unproven[-1]) + 1) if len(unproven) else (0, 0)
-                while result is None and lo < end:
-                    first = int(ends[lo]) + 1
-                    if judged < starts[lo] - 1:
-                        size, first, tail = 1, first - 2, seed
-                    hi = min(lo + size, end)
-                    result, tail = judge_span(first, int(ends[hi]), tail)
-                    judged, lo, size = int(starts[hi - 1]), hi, 2 * size
-                # The same bases bound cells twice as wide; where all of
-                # those are proven, the next batch's cells are.
-                nxt, w = count, w * (1 + (count > 1 and proofs[1].all()))
-            k, base = int(starts[nxt]), bases[nxt:nxt + 1]
-    if result is not None:
-        return result
-    return DwellTimeResult(tau_cap, False, tau_cap)
+                k, w = int(starts[unproven[0]]), max(1, w // batch)
+                continue
+            # Judge the blocks from the first unproven one to the last in
+            # runs that double in length over the scan, each from two grid
+            # points before it but not before point 1.
+            lo, end = (int(unproven[0]), int(unproven[-1]) + 1) if len(unproven) else (0, 0)
+            while root is None and lo < end:
+                hi = min(lo + size, end)
+                root = judge_run(max(1, int(ends[lo]) - 1), int(ends[hi]))
+                lo, size = hi, 2 * size
+            # After a batch whose cells are all proven, cells twice as wide;
+            # a batch of one cell could not tile them.
+            k, w = int(starts[-1]), w * (1 + (end == 0 and batch > 1))
+    return DwellTimeResult(tau_cap if root is None else root, root is not None, tau_cap)
 
 
 def _frobenius(X):

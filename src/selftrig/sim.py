@@ -245,10 +245,26 @@ class Trajectory:
         return tuple(float(f(self.tau_k)) for f in (np.min, np.mean, np.max))
 
 
+def _scale_free(f, x):
+    """``f``, of degree 1, of one state or of each row of a stack, taken on
+    each row scaled by the power of two that brings its largest |entry|
+    into [0.5, 1) and scaled back: no square overflows, the bits are those
+    of ``f`` wherever its squares fit a float, and a larger result is inf."""
+    # Across the transpose's rows: a max along a short last axis is slower.
+    e = np.frexp(np.abs(x.T, order="C").max(axis=0))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(f(np.ldexp(x, -e[..., None])), e)
+
+
+def state_norms(states):
+    """Euclidean norm of each row of ``states``."""
+    return _scale_free(lambda u: np.linalg.norm(u, axis=1), states)
+
+
 def _lyapunov_values(cert, states):
     """``V`` of each row of ``states`` with one contraction."""
-    return np.sqrt(np.maximum(0.0, np.einsum("ij,jk,ik->i", states, cert.P,
-                                             states)))
+    return _scale_free(lambda u: np.sqrt(np.maximum(
+        0.0, np.einsum("ij,jk,ik->i", u, cert.P, u))), states)
 
 
 def _run_loop(sys, cert, dist, x0, t_end, dt, schedule):
@@ -432,9 +448,9 @@ def verify(traj, gains, cert, dist, sys):
       ``V(x_k) <= V(x0) exp(-lam t_k)`` at every execution.
     """
     d_inf = dist.linf_bound
-    x0_norm = float(np.linalg.norm(traj.states[0]))
+    x0_norm = float(_scale_free(np.linalg.norm, traj.states[0]))
     bound_curve = gains.bound(x0_norm, traj.times, d_inf)
-    observed = np.linalg.norm(traj.states, axis=1)
+    observed = state_norms(traj.states)
 
     v_events = traj.v_values[traj.holds]
     taus = traj.tau_k

@@ -503,10 +503,10 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")) == 4
 
     def test_overflowing_run_is_simulation_error(self, tmp_path, capsys):
-        # The states stay finite but V = sqrt(x'Px) does not; such a run
-        # has no verdict, where it used to write V = inf and a -Infinity
-        # worst margin and exit 0.
-        cfg = scalar_cfg()
+        # The states stay finite but V = sqrt(x'Px) does not, as Q = 1e6
+        # makes P = 5e5; such a run has no verdict, where it used to write
+        # V = inf and a -Infinity worst margin and exit 0.
+        cfg = scalar_cfg(lyapunov={"lambda_ratio": 0.5, "Q": [[1e6]]})
         cfg["simulation"] = {"x0": [2.0], "t_end": 5.0,
                              "disturbance": {"kind": "constant",
                                              "amplitude": 1e306}}
@@ -515,6 +515,19 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_undisturbed_state_is_verified(self, tmp_path, capsys):
+        # x0 = [1e300, 1e300]: every state and every V lies inside the
+        # float range, though their squares do not. The run used to end
+        # in "Lyapunov value overflowed" and exit 4.
+        cfg = readme_cfg()
+        cfg["simulation"].update(x0=[1e300, 1e300], disturbance={"kind": "zero"})
+        out = tmp_path / "out"
+        assert run(tmp_path, cfg, "simulate", "--out", str(out)) == 0
+        verdict = json.loads((out / "verify.json").read_text())
+        for check in ("eiss", "decay", "disturbed_decay"):
+            assert verdict[check]["violations"] == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_design_reuse_checks_the_plant(self, tmp_path):
         out = tmp_path / "out"

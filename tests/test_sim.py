@@ -439,10 +439,26 @@ class TestRunLoop:
         assert np.array_equal(traj_a.states, traj_b.states)
 
     def test_lyapunov_overflow_is_simulation_error(self, scalar):
-        # The states stay finite but V = sqrt(x'Px) does not.
+        # The states stay finite but V = sqrt(x'Px) does not: with Q = 1e4
+        # the certificate's P is 5e3, so V(1e307) is about 7e308. The
+        # forms scale with P, so the fixture's tables still apply.
+        cert = design.make_certificate(scalar.sys, Q=[[1e4]], lambda_ratio=0.5)
         with pytest.raises(SimulationError):
-            sim.run_self_triggered(scalar.sys, scalar.cert, scalar.tables,
-                                   zero_dist(1), [1e160], 5.0)
+            sim.run_self_triggered(scalar.sys, cert, scalar.tables,
+                                   zero_dist(1), [1e307], 5.0)
+
+    def test_lyapunov_values_of_huge_states_are_exact(self, double_integrator):
+        # Each row is scaled by a power of two before it is squared, so a
+        # state of 1e300, whose squares overflow, has V and |x| equal to
+        # those of the state scaled down exactly, scaled back.
+        cert = double_integrator.cert
+        unit = np.array([[0.75, -0.5], [1.0, 1.0], [0.0, 0.0]])
+        huge = np.ldexp(unit, 1000)
+        assert np.all(np.abs(huge[:2]) >= 1e300)
+        assert np.array_equal(sim._lyapunov_values(cert, huge),
+                              np.ldexp(sim._lyapunov_values(cert, unit), 1000))
+        assert np.array_equal(sim.state_norms(huge),
+                              np.ldexp(np.linalg.norm(unit, axis=1), 1000))
 
     def test_periodic_schedule(self, double_integrator):
         fx = double_integrator
