@@ -3,11 +3,16 @@ Operation counts for the two trigger evaluators
 ===============================================
 
 The scheduler can evaluate its quadratic forms two ways. The direct route
-multiplies each full m x m matrix into the state. The packed route packs
-the outer product of the state once, then reduces each symmetric form to
-a dot product over its m(m+1)/2 distinct entries, which is cheaper as
-soon as the scan visits more than one table entry. Worst case is a scan
-of the whole window; the counts below are exact, not estimates.
+multiplies each full m x m matrix into the state, m^2 + m multiply-adds
+per form, for every grid index from 1 to n_max. The packed route packs the
+outer product of the state once, m(m+1)/2 multiplies, then reduces each
+symmetric form to a dot product over its m(m+1)/2 distinct entries; the
+counter charges a multiply and an add per coefficient and one comparison,
+m^2 + m + 1 operations per form, one more than the direct route. It reads
+only the window above n_min, though, and skips the prefix up to n_min that
+the direct route scans too: the ratios below come from that prefix. Worst
+case is a scan of the whole window; the counts below are exact, not
+estimates.
 """
 
 import numpy as np
@@ -41,4 +46,6 @@ for m in (1, 2, 3, 4, 6, 8):
           f"{direct.op_count / packed.op_count:>6.2f}")
 
 print()
-print("packed worst case is q + (2q+1) m(m+1)/2 multiply-adds.")
+print("packed worst case is q + (2q+1) m(m+1)/2 operations, q = n_max - n_min:")
+print("q comparisons, and m(m+1)/2 multiplies for the monomials plus a")
+print("multiply and an add per coefficient of each of the q forms.")

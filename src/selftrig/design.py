@@ -42,7 +42,8 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, DesignError, DimensionError, NumericError
 
-# Grid-count fallback for the dwell-time scan when the caller gives no step.
+# Grid-count fallback for the dwell-time scan when the caller gives no step
+# (resolving_step caps the step it gives).
 _SCAN_POINTS_DEFAULT = 2000
 # Width, relative to the bracket's upper end, to which the dwell-time
 # bisection and dip refinement narrow a root; each returns the lower end,
@@ -421,7 +422,9 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     lambda P - Q`` is negative definite for ``lambda < lambda_o``. So the
     first grid point is judged like any other, and a root inside the
     first step is found. The cap defaults to ``10 / lambda``, ten time
-    constants of the enforced decay.
+    constants of the enforced decay, and the step to ``tau_cap / 2000``,
+    but at most :func:`resolving_step`, so that the scan cannot step over
+    the first root of a plant that oscillates faster than that grid.
 
     The grid's blocks are those ``linalg.grid_blocks`` lays out for
     ``linalg.expm_chunks``, point ``j`` at time ``grid_step * j``. The
@@ -461,19 +464,18 @@ def min_inter_execution_time(sys, cert, grid_step=None, tau_cap=None):
     bisection's next ``_BISECT_LEVELS`` steps at once, each formed from its
     parent's bracket as a single step would form it. A stacked form is
     bitwise that of one point, so the path and ``tau*`` are those of one
-    point at a time. Every determinant is ``linalg.det``'s, so both ends of
-    a bracket are judged by one formula: the closed form for ``m = 2``, LU
-    otherwise. Its form is taken with ``P`` scaled by the exact power of
-    two that brings its largest entry into ``[0.5, 1)``: the signs are the
-    same, and neither an underflow to 0 nor the dip thresholds depend on
-    the scale of ``Q``.
+    point at a time. Every determinant is ``linalg.det``'s LU, so both ends
+    of a bracket are judged by one formula. Its form is taken with ``P``
+    scaled by the exact power of two that brings its largest entry into
+    ``[0.5, 1)``: the signs are the same, and neither an underflow to 0 nor
+    the dip thresholds depend on the scale of ``Q``.
     """
     if tau_cap is None:
         tau_cap = 10.0 / cert.lam
     if not (tau_cap > 0.0 and math.isfinite(tau_cap)):
         raise DesignError(f"tau_cap must be positive and finite, got {tau_cap}")
     if grid_step is None:
-        grid_step = tau_cap / _SCAN_POINTS_DEFAULT
+        grid_step = min(tau_cap / _SCAN_POINTS_DEFAULT, resolving_step(sys.A))
     if not (0.0 < grid_step < tau_cap):
         raise DesignError(f"grid_step must lie in (0, tau_cap), got {grid_step}")
     if tau_cap / grid_step > np.iinfo(np.intp).max:

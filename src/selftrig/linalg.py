@@ -25,8 +25,7 @@ symmetry checks this package relies on:
 ``spectral_norms``  spectral norm of each matrix in a stack, from the largest
                     eigenvalue of the scaled ``E'E``: closed form for two
                     columns, ``numpy.linalg.eigvalsh`` otherwise
-``det``             determinant of a checked square matrix or stack: closed
-                    form for 2x2, ``numpy.linalg.det`` otherwise
+``det``             ``numpy.linalg.det`` of a checked square matrix or stack
 ==================  =========================================================
 
 All tolerances are module constants so callers can tighten or relax them in
@@ -131,12 +130,8 @@ def _expm_stack(X):
         R = np.linalg.solve(V - U, V + U)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Pade denominator is singular: {exc}") from exc
-    # Square the whole stack as often as its least-scaled matrix needs,
-    # then only the matrices that were scaled further.
-    lowest, highest = (int(s.min()), int(s.max())) if s.size else (0, 0)
-    for _ in range(lowest):
-        R = R @ R
-    for k in range(lowest, highest):
+    # Square each matrix back as often as it was halved.
+    for k in range(int(s.max(initial=0))):
         active = s > k
         part = R[active]
         R[active] = part @ part
@@ -348,12 +343,9 @@ def spectral_norms(E):
 
 
 def det(M):
-    """Determinant of a finite square matrix, or of each in a stack of them.
-
-    A 2x2 determinant is the closed form ``a d - b c``, unless its products
-    leave the float range; other sizes, and those, are ``numpy.linalg.det``'s
-    LU. A single matrix gives a float, a stack an array.
-    """
+    """Determinant of a finite square matrix, or of each in a stack of them,
+    by ``numpy.linalg.det``'s LU. A single matrix gives a float, a stack an
+    array."""
     A = np.asarray(M, dtype=float)
     if A.ndim <= 2:
         A = as_square(A, "det argument")
@@ -364,13 +356,5 @@ def det(M):
         raise NumericError("det argument has non-finite entries")
     # A determinant past the float range is an infinity, not a warning.
     with np.errstate(over="ignore"):
-        if A.shape[-1] != 2:
-            d = np.linalg.det(A)
-        else:
-            with np.errstate(invalid="ignore"):
-                d = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-            # Products past the float range lose the sign; LU keeps it.
-            lost = ~np.isfinite(d)
-            if lost.any():
-                d = np.where(lost, np.linalg.det(A), d)
+        d = np.linalg.det(A)
     return float(d) if A.ndim == 2 else d

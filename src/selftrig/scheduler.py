@@ -12,12 +12,12 @@ Two evaluators are provided. ``next_update`` works on the full matrices.
 ``next_update_packed`` evaluates the same forms as dot products against
 packed monomial vectors (upper-triangular coefficients with doubled
 off-diagonals against ``z = (x_i x_j)_{i<=j}``), which is how a constrained
-platform would run it; it carries an exact multiply-add counter and only
-reads the forms above ``n_min``, since the prefix up to ``n_min`` cannot
-change the schedule for any design with ``tau_min`` below the minimum
-inter-execution time. The forms are the only stored table and the
-``TriggerConfig`` the only copy of the grid; the packed vectors are
-derived from the forms when the tables are built.
+platform would run it; it carries an exact operation counter (multiplies,
+adds and comparisons) and only reads the forms above ``n_min``, since the
+prefix up to ``n_min`` cannot change the schedule for any design with
+``tau_min`` below the minimum inter-execution time. The forms are the only
+stored table and the ``TriggerConfig`` the only copy of the grid; the
+packed vectors are derived from the forms when the tables are built.
 
 The forms are homogeneous of degree two, so a decision does not depend on
 the scale of the state. Both evaluators bring the state's largest entry
@@ -99,8 +99,12 @@ def _unit_state(x, m):
 class TriggerDecision:
     """Outcome of one online scheduling decision.
 
-    ``op_count`` is the modeled multiply-add cost of the evaluation path
-    that produced the decision (comparisons included for the packed path).
+    ``op_count`` is the modeled cost of the evaluation path that produced
+    the decision: for the direct path ``m^2 + m`` multiply-adds per form
+    read, for the packed path ``m(m+1)/2`` multiplies for the monomials plus
+    ``m^2 + m + 1`` per form read (a multiply and an add per coefficient and
+    one comparison). The packed path costs one more per form; what it
+    saves is the forms up to ``n_min``, which it does not read.
     """
 
     n: int

@@ -200,23 +200,28 @@ def integrate_held(sys, x, u, dist, t0, dt, steps, step0=0):
     if dt <= 0.0 or not math.isfinite(dt):
         raise SimulationError(f"step size must be positive, got {dt}")
     stages, held, starts, toeplitz = _step_map(sys.A.tobytes(), m, float(dt))
-    t = t0 + dt * np.arange(steps)
-    d = dist.value(np.stack([t, t + 0.5 * dt, t + dt], axis=1),
-                   step0 + np.arange(steps)[:, None])
-    blocks = -(-steps // _BLOCK)
-    forcing = np.zeros((blocks * _BLOCK, m))
-    out = np.empty((steps + 1, m))
-    out[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        forcing[:steps] = d.reshape(steps, 3 * m) @ stages + held @ (sys.B @ u)
-        forced = forcing.reshape(blocks, _BLOCK * m) @ toeplitz
-        firsts = np.empty((blocks, m))
-        across = starts[:, -m:]
-        for k in range(blocks):
-            firsts[k] = x
-            x = x + (x @ across + forced[k, -m:])
-        rest = (firsts @ starts + forced).reshape(blocks, _BLOCK, m)
-        out[1:] = (firsts[:, None, :] + rest).reshape(-1, m)[:steps]
+    try:
+        t = t0 + dt * np.arange(steps)
+        d = dist.value(np.stack([t, t + 0.5 * dt, t + dt], axis=1),
+                       step0 + np.arange(steps)[:, None])
+        blocks = -(-steps // _BLOCK)
+        forcing = np.zeros((blocks * _BLOCK, m))
+        out = np.empty((steps + 1, m))
+        out[0] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            forcing[:steps] = d.reshape(steps, 3 * m) @ stages + held @ (sys.B @ u)
+            forced = forcing.reshape(blocks, _BLOCK * m) @ toeplitz
+            firsts = np.empty((blocks, m))
+            across = starts[:, -m:]
+            for k in range(blocks):
+                firsts[k] = x
+                x = x + (x @ across + forced[k, -m:])
+            rest = (firsts @ starts + forced).reshape(blocks, _BLOCK, m)
+            out[1:] = (firsts[:, None, :] + rest).reshape(-1, m)[:steps]
+    except MemoryError as exc:
+        raise SimulationError(
+            f"a hold of {steps} integrator steps of size {dt:.6g} does not "
+            f"fit in memory") from exc
     if not np.all(np.isfinite(out)):
         raise SimulationError(
             f"state diverged near t={t0 + steps * dt:.6g}; check the design "

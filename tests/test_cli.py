@@ -607,6 +607,28 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_hold_too_long_to_allocate_is_simulation_error(self, tmp_path,
+                                                           capsys):
+        # At 10**13 integrator steps per grid step a hold's arrays exceed
+        # the address space, so numpy refuses them before allocating. The
+        # MemoryError used to exit 3, as a failed design, and to abort a
+        # sweep before it wrote sweep.csv.
+        cfg = readme_cfg()
+        cfg["simulation"]["integrator_divisor"] = 10**13
+        cfg["sweep"] = {"delta_list": [0.05], "tau_max_list": [1.0, 1.5]}
+        capsys.readouterr()
+        for command in ("simulate", "compare"):
+            assert run(tmp_path, cfg, command,
+                       "--out", str(tmp_path / command)) == 4
+            err = capsys.readouterr().err
+            assert err == ("error: a hold of 300000000000000 integrator steps "
+                           "of size 5e-15 does not fit in memory\n"), err
+        out = tmp_path / "sweep"
+        assert run(tmp_path, cfg, "sweep", "--out", str(out)) == 1
+        with open(out / "sweep.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["error:SimulationError"] * 2
+
     def test_design_reuse_accepts_the_configs_vector_gains(self, tmp_path):
         # A 1-D B is a column and a 1-D K a row, in the config as in the
         # design file; the file used to be compared with B as a row and

@@ -30,13 +30,6 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 SNAP_SLACK = 2e-9
 
 
-def lapack_det(M):
-    """``linalg.det`` as it was before the 2x2 closed form: numpy's LU
-    determinant of one matrix (a float) or of a stack (an array)."""
-    d = np.linalg.det(np.asarray(M, dtype=float))
-    return float(d) if np.ndim(d) == 0 else d
-
-
 def fresh_simpson(A, T, max_step, embedded=True):
     """``integral_0^T norm(exp(A r)) dr`` as the quadrature defines it, with
     every rule built from scratch: one ``linalg.expm`` and one SVD norm per
@@ -225,7 +218,8 @@ def sequential_scan(sys_, cert, grid_step=None, tau_cap=None):
     tol = design._SCAN_TOL
     tau_cap = 10.0 / cert.lam if tau_cap is None else tau_cap
     if grid_step is None:
-        grid_step = tau_cap / design._SCAN_POINTS_DEFAULT
+        grid_step = min(tau_cap / design._SCAN_POINTS_DEFAULT,
+                        design.resolving_step(sys_.A))
 
     def det_at(tau):
         return linalg.det(design.trigger_form(sys_, cert, tau))
@@ -443,28 +437,6 @@ class TestDwellTime:
         form = design.trigger_form(sys_, cert, 0.999 * tau)
         assert float(np.linalg.eigvalsh(form).max()) <= 0.0
 
-    def test_tau_star_equals_the_lapack_det_oracle(self, monkeypatch,
-                                                   double_integrator, corpus):
-        # The scan judges m = 2 decay forms by the closed-form determinant;
-        # on these plants its tau* is bitwise the one that numpy's LU
-        # determinant gives on the same grid: the README double integrator
-        # (delta 0.05) and design_fine's (delta 0.005) on the CLI grid, the
-        # tangential plant, whose determinant only touches zero, and the
-        # corpus on the default grid.
-        tangential = design.LinearSystem(np.zeros((2, 2)), np.eye(2), -np.eye(2))
-        di = (double_integrator.sys, double_integrator.cert)
-        cases = [(*di, {"grid_step": delta / cli._DWELL_GRID_DIVISOR})
-                 for delta in (0.05, 0.005)]
-        cases += [(tangential, design.make_certificate(tangential, lambda_ratio=r), {})
-                  for r in (0.5, 0.8)]
-        cases += [(fx.sys, fx.cert, {}) for fx in corpus]
-        assert sum(s.m == 2 for s, _c, _kw in cases) >= 8
-        got = [design.min_inter_execution_time(s, c, **kw) for s, c, kw in cases]
-        monkeypatch.setattr(linalg, "det", lapack_det)
-        for (s, c, kw), mine in zip(cases, got):
-            oracle = design.min_inter_execution_time(s, c, **kw)
-            assert (mine.tau, mine.root_found) == (oracle.tau, oracle.root_found)
-
     def test_proven_cells_hold_the_exact_decay_test(self, scalar,
                                                     double_integrator, corpus):
         # root_free_cells on the scan's cells of one block, and of two
@@ -604,6 +576,22 @@ class TestDwellTime:
             sys_, cert, grid_step=cli._dwell_grid_step(sys_, 0.05))
         assert coarse.tau <= fine.tau
 
+    def test_default_grid_resolves_a_fast_oscillator(self):
+        # README B and K with A = [[0, 1], [-1e4, 0]]: a step of
+        # tau_cap / 2000 reported tau* = 0.0628, where the decay test had
+        # long failed. The default step is at most the resolving step.
+        sys_ = design.LinearSystem([[0.0, 1.0], [-1e4, 0.0]], [[0.0], [1.0]],
+                                   [[-1.0, -2.0]])
+        cert = design.make_certificate(sys_)
+        step = design.resolving_step(sys_.A)
+        assert step < 10.0 / cert.lam / design._SCAN_POINTS_DEFAULT
+        got = design.min_inter_execution_time(sys_, cert)
+        resolved = design.min_inter_execution_time(sys_, cert, grid_step=step)
+        assert (got.tau, got.root_found) == (resolved.tau, resolved.root_found)
+        assert got.tau == pytest.approx(1.788786475393863e-4, rel=1e-12)
+        form = design.trigger_form(sys_, cert, 0.999 * got.tau)
+        assert float(np.linalg.eigvalsh(form).max()) <= 0.0
+
     def test_cli_grid_step_is_delta_over_100_without_oscillation(
             self, double_integrator):
         for delta in (0.05, 0.005):
@@ -707,14 +695,17 @@ class TestDwellTime:
         # With no dip accepted as a tangential root, every dip the scans
         # refine reaches the sign test, which reads the golden section's
         # own value at its point; the oracle evaluates that point afresh.
-        # Two scalar loops whose roots lie 1e-4 apart, inside one grid
-        # step, make a dip whose refined value is negative, so the test
-        # sees a sign change there and bisects.
+        # Two scalar loops whose gains differ by 3e-4 have roots inside one
+        # grid step and make a dip whose refined value is negative, so the
+        # test sees a sign change there and bisects (tau* 1.4773123). At
+        # 1e-4 the refined value keeps the sign, and both scans return the
+        # cap with no root.
         monkeypatch.setattr(design, "_TANGENT_ACCEPT_FACTOR", 0.0)
-        split = design.LinearSystem(np.zeros((2, 2)), np.eye(2),
-                                    -np.diag([1.0, 1.0 + 1e-4]))
         cases = _oracle_cases(double_integrator, corpus)
-        cases.append((split, design.make_certificate(split, lambda_ratio=0.5), {}))
+        for eps in (1e-4, 3e-4):
+            split = design.LinearSystem(np.zeros((2, 2)), np.eye(2),
+                                        -np.diag([1.0, 1.0 + eps]))
+            cases.append((split, design.make_certificate(split, lambda_ratio=0.5), {}))
         for sys_, cert, kw in cases:
             got = design.min_inter_execution_time(sys_, cert, **kw)
             assert (got.tau, got.root_found) == sequential_scan(sys_, cert, **kw)
